@@ -1,0 +1,104 @@
+"""Pinned determinism: sha256 digests of a scripted world, a tiny training run and a tiny eval.
+
+The expected digests live in golden_digests.json. A change that alters any of
+them changes the program's deterministic output and must say so. To print the
+digests the current code produces:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from predprey.cli import main
+from predprey.net import AdamState, init_net, save_checkpoint
+from predprey.train import run_training
+from predprey.world import WorldConfig, reset, state_digest, step
+from test_train import tiny_config
+
+GOLDEN_PATH = Path(__file__).resolve().parent / "golden_digests.json"
+
+EVAL_CONFIG = """\
+n_runs = 3
+duration = 200
+seed = 9
+condition_id = golden
+log_points = true
+"""
+
+
+def file_sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def scripted_world_digest() -> str:
+    """state_digest after 1,000 ticks of seeded random actions in the default world."""
+    cfg = WorldConfig()
+    state = reset(cfg, 2024)
+    rng = np.random.default_rng(2024)
+    for _ in range(1000):
+        state, _, _, _ = step(state, rng.integers(0, 6, size=cfg.n_prey))
+    return state_digest(state)
+
+
+def train_digests(out_dir: Path) -> dict[str, str]:
+    run_training(tiny_config(), out_dir)
+    return {
+        "train_metrics_csv": file_sha256(out_dir / "metrics.csv"),
+        "train_checkpoint_final": file_sha256(out_dir / "checkpoint_final.ckpt"),
+    }
+
+
+def eval_digests(out_dir: Path) -> dict[str, str]:
+    """Three 200-tick runs with the predator and point logging, from a seeded untrained net."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    net = init_net(WorldConfig().obs_dim, 6, hidden_units=16, num_layers=1, seed=3)
+    ckpt = out_dir / "net.ckpt"
+    save_checkpoint(ckpt, net, AdamState.for_net(net), 3, 0)
+    cfg = out_dir / "eval.txt"
+    cfg.write_text(EVAL_CONFIG)
+    result = out_dir / "result"
+    assert main(["eval", "-c", str(cfg), "--checkpoint", str(ckpt), "-o", str(result)]) == 0
+    return {
+        "eval_run_records_csv": file_sha256(result / "run_records.csv"),
+        "eval_trajectory_csv": file_sha256(result / "trajectory.csv"),
+    }
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+def test_scripted_world_state_digest(golden):
+    assert scripted_world_digest() == golden["world_state_1000_ticks"]
+
+
+def test_tiny_training_outputs(golden, tmp_path):
+    got = train_digests(tmp_path)
+    assert got == {k: golden[k] for k in got}
+
+
+def test_tiny_eval_outputs(golden, tmp_path):
+    got = eval_digests(tmp_path)
+    # the fixture must exercise point rows and every event kind
+    text = (tmp_path / "result" / "trajectory.csv").read_text()
+    for needle in ("point_positive", "point_negative", "positive_collected", "negative_collected", "prey_caught"):
+        assert needle in text, needle
+    assert got == {k: golden[k] for k in got}
+
+
+if __name__ == "__main__":
+    import contextlib
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(sys.stderr):
+        digests = {"world_state_1000_ticks": scripted_world_digest()}
+        digests.update(train_digests(Path(tmp) / "train"))
+        digests.update(eval_digests(Path(tmp) / "eval"))
+    print(json.dumps(digests, indent=2))
