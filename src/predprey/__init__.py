@@ -33,19 +33,16 @@ from .stats import (
 )
 from .train import ScenarioConfig, TrainingMetrics, run_training, scenario_defaults
 from .world import (
-    AgentBody,
     Event,
-    PointObject,
     PredatorState,
-    RayObservation,
     WorldConfig,
     WorldState,
-    predator_can_see,
+    observe_all,
     predator_step,
     prey_action_space,
-    ray_cast,
     reset,
     step,
+    visible_prey,
 )
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .configio import parse_eval_config, parse_scenario_config, write_resolved
+from .configio import parse_bool, parse_eval_config, parse_scenario_config, write_resolved
 from .errors import CheckpointError, ConfigError, NumericsError, PredpreyError
 from .stats import (
     evaluate_condition,
@@ -220,7 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--greedy", action="store_true", help="argmax actions instead of sampling")
     ev.add_argument(
         "--predator",
-        type=lambda v: v.lower() in ("true", "1", "yes"),
+        type=parse_bool,
         default=None,
         metavar="BOOL",
         help="predator present at test time (true/false)",

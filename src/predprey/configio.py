@@ -107,6 +107,16 @@ def _read_flat(path) -> dict[str, str]:
     return entries
 
 
+def parse_bool(raw: str) -> bool:
+    """Strict boolean: true/1/yes or false/0/no in any case; anything else is a ValueError."""
+    low = raw.lower()
+    if low in ("true", "1", "yes"):
+        return True
+    if low in ("false", "0", "no"):
+        return False
+    raise ValueError(f"expected true/false, got {raw!r}")
+
+
 def _parse_value(key: str, raw: str, kind: str):
     try:
         if kind == "int":
@@ -119,12 +129,7 @@ def _parse_value(key: str, raw: str, kind: str):
         if kind == "float":
             return float(raw)
         if kind == "bool":
-            low = raw.lower()
-            if low in ("true", "1", "yes"):
-                return True
-            if low in ("false", "0", "no"):
-                return False
-            raise ValueError("expected true/false")
+            return parse_bool(raw)
         if kind == "str":
             return raw
         if kind == "barriers":
@@ -137,7 +142,7 @@ def _parse_value(key: str, raw: str, kind: str):
                     raise ValueError("each barrier is 'xmin,ymin,xmax,ymax'")
                 rects.append(tuple(coords))
             return tuple(rects)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # int(float("inf")) overflows
         raise ConfigError(f"config key {key!r}: cannot parse {raw!r} ({exc})") from None
     raise ConfigError(f"internal: unknown value kind {kind!r}")
 

@@ -317,13 +317,10 @@ def adam_step(
 class LrSchedule:
     initial_rate: float = 3.0e-4
     max_steps: int = 1_000_000
-    mode: str = "linear"
 
     def __post_init__(self) -> None:
         if self.max_steps <= 0:
             raise StructuralError(f"max_steps must be positive, got {self.max_steps}")
-        if self.mode != "linear":
-            raise StructuralError(f"unsupported schedule mode {self.mode!r}")
 
 
 def lr_at(schedule: LrSchedule, step: int) -> float:

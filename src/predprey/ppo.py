@@ -11,15 +11,16 @@ the next cycle's behaviour policy.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import net as nets
-from .errors import ContractViolation, InputError, NumericsError, StructuralError
+from .errors import ConfigError, ContractViolation, InputError, NumericsError, StructuralError
 from .net import AdamState, DenseNet
-from .world import WorldState, observation_matrix, observe_all, step
+from .world import WorldState, observe_all, step
 
 ADVANTAGE_NORM_EPS = 1e-8
 
@@ -40,6 +41,12 @@ class PpoHyperparams:
     summary_freq: int = 10_000
 
     def __post_init__(self) -> None:
+        for name in ("batch_size", "buffer_size", "num_epoch", "time_horizon", "max_steps", "summary_freq"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("epsilon", "beta", "gamma", "gae_lambda", "learning_rate", "value_loss_coeff"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.buffer_size % self.batch_size != 0:
             raise StructuralError(
                 f"batch_size {self.batch_size} must divide buffer_size {self.buffer_size}"
@@ -175,8 +182,8 @@ class ActorWorld:
     def from_state(cls, state: WorldState) -> "ActorWorld":
         return cls(
             state=state,
-            obs=observation_matrix(observe_all(state)),
-            episode_return=np.zeros(len(state.prey)),
+            obs=observe_all(state),
+            episode_return=np.zeros(len(state.prey_pos)),
         )
 
     def finish_episode(self) -> None:
@@ -220,7 +227,7 @@ def collect_rollout(
     if buffer is None:
         buffer = RolloutBuffer(hp.buffer_size)
     for a_idx, actor in enumerate(actors):
-        n_prey = len(actor.state.prey)
+        n_prey = len(actor.state.prey_pos)
         obs_seq = np.empty((T, n_prey, actor.obs.shape[1]))
         act_seq = np.empty((T, n_prey), dtype=np.int64)
         logp_seq = np.empty((T, n_prey))
@@ -234,15 +241,14 @@ def collect_rollout(
             act_seq[t] = actions
             logp_seq[t] = logp
             val_seq[t] = values
-            _, rewards, observations, _ = step(actor.state, actions)
+            _, rewards, actor.obs, _ = step(actor.state, actions)
             rew_seq[t] = rewards
             actor.episode_return += rewards
-            actor.obs = observation_matrix(observations)
             if reset_fn is not None and actor.state.tick >= actor.state.config.episode_length:
                 bound_seq[t] = True
                 actor.finish_episode()
                 actor.state = reset_fn(a_idx)
-                actor.obs = observation_matrix(observe_all(actor.state))
+                actor.obs = observe_all(actor.state)
 
         _, bootstrap = nets.forward(net, actor.obs)
         for i in range(n_prey):

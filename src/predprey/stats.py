@@ -29,7 +29,6 @@ from .world import (
     EVENT_NEGATIVE,
     EVENT_POSITIVE,
     WorldConfig,
-    observation_matrix,
     observe_all,
     prey_action_space,
     reset,
@@ -138,12 +137,11 @@ def evaluate_condition(
         for run in range(n_runs):
             state = reset(world_cfg, derive_seed(seed, _TAG_EVAL_WORLD, run))
             rng = np.random.default_rng(derive_seed(seed, _TAG_EVAL_ACTIONS, run))
-            obs = observation_matrix(observe_all(state))
+            obs = observe_all(state)
             counts = {EVENT_POSITIVE: 0, EVENT_NEGATIVE: 0, EVENT_CAUGHT: 0}
             for tick in range(duration):
                 actions, _, _ = sample_actions(net, obs, rng, greedy=greedy)
-                _, _, observations, events = step(state, actions)
-                obs = observation_matrix(observations)
+                _, _, obs, events = step(state, actions)
                 for ev in events:
                     counts[ev.kind] += 1
                 if writer is not None:

@@ -36,38 +36,19 @@ class TrajectoryWriter:
             by_prey.setdefault(ev.prey_id, []).append(ev.kind)
         rows = []
         if "prey" in self.kinds:
-            for body in state.prey:
-                rows.append(
-                    [
-                        run_id,
-                        tick,
-                        "prey",
-                        body.id,
-                        f"{body.position[0]:.6f}",
-                        f"{body.position[1]:.6f}",
-                        f"{body.heading:.4f}",
-                        ";".join(by_prey.get(body.id, [])),
-                    ]
-                )
+            headings = state.prey_heading.tolist()
+            for i, (x, y) in enumerate(state.prey_pos.tolist()):
+                events_i = ";".join(by_prey.get(i, []))
+                rows.append([run_id, tick, "prey", i, f"{x:.6f}", f"{y:.6f}", f"{headings[i]:.4f}", events_i])
         if "predator" in self.kinds and state.predator is not None:
-            b = state.predator.body
-            rows.append(
-                [run_id, tick, "predator", 0, f"{b.position[0]:.6f}", f"{b.position[1]:.6f}", f"{b.heading:.4f}", ""]
-            )
+            p = state.predator
+            x, y = p.position.tolist()
+            rows.append([run_id, tick, "predator", 0, f"{x:.6f}", f"{y:.6f}", f"{p.heading:.4f}", ""])
         if "points" in self.kinds:
-            for idx, pt in enumerate(state.points):
-                rows.append(
-                    [
-                        run_id,
-                        tick,
-                        f"point_{pt.polarity}",
-                        idx,
-                        f"{pt.position[0]:.6f}",
-                        f"{pt.position[1]:.6f}",
-                        "0.0",
-                        "",
-                    ]
-                )
+            positive = state.point_positive.tolist()
+            for idx, (x, y) in enumerate(state.point_pos.tolist()):
+                kind = "point_positive" if positive[idx] else "point_negative"
+                rows.append([run_id, tick, kind, idx, f"{x:.6f}", f"{y:.6f}", "0.0", ""])
         self._writer.writerows(rows)
 
 

@@ -7,10 +7,14 @@ chases the nearest prey inside its vision cone, otherwise patrols random
 waypoints. Collected points respawn immediately; caught prey are penalised
 and teleported, the run continues.
 
-Conventions: positions are float64 (x, y); headings are degrees in [0, 360)
-with 0 along +x and counter-clockwise positive; "left" turns increase the
-heading. All randomness flows through the state's own generator, so a
-(config, seed, action sequence) triple fully determines a run.
+Conventions: the state is a handful of arrays indexed by entity, in reset
+order: prey_pos (n_prey, 2), prey_heading and prey_speed (n_prey,),
+point_pos (P, 2) and point_positive (P,), positives first. A prey's id is its
+row; a point keeps its row when it respawns. Positions are float64 (x, y);
+headings are degrees in [0, 360) with 0 along +x and counter-clockwise
+positive; "left" turns increase the heading. Radii come from the config. All
+randomness flows through the state's own generator, so a (config, seed,
+action sequence) triple fully determines a run.
 """
 
 from __future__ import annotations
@@ -102,8 +106,10 @@ class WorldConfig:
             "point_radius": self.point_radius,
         }
         for name, value in positives.items():
-            if value <= 0:
-                raise ConfigError(f"{name} must be strictly positive, got {value}")
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and strictly positive, got {value}")
+        if not math.isfinite(self.ray_fov_degrees):
+            raise ConfigError(f"ray_fov_degrees must be finite, got {self.ray_fov_degrees}")
         if not 0.0 < self.predator_view_angle <= 360.0:
             raise ConfigError(
                 f"predator_view_angle must be in (0, 360], got {self.predator_view_angle}"
@@ -133,26 +139,13 @@ class WorldConfig:
 
 
 @dataclass(eq=False)
-class AgentBody:
-    position: np.ndarray
-    heading: float
-    id: int
-
-
-@dataclass(eq=False)
 class PredatorState:
-    body: AgentBody
+    position: np.ndarray  # (2,)
+    heading: float
     mode: str  # "patrol" | "chase"
     target_prey_id: int | None
     patrol_waypoint: np.ndarray
     ticks_since_waypoint: int = 0
-
-
-@dataclass(eq=False)
-class PointObject:
-    position: np.ndarray
-    polarity: str  # "positive" | "negative"
-    radius: float
 
 
 @dataclass
@@ -163,49 +156,38 @@ class Event:
 
 
 @dataclass(eq=False)
-class RayObservation:
-    """One prey's perception: per-ray hit one-hot + normalized distance, plus ego features."""
-
-    hit_onehot: np.ndarray  # (n_rays, N_HIT_KINDS)
-    distance: np.ndarray  # (n_rays,), 1.0 when nothing hit
-    ego: np.ndarray  # (speed / max speed, heading / 360)
-
-    def as_vector(self) -> np.ndarray:
-        per_ray = np.concatenate([self.hit_onehot, self.distance[:, None]], axis=1)
-        return np.concatenate([per_ray.ravel(), self.ego])
-
-
-@dataclass(eq=False)
 class WorldState:
     config: WorldConfig
     tick: int
-    prey: list[AgentBody]
+    prey_pos: np.ndarray  # (n_prey, 2)
+    prey_heading: np.ndarray  # (n_prey,)
+    prey_speed: np.ndarray  # (n_prey,), 1.0 if the prey moved forward last tick
     predator: PredatorState | None
-    points: list[PointObject]
+    point_pos: np.ndarray  # (P, 2)
+    point_positive: np.ndarray  # (P,) bool
     rng: np.random.Generator
     event_log: list[Event] = field(default_factory=list)
-    prey_speed: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
 def state_digest(state: WorldState) -> str:
     """Canonical hash of the full state, including the generator; equal digests => equal states."""
     h = hashlib.sha256()
     h.update(str(state.tick).encode())
-    for body in state.prey:
-        h.update(body.position.tobytes())
-        h.update(np.float64(body.heading).tobytes())
-        h.update(str(body.id).encode())
+    for i, (pos, heading) in enumerate(zip(state.prey_pos, state.prey_heading)):
+        h.update(pos.tobytes())
+        h.update(heading.tobytes())
+        h.update(str(i).encode())
     if state.predator is not None:
         p = state.predator
-        h.update(p.body.position.tobytes())
-        h.update(np.float64(p.body.heading).tobytes())
+        h.update(p.position.tobytes())
+        h.update(np.float64(p.heading).tobytes())
         h.update(p.mode.encode())
         h.update(str(p.target_prey_id).encode())
         h.update(p.patrol_waypoint.tobytes())
         h.update(str(p.ticks_since_waypoint).encode())
-    for pt in state.points:
-        h.update(pt.position.tobytes())
-        h.update(pt.polarity.encode())
+    for pos, positive in zip(state.point_pos, state.point_positive):
+        h.update(pos.tobytes())
+        h.update(b"positive" if positive else b"negative")
     h.update(state.prey_speed.tobytes())
     h.update(json.dumps(state.rng.bit_generator.state, sort_keys=True, default=int).encode())
     return h.hexdigest()
@@ -255,25 +237,22 @@ def _inside_rect(p: np.ndarray, rect: tuple[float, float, float, float], pad: fl
     return (x0 - pad < p[0] < x1 + pad) and (y0 - pad < p[1] < y1 + pad)
 
 
-def segment_hits_rect(a: np.ndarray, b: np.ndarray, rect: tuple[float, float, float, float]) -> bool:
-    """Liang-Barsky clip of segment a->b against an axis-aligned rectangle."""
-    x0, y0, x1, y1 = rect
-    d = b - a
-    t0, t1 = 0.0, 1.0
-    for axis, (lo, hi) in enumerate(((x0, x1), (y0, y1))):
-        if d[axis] == 0.0:
-            if a[axis] <= lo or a[axis] >= hi:
-                return False
-            continue
-        ta = (lo - a[axis]) / d[axis]
-        tb = (hi - a[axis]) / d[axis]
-        if ta > tb:
-            ta, tb = tb, ta
-        t0 = max(t0, ta)
-        t1 = min(t1, tb)
-        if t0 >= t1:
-            return False
-    return True
+def _slab_interval(origins: np.ndarray, dirs: np.ndarray, cfg: WorldConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Entry and exit parameters of each line origins + t * dirs through each barrier, shape (B, R).
+
+    Liang-Barsky slabs: a line parallel to an axis is unbounded by that slab
+    when its origin lies strictly inside it, and misses the rectangle otherwise.
+    """
+    rects = np.asarray(cfg.barrier_layout, dtype=float).reshape(-1, 1, 4)
+    lo, hi = rects[..., :2], rects[..., 2:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_lo = (lo - origins) / dirs
+        t_hi = (hi - origins) / dirs
+    flat = dirs == 0.0
+    inside = (origins > lo) & (origins < hi)
+    t_near = np.where(flat, np.where(inside, -np.inf, np.inf), np.minimum(t_lo, t_hi))
+    t_far = np.where(flat, np.where(inside, np.inf, -np.inf), np.maximum(t_lo, t_hi))
+    return t_near.max(axis=2), t_far.min(axis=2)
 
 
 def _slide(x: float, y: float, dx: float, dy: float, radius: float, cfg: WorldConfig) -> tuple[float, float]:
@@ -311,20 +290,14 @@ def _slide(x: float, y: float, dx: float, dy: float, radius: float, cfg: WorldCo
     return tx, ty
 
 
-def _move_with_collision(
-    pos: np.ndarray, delta: np.ndarray, radius: float, cfg: WorldConfig
-) -> np.ndarray:
-    tx, ty = _slide(float(pos[0]), float(pos[1]), float(delta[0]), float(delta[1]), radius, cfg)
-    return np.array([tx, ty])
-
-
 def _sample_free_position(
     rng: np.random.Generator,
     cfg: WorldConfig,
     radius: float,
-    occupied: list[tuple[np.ndarray, float]],
+    centers: np.ndarray | None = None,
+    radii: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Uniform position with wall clearance, outside inflated barriers, off other bodies."""
+    """Uniform position with wall clearance, outside inflated barriers, off the given bodies."""
     limit = cfg.half_side - radius
     if limit <= 0:
         raise ConfigError(f"arena side {cfg.arena_side} too small for body radius {radius}")
@@ -332,12 +305,15 @@ def _sample_free_position(
         p = rng.uniform(-limit, limit, size=2)
         if any(_inside_rect(p, rect, pad=radius) for rect in cfg.barrier_layout):
             continue
-        if any(np.hypot(*(p - q)) < radius + r for q, r in occupied):
-            continue
+        if centers is not None:
+            offsets = p - centers
+            if (np.hypot(offsets[:, 0], offsets[:, 1]) < radius + radii).any():
+                continue
         return p
+    placed = 0 if centers is None else len(centers)
     raise ConfigError(
         "could not place an entity without overlap; arena too crowded "
-        f"(radius {radius}, {len(occupied)} bodies placed)"
+        f"(radius {radius}, {placed} bodies placed)"
     )
 
 
@@ -346,101 +322,112 @@ def _sample_free_position(
 
 
 def reset(config: WorldConfig, seed: int | None = None) -> WorldState:
-    """Fresh world with uniformly random non-overlapping placements."""
-    rng = np.random.default_rng(config.seed if seed is None else seed)
-    occupied: list[tuple[np.ndarray, float]] = []
+    """Fresh world with uniformly random non-overlapping placements.
 
-    prey = []
-    for i in range(config.n_prey):
-        p = _sample_free_position(rng, config, config.prey_radius, occupied)
-        occupied.append((p, config.prey_radius))
-        prey.append(AgentBody(position=p, heading=float(rng.uniform(0.0, 360.0)), id=i))
+    Draw order: each prey's position then heading, the predator's position,
+    heading and first waypoint, then the positive and the negative points.
+    """
+    rng = np.random.default_rng(config.seed if seed is None else seed)
+    n_prey = config.n_prey
+    n_agents = n_prey + int(config.predator_present)
+    radii = np.repeat(
+        [config.prey_radius, config.predator_radius, config.point_radius],
+        [n_prey, n_agents - n_prey, config.n_positive_points + config.n_negative_points],
+    )
+    centers = np.empty((len(radii), 2))
+    headings = np.empty(n_agents)
+    waypoint = None
+    for k in range(len(radii)):
+        centers[k] = _sample_free_position(rng, config, radii[k], centers[:k], radii[:k])
+        if k < n_agents:
+            headings[k] = rng.uniform(0.0, 360.0)
+        if k == n_prey and config.predator_present:  # the waypoint ignores every body
+            waypoint = _sample_free_position(rng, config, config.predator_radius)
 
     predator = None
     if config.predator_present:
-        p = _sample_free_position(rng, config, config.predator_radius, occupied)
-        occupied.append((p, config.predator_radius))
-        body = AgentBody(position=p, heading=float(rng.uniform(0.0, 360.0)), id=0)
-        waypoint = _sample_free_position(rng, config, config.predator_radius, [])
         predator = PredatorState(
-            body=body, mode="patrol", target_prey_id=None, patrol_waypoint=waypoint
+            position=centers[n_prey].copy(),
+            heading=float(headings[n_prey]),
+            mode="patrol",
+            target_prey_id=None,
+            patrol_waypoint=waypoint,
         )
-
-    points = []
-    for polarity, count in (("positive", config.n_positive_points), ("negative", config.n_negative_points)):
-        for _ in range(count):
-            p = _sample_free_position(rng, config, config.point_radius, occupied)
-            occupied.append((p, config.point_radius))
-            points.append(PointObject(position=p, polarity=polarity, radius=config.point_radius))
-
     return WorldState(
         config=config,
         tick=0,
-        prey=prey,
+        prey_pos=centers[:n_prey].copy(),
+        prey_heading=headings[:n_prey].copy(),
+        prey_speed=np.zeros(n_prey),
         predator=predator,
-        points=points,
+        point_pos=centers[n_agents:].copy(),
+        point_positive=np.arange(len(radii) - n_agents) < config.n_positive_points,
         rng=rng,
-        event_log=[],
-        prey_speed=np.zeros(config.n_prey),
     )
 
 
-def _respawn_position(state: WorldState, radius: float, skip_point: PointObject | None = None) -> np.ndarray:
+def _circles(state: WorldState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every body as a circle, points then prey then the predator: (centers, radii, hit kinds)."""
     cfg = state.config
-    occupied: list[tuple[np.ndarray, float]] = [
-        (b.position, cfg.prey_radius) for b in state.prey
-    ]
-    if state.predator is not None:
-        occupied.append((state.predator.body.position, cfg.predator_radius))
-    occupied.extend(
-        (pt.position, pt.radius) for pt in state.points if pt is not skip_point
+    n_points, n_prey = len(state.point_pos), len(state.prey_pos)
+    n_pred = int(state.predator is not None)
+    centers = np.concatenate(
+        [state.point_pos, state.prey_pos] + ([state.predator.position[None, :]] if n_pred else [])
     )
-    return _sample_free_position(state.rng, cfg, radius, occupied)
+    counts = [n_points, n_prey, n_pred]
+    radii = np.repeat([cfg.point_radius, cfg.prey_radius, cfg.predator_radius], counts)
+    kinds = np.repeat([HIT_NEGATIVE, HIT_PREY, HIT_PREDATOR], counts)
+    kinds[:n_points][state.point_positive] = HIT_POSITIVE
+    return centers, radii, kinds
+
+
+def _respawn_position(state: WorldState, radius: float, skip_point: int | None = None) -> np.ndarray:
+    """Free spot off every prey, the predator and every point except `skip_point`."""
+    centers, radii, _ = _circles(state)
+    if skip_point is not None:  # points lead the circle rows
+        centers = np.delete(centers, skip_point, axis=0)
+        radii = np.delete(radii, skip_point)
+    return _sample_free_position(state.rng, state.config, radius, centers, radii)
 
 
 def step(
     state: WorldState, prey_actions: list[int] | np.ndarray
-) -> tuple[WorldState, np.ndarray, list[RayObservation], list[Event]]:
+) -> tuple[WorldState, np.ndarray, np.ndarray, list[Event]]:
     """Advance one tick: prey move, predator acts, pickups and catches resolve.
 
-    Returns the mutated state, per-prey rewards, per-prey observations of the
-    post-step world, and the events emitted this tick.
+    Returns the mutated state, per-prey rewards, the (n_prey, obs_dim)
+    observation matrix of the post-step world, and the events emitted this
+    tick.
     """
     cfg = state.config
     space = prey_action_space()
+    n_prey = len(state.prey_pos)
     actions = np.asarray(prey_actions)
-    if actions.shape != (len(state.prey),):
-        raise InputError(
-            f"expected {len(state.prey)} prey actions, got shape {actions.shape}"
-        )
+    if actions.shape != (n_prey,):
+        raise InputError(f"expected {n_prey} prey actions, got shape {actions.shape}")
+    actions = actions.astype(np.int64)
+    bad = np.flatnonzero((actions < 0) | (actions >= space.n_joint))
+    if len(bad):
+        i = bad[0]
+        raise InputError(f"prey {i}: action index {actions[i]} outside [0, {space.n_joint})")
     tick = state.tick
     state.event_log = []
-    rewards = np.zeros(len(state.prey))
+    rewards = np.zeros(n_prey)
     turn_step = cfg.prey_turn_speed * cfg.tick_dt
     move_step = cfg.prey_move_speed * cfg.tick_dt
 
     # Prey locomotion: turn, then move along the new heading.
-    for body, joint in zip(state.prey, actions):
-        joint = int(joint)
-        if not 0 <= joint < space.n_joint:
-            raise InputError(f"prey {body.id}: action index {joint} outside [0, {space.n_joint})")
-        move, turn = space.decode(joint)
-        if turn == 1:
-            body.heading = (body.heading + turn_step) % 360.0
-        elif turn == 2:
-            body.heading = (body.heading - turn_step) % 360.0
-        if move == 1:
-            rad = math.radians(body.heading)
-            tx, ty = _slide(
-                float(body.position[0]),
-                float(body.position[1]),
-                move_step * math.cos(rad),
-                move_step * math.sin(rad),
-                cfg.prey_radius,
-                cfg,
-            )
-            body.position = np.array([tx, ty])
-        state.prey_speed[body.id] = float(move)
+    move, turn = space.decode(actions)
+    heading = state.prey_heading
+    heading[turn == 1] = (heading[turn == 1] + turn_step) % 360.0
+    heading[turn == 2] = (heading[turn == 2] - turn_step) % 360.0
+    for i in np.flatnonzero(move == 1):
+        rad = math.radians(heading[i])
+        x, y = state.prey_pos[i].tolist()
+        state.prey_pos[i] = _slide(
+            x, y, move_step * math.cos(rad), move_step * math.sin(rad), cfg.prey_radius, cfg
+        )
+    state.prey_speed[:] = move
 
     if state.predator is not None:
         predator_step(state)
@@ -448,86 +435,58 @@ def step(
     # Point pickups: contact means center distance within summed radii. The
     # distance matrix only nominates candidates; each hit is re-checked
     # against live positions because earlier pickups respawn points.
-    prey_pos = np.array([b.position for b in state.prey])
-    if state.points:
-        pt_pos = np.array([p.position for p in state.points])
-        pt_radii = np.array([p.radius for p in state.points])
-        d2 = ((prey_pos[:, None, :] - pt_pos[None, :, :]) ** 2).sum(axis=-1)
-        candidates = d2 <= (cfg.prey_radius + pt_radii[None, :]) ** 2
-        for i, j in zip(*np.nonzero(candidates)):
-            body = state.prey[i]
-            pt = state.points[j]
-            if np.hypot(*(body.position - pt.position)) > cfg.prey_radius + pt.radius:
-                continue
-            if pt.polarity == "positive":
-                rewards[body.id] += REWARD_POSITIVE
-                state.event_log.append(Event(tick, EVENT_POSITIVE, body.id))
-            else:
-                rewards[body.id] += REWARD_NEGATIVE
-                state.event_log.append(Event(tick, EVENT_NEGATIVE, body.id))
-            pt.position = _respawn_position(state, pt.radius, skip_point=pt)
+    prey_pos = state.prey_pos
+    reach = cfg.prey_radius + cfg.point_radius
+    d2 = ((prey_pos[:, None, :] - state.point_pos[None, :, :]) ** 2).sum(axis=-1)
+    for i, j in zip(*np.nonzero(d2 <= reach * reach)):
+        if np.hypot(*(prey_pos[i] - state.point_pos[j])) > reach:
+            continue
+        if state.point_positive[j]:
+            rewards[i] += REWARD_POSITIVE
+            state.event_log.append(Event(tick, EVENT_POSITIVE, int(i)))
+        else:
+            rewards[i] += REWARD_NEGATIVE
+            state.event_log.append(Event(tick, EVENT_NEGATIVE, int(i)))
+        state.point_pos[j] = _respawn_position(state, cfg.point_radius, skip_point=j)
 
     # Predator contact: penalty plus teleport to a free spot; the run continues.
     if state.predator is not None:
-        pred_pos = state.predator.body.position
+        pred_pos = state.predator.position
         contact = cfg.prey_radius + cfg.predator_radius
         d2 = ((prey_pos - pred_pos[None, :]) ** 2).sum(axis=-1)
         for i in np.flatnonzero(d2 <= contact**2):
-            body = state.prey[i]
-            if np.hypot(*(body.position - pred_pos)) > contact:
+            if np.hypot(*(prey_pos[i] - pred_pos)) > contact:
                 continue
-            rewards[body.id] += REWARD_CAUGHT
-            state.event_log.append(Event(tick, EVENT_CAUGHT, body.id))
-            body.position = _respawn_position(state, cfg.prey_radius)
+            rewards[i] += REWARD_CAUGHT
+            state.event_log.append(Event(tick, EVENT_CAUGHT, int(i)))
+            prey_pos[i] = _respawn_position(state, cfg.prey_radius)
 
     state.tick += 1
-    observations = observe_all(state)
-    return state, rewards, observations, list(state.event_log)
+    return state, rewards, observe_all(state), list(state.event_log)
 
 
 # ---------------------------------------------------------------------------
 # predator policy
 
 
-def predator_can_see(state: WorldState, prey_id: int) -> bool:
-    """True iff the prey is within view radius, inside the vision cone, and unoccluded."""
+def visible_prey(state: WorldState) -> np.ndarray:
+    """Indices of prey within view radius, inside the vision cone, and unoccluded by barriers."""
     if state.predator is None:
-        raise ContractViolation("predator_can_see called with no predator in the world")
-    pred = state.predator.body
-    prey = state.prey[prey_id]
-    offset = prey.position - pred.position
-    dist = float(np.hypot(*offset))
-    if dist > state.config.predator_view_radius:
-        return False
-    bearing = np.degrees(np.arctan2(offset[1], offset[0]))
-    rel = (bearing - pred.heading + 180.0) % 360.0 - 180.0
-    if abs(rel) > state.config.predator_view_angle / 2.0:
-        return False
-    return not any(
-        segment_hits_rect(pred.position, prey.position, rect)
-        for rect in state.config.barrier_layout
-    )
-
-
-def _visible_prey(state: WorldState) -> list[int]:
-    """Indices of prey inside the predator's cone with a clear line of sight."""
-    pred = state.predator.body
-    positions = np.array([b.position for b in state.prey])
-    offsets = positions - pred.position
+        raise ContractViolation("visible_prey called with no predator in the world")
+    pred = state.predator
+    offsets = state.prey_pos - pred.position
     dist = np.hypot(offsets[:, 0], offsets[:, 1])
     bearing = np.degrees(np.arctan2(offsets[:, 1], offsets[:, 0]))
     rel = (bearing - pred.heading + 180.0) % 360.0 - 180.0
-    near = (dist <= state.config.predator_view_radius) & (
-        np.abs(rel) <= state.config.predator_view_angle / 2.0
+    in_cone = np.flatnonzero(
+        (dist <= state.config.predator_view_radius) & (np.abs(rel) <= state.config.predator_view_angle / 2.0)
     )
-    return [
-        int(i)
-        for i in np.flatnonzero(near)
-        if not any(
-            segment_hits_rect(pred.position, state.prey[i].position, rect)
-            for rect in state.config.barrier_layout
-        )
-    ]
+    if len(in_cone) == 0:
+        return in_cone
+    # the sight line is the segment t in [0, 1] from the predator to each prey
+    entry, exit_ = _slab_interval(pred.position, offsets[in_cone], state.config)
+    occluded = (np.maximum(entry, 0.0) < np.minimum(exit_, 1.0)).any(axis=0)
+    return in_cone[~occluded]
 
 
 def predator_step(state: WorldState) -> PredatorState:
@@ -538,32 +497,31 @@ def predator_step(state: WorldState) -> PredatorState:
     pred = state.predator
     step_len = cfg.predator_move_speed * cfg.tick_dt
 
-    visible = _visible_prey(state)
-    if visible:
-        dists = [float(np.hypot(*(state.prey[i].position - pred.body.position))) for i in visible]
-        target = visible[int(np.argmin(dists))]  # argmin takes the lowest id on ties
+    visible = visible_prey(state)
+    if len(visible):
+        offsets = state.prey_pos[visible] - pred.position
+        dists = np.hypot(offsets[:, 0], offsets[:, 1])
+        target = int(visible[np.argmin(dists)])  # argmin takes the lowest id on ties
         pred.mode = "chase"
         pred.target_prey_id = target
-        goal = state.prey[target].position
+        goal = state.prey_pos[target]
     else:
         pred.mode = "patrol"
         pred.target_prey_id = None
         pred.ticks_since_waypoint += 1
         if pred.ticks_since_waypoint > _PATROL_STALL_TICKS:
-            pred.patrol_waypoint = _sample_free_position(state.rng, cfg, cfg.predator_radius, [])
+            pred.patrol_waypoint = _sample_free_position(state.rng, cfg, cfg.predator_radius)
             pred.ticks_since_waypoint = 0
         goal = pred.patrol_waypoint
 
-    offset = goal - pred.body.position
+    offset = goal - pred.position
     dist = float(np.hypot(*offset))
     if dist > 1e-12:
-        pred.body.heading = float(np.degrees(np.arctan2(offset[1], offset[0]))) % 360.0
+        pred.heading = float(np.degrees(np.arctan2(offset[1], offset[0]))) % 360.0
         delta = offset if dist <= step_len else offset * (step_len / dist)
-        pred.body.position = _move_with_collision(
-            pred.body.position, delta, cfg.predator_radius, cfg
-        )
-    if pred.mode == "patrol" and float(np.hypot(*(pred.patrol_waypoint - pred.body.position))) <= 1e-9:
-        pred.patrol_waypoint = _sample_free_position(state.rng, cfg, cfg.predator_radius, [])
+        pred.position = np.array(_slide(*pred.position.tolist(), *delta.tolist(), cfg.predator_radius, cfg))
+    if pred.mode == "patrol" and float(np.hypot(*(pred.patrol_waypoint - pred.position))) <= 1e-9:
+        pred.patrol_waypoint = _sample_free_position(state.rng, cfg, cfg.predator_radius)
         pred.ticks_since_waypoint = 0
     return pred
 
@@ -593,30 +551,6 @@ def _ray_circle_hits(
     return t
 
 
-def _ray_rect_hits(
-    origins: np.ndarray, dirs: np.ndarray, rect: tuple[float, float, float, float]
-) -> np.ndarray:
-    """Entry parameter of each ray into the rectangle; inf when missed."""
-    x0, y0, x1, y1 = rect
-    lo = np.array([x0, y0])
-    hi = np.array([x1, y1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_lo = (lo[None, :] - origins) / dirs
-        t_hi = (hi[None, :] - origins) / dirs
-    t_near = np.minimum(t_lo, t_hi)
-    t_far = np.maximum(t_lo, t_hi)
-    # Rays parallel to an axis miss unless the origin lies inside that slab.
-    for axis in range(2):
-        flat = dirs[:, axis] == 0.0
-        inside = (origins[:, axis] > lo[axis]) & (origins[:, axis] < hi[axis])
-        t_near[:, axis] = np.where(flat, np.where(inside, -np.inf, np.inf), t_near[:, axis])
-        t_far[:, axis] = np.where(flat, np.where(inside, np.inf, -np.inf), t_far[:, axis])
-    entry = t_near.max(axis=1)
-    exit_ = t_far.min(axis=1)
-    t = np.where((entry <= exit_) & (exit_ >= 0.0), np.maximum(entry, 0.0), np.inf)
-    return t
-
-
 def _ray_wall_exit(origins: np.ndarray, dirs: np.ndarray, half: float) -> np.ndarray:
     """Distance at which each interior ray reaches the arena boundary."""
     with np.errstate(divide="ignore"):
@@ -626,81 +560,57 @@ def _ray_wall_exit(origins: np.ndarray, dirs: np.ndarray, half: float) -> np.nda
     return t_all.min(axis=1)
 
 
-def _raycast_rows(state: WorldState, prey_indices: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Batched nearest-hit query for every ray of the given prey.
+def _raycast_rows(state: WorldState) -> tuple[np.ndarray, np.ndarray]:
+    """Batched nearest-hit query for every ray of every prey.
 
     Returns (one-hot kinds, normalized distances) of shape
     (n_prey, n_rays, N_HIT_KINDS) and (n_prey, n_rays). Each prey's own body
     is masked out of the circle set.
     """
     cfg = state.config
-    n = len(prey_indices)
+    n = len(state.prey_pos)
     n_rays = cfg.n_rays
-    headings = np.array([state.prey[i].heading for i in prey_indices])
-    positions = np.array([state.prey[i].position for i in prey_indices])
     half_fov = cfg.ray_fov_degrees / 2.0
-    angles = headings[:, None] + np.linspace(-half_fov, half_fov, n_rays)[None, :]
+    angles = state.prey_heading[:, None] + np.linspace(-half_fov, half_fov, n_rays)[None, :]
     dirs = _heading_vector(angles).reshape(n * n_rays, 2)
-    origins = np.repeat(positions, n_rays, axis=0)
+    origins = np.repeat(state.prey_pos, n_rays, axis=0)
 
-    best_t = _ray_wall_exit(origins, dirs, cfg.half_side)
-    best_kind = np.full(n * n_rays, HIT_WALL, dtype=np.int64)
-    for rect in cfg.barrier_layout:
-        t = _ray_rect_hits(origins, dirs, rect)
-        best_t = np.where(t < best_t, t, best_t)
-        # kind stays HIT_WALL
+    entry, exit_ = _slab_interval(origins, dirs, cfg)
+    t_barrier = np.where((entry <= exit_) & (exit_ >= 0.0), np.maximum(entry, 0.0), np.inf)
+    best_t = np.minimum(_ray_wall_exit(origins, dirs, cfg.half_side), t_barrier.min(axis=0, initial=np.inf))
+    best_kind = np.full(n * n_rays, HIT_WALL, dtype=np.int64)  # arena walls and barriers alike
 
-    centers = [pt.position for pt in state.points]
-    radii = [pt.radius for pt in state.points]
-    kinds = [HIT_POSITIVE if pt.polarity == "positive" else HIT_NEGATIVE for pt in state.points]
-    n_points = len(centers)
-    centers.extend(b.position for b in state.prey)
-    radii.extend([cfg.prey_radius] * len(state.prey))
-    kinds.extend([HIT_PREY] * len(state.prey))
-    if state.predator is not None:
-        centers.append(state.predator.body.position)
-        radii.append(cfg.predator_radius)
-        kinds.append(HIT_PREDATOR)
-
-    t = _ray_circle_hits(origins, dirs, np.array(centers), np.array(radii))
-    own_col = n_points + np.repeat(np.asarray(prey_indices, dtype=np.int64), n_rays)
-    t[np.arange(n * n_rays), own_col] = np.inf
+    centers, radii, kinds = _circles(state)
+    rows = np.arange(n * n_rays)
+    t = _ray_circle_hits(origins, dirs, centers, radii)
+    t[rows, len(state.point_pos) + rows // n_rays] = np.inf  # a prey's rays never hit its own body
     j_best = t.argmin(axis=1)
-    t_best = t[np.arange(n * n_rays), j_best]
+    t_best = t[rows, j_best]
     closer = t_best < best_t
     best_t = np.where(closer, t_best, best_t)
-    best_kind = np.where(closer, np.array(kinds, dtype=np.int64)[j_best], best_kind)
+    best_kind = np.where(closer, kinds[j_best], best_kind)
 
     missed = best_t > cfg.ray_length
     best_kind = np.where(missed, HIT_NOTHING, best_kind)
     distance = np.where(missed, 1.0, best_t / cfg.ray_length)
 
     onehot = np.zeros((n * n_rays, N_HIT_KINDS))
-    onehot[np.arange(n * n_rays), best_kind] = 1.0
+    onehot[rows, best_kind] = 1.0
     return onehot.reshape(n, n_rays, N_HIT_KINDS), distance.reshape(n, n_rays)
 
 
-def ray_cast(state: WorldState, prey_id: int) -> RayObservation:
-    """Fan of rays around the prey's heading; nearest hit wins, barriers occlude."""
-    if not 0 <= prey_id < len(state.prey):
-        raise InputError(f"prey_id {prey_id} out of range")
-    onehot, distance = _raycast_rows(state, [prey_id])
-    ego = np.array([state.prey_speed[prey_id], state.prey[prey_id].heading / 360.0])
-    return RayObservation(hit_onehot=onehot[0], distance=distance[0], ego=ego)
+def observe_all(state: WorldState) -> np.ndarray:
+    """Every prey's observation of the current world: the (n_prey, obs_dim) policy input."""
+    onehot, distance = _raycast_rows(state)
+    ego = np.column_stack([state.prey_speed, state.prey_heading / 360.0])
+    return observation_matrix(onehot, distance, ego)
 
 
-def observe_all(state: WorldState) -> list[RayObservation]:
-    indices = list(range(len(state.prey)))
-    onehot, distance = _raycast_rows(state, indices)
-    return [
-        RayObservation(
-            hit_onehot=onehot[i],
-            distance=distance[i],
-            ego=np.array([state.prey_speed[i], state.prey[i].heading / 360.0]),
-        )
-        for i in indices
-    ]
+def observation_matrix(onehot: np.ndarray, distance: np.ndarray, ego: np.ndarray) -> np.ndarray:
+    """Pack per-ray (one-hot kind, distance) pairs, then the ego features, one row per prey.
 
-
-def observation_matrix(observations: list[RayObservation]) -> np.ndarray:
-    return np.stack([o.as_vector() for o in observations])
+    Row layout: for each ray, N_HIT_KINDS one-hot entries then its normalized
+    distance (1.0 when nothing was hit); then normalized speed and heading / 360.
+    """
+    per_ray = np.concatenate([onehot, distance[:, :, None]], axis=2)
+    return np.concatenate([per_ray.reshape(len(per_ray), -1), ego], axis=1)

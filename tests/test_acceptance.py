@@ -17,7 +17,7 @@ from predprey.ppo import PpoHyperparams, clipped_surrogate, compute_gae, ppo_los
 from predprey.stats import RunRecord, cohens_d, evaluate_condition, one_way_anova, task_efficiency
 from predprey.train import ScenarioConfig, TrainingMetrics, run_training
 from predprey.world import WorldConfig, reset, step
-from tests_support import brute_force_can_see
+from tests_support import brute_force_can_see, make_state
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -207,18 +207,14 @@ class TestCriterion6EnvironmentInvariants:
         counts = {"positive_collected": 0, "negative_collected": 0, "prey_caught": 0}
         containment_ok = True
         conservation_ok = True
-        n_pos0 = sum(p.polarity == "positive" for p in state.points)
-        n_neg0 = sum(p.polarity == "negative" for p in state.points)
+        n_pos0 = int(state.point_positive.sum())
+        n_neg0 = int((~state.point_positive).sum())
         for _ in range(100_000):
             state, rewards, _, events = step(state, rng.integers(0, 6, size=cfg.n_prey))
             rewards_all.extend(map(float, rewards))
             for e in events:
                 counts[e.kind] += 1
-            pos = np.array(
-                [b.position for b in state.prey]
-                + [state.predator.body.position]
-                + [p.position for p in state.points]
-            )
+            pos = np.concatenate([state.prey_pos, state.predator.position[None, :], state.point_pos])
             if not (np.abs(pos) <= half).all():
                 containment_ok = False
                 break
@@ -229,8 +225,9 @@ class TestCriterion6EnvironmentInvariants:
             if not containment_ok:
                 break
             if (
-                sum(p.polarity == "positive" for p in state.points) != n_pos0
-                or sum(p.polarity == "negative" for p in state.points) != n_neg0
+                state.point_pos.shape != (n_pos0 + n_neg0, 2)
+                or state.point_positive.sum() != n_pos0
+                or (~state.point_positive).sum() != n_neg0
             ):
                 conservation_ok = False
                 break
@@ -241,25 +238,17 @@ class TestCriterion6EnvironmentInvariants:
 
         oracle_rng = np.random.default_rng(66)
         lim = cfg.half_side - 0.5
-        from predprey.world import AgentBody, PredatorState, WorldState, predator_can_see
+        from predprey.world import visible_prey
 
         mismatches = 0
         for _ in range(1000):
-            probe = WorldState(
-                config=cfg,
-                tick=0,
-                prey=[AgentBody(position=oracle_rng.uniform(-lim, lim, 2), heading=float(oracle_rng.uniform(0, 360)), id=0)],
-                predator=PredatorState(
-                    body=AgentBody(position=oracle_rng.uniform(-lim, lim, 2), heading=float(oracle_rng.uniform(0, 360)), id=0),
-                    mode="patrol",
-                    target_prey_id=None,
-                    patrol_waypoint=np.zeros(2),
-                ),
-                points=[],
-                rng=np.random.default_rng(0),
-                prey_speed=np.zeros(1),
+            # draw order: prey position, prey heading, predator position, predator heading
+            probe = make_state(
+                cfg,
+                prey_specs=[(oracle_rng.uniform(-lim, lim, 2), float(oracle_rng.uniform(0, 360)))],
+                predator_spec=(oracle_rng.uniform(-lim, lim, 2), float(oracle_rng.uniform(0, 360))),
             )
-            if predator_can_see(probe, 0) != brute_force_can_see(probe, 0):
+            if (0 in visible_prey(probe)) != brute_force_can_see(probe, 0):
                 mismatches += 1
 
         ok = containment_ok and conservation_ok and accounting_ok and mismatches == 0

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import predprey
 from predprey.cli import main
 from predprey.configio import (
     EvalConfig,
@@ -102,6 +108,53 @@ class TestParseConfig:
         write_resolved(cfg, out, prov)
         cfg2, _ = parse_eval_config(out)
         assert cfg2 == cfg
+
+
+def run_cli(args, cwd):
+    """The CLI in a fresh interpreter, so exit code and stderr are exactly what a user sees."""
+    src = str(Path(predprey.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "predprey.cli", *args], capture_output=True, text=True, cwd=cwd, env=env, timeout=120
+    )
+
+
+class TestBadNumericInput:
+    @pytest.mark.parametrize(
+        "subcommand, line",
+        [
+            ("train", "time_horizon = 0"),
+            ("train", "num_epoch = 0"),
+            ("train", "batch_size = -64"),
+            ("train", "learning_rate = nan"),
+            ("train", "epsilon = inf"),
+            ("train", "max_steps = inf"),
+            ("train", "tick_dt = nan"),
+            ("eval", "tick_dt = nan"),
+            ("eval", "arena_side = inf"),
+        ],
+    )
+    def test_config_value_exits_2_without_traceback(self, tmp_path, subcommand, line):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(line + "\n")
+        proc = run_cli([subcommand, "-c", str(cfg), "-o", str(tmp_path / "out")], tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert line.split(" = ")[0] in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_predator_flag_typo_exits_2(self, tmp_path):
+        proc = run_cli(["eval", "--checkpoint", "none.ckpt", "--predator", "ture", "-o", str(tmp_path / "out")], tmp_path)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "--predator" in proc.stderr and "ture" in proc.stderr
+
+    def test_predator_flag_values_parse(self):
+        from predprey.configio import parse_bool
+
+        assert [parse_bool(v) for v in ("true", "TRUE", "1", "yes", "false", "No", "0")] == [True] * 4 + [False] * 3
+        with pytest.raises(ValueError):
+            parse_bool("ture")
 
 
 @pytest.fixture(scope="module")

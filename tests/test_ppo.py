@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from predprey.errors import ContractViolation, InputError, NumericsError, StructuralError
+from predprey.errors import ConfigError, ContractViolation, InputError, NumericsError, StructuralError
 from predprey.net import AdamState, forward, init_net, log_softmax, softmax
 from predprey.ppo import (
     ActorWorld,
@@ -187,6 +187,22 @@ class TestHyperparams:
             PpoHyperparams(gamma=0.5)
         with pytest.warns(UserWarning, match="gae_lambda"):
             PpoHyperparams(gae_lambda=0.5)
+
+    @pytest.mark.parametrize(
+        "name", ["batch_size", "buffer_size", "num_epoch", "time_horizon", "max_steps", "summary_freq"]
+    )
+    def test_non_positive_counts_rejected(self, name):
+        for value in (0, -1):
+            with pytest.raises(ConfigError, match=name):
+                PpoHyperparams(**{name: value})
+
+    @pytest.mark.parametrize(
+        "name", ["epsilon", "beta", "gamma", "gae_lambda", "learning_rate", "value_loss_coeff"]
+    )
+    def test_non_finite_floats_rejected(self, name):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ConfigError, match=name):
+                PpoHyperparams(**{name: value})
 
     def test_table_defaults(self):
         hp = PpoHyperparams()

@@ -227,19 +227,18 @@ class TestRunRecordConsistency:
         import math as m
 
         from predprey.ppo import sample_actions
-        from predprey.world import observation_matrix, observe_all, reset, step
+        from predprey.world import observe_all, reset, step
 
         cfg = eval_world()
         net = init_net(cfg.obs_dim, 6, hidden_units=16, num_layers=1, seed=1)
         state = reset(cfg, 71)
         rng = np.random.default_rng(71)
-        obs = observation_matrix(observe_all(state))
+        obs = observe_all(state)
         rewards_all = []
         counts = {"positive_collected": 0, "negative_collected": 0, "prey_caught": 0}
         for _ in range(300):
             actions, _, _ = sample_actions(net, obs, rng)
-            state, rewards, observations, events = step(state, actions)
-            obs = observation_matrix(observations)
+            state, rewards, obs, events = step(state, actions)
             rewards_all.extend(map(float, rewards))
             for e in events:
                 counts[e.kind] += 1

@@ -55,7 +55,7 @@ class TestScenarios:
                 assert ca.world == cb.world
                 assert ca.seed == cb.seed
                 assert (ca.hidden_units, ca.num_layers) == (cb.hidden_units, cb.num_layers)
-                assert replace(ca.hyperparams, max_steps=0) == replace(cb.hyperparams, max_steps=0)
+                assert replace(ca.hyperparams, max_steps=1) == replace(cb.hyperparams, max_steps=1)
 
     def test_invalid_scenario_id(self):
         with pytest.raises(ConfigError):

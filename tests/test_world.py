@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from predprey.errors import ConfigError, ContractViolation, InputError
-from tests_support import brute_force_can_see
+from tests_support import bodies, brute_force_can_see, make_state
 
 from predprey.world import (
     EVENT_CAUGHT,
@@ -16,55 +16,23 @@ from predprey.world import (
     HIT_PREDATOR,
     HIT_PREY,
     HIT_WALL,
-    AgentBody,
-    PointObject,
-    PredatorState,
+    N_HIT_KINDS,
     WorldConfig,
-    WorldState,
-    predator_can_see,
+    _raycast_rows,
+    observe_all,
     predator_step,
     prey_action_space,
-    ray_cast,
     reset,
     state_digest,
     step,
+    visible_prey,
 )
 
 
-def make_state(
-    cfg: WorldConfig,
-    prey_specs,
-    predator_spec=None,
-    points=(),
-    seed=0,
-) -> WorldState:
-    """Hand-placed world for geometry tests; bypasses random placement."""
-    prey = [
-        AgentBody(position=np.array(pos, dtype=float), heading=float(h), id=i)
-        for i, (pos, h) in enumerate(prey_specs)
-    ]
-    predator = None
-    if predator_spec is not None:
-        (pos, h) = predator_spec
-        predator = PredatorState(
-            body=AgentBody(position=np.array(pos, dtype=float), heading=float(h), id=0),
-            mode="patrol",
-            target_prey_id=None,
-            patrol_waypoint=np.array([0.0, 0.0]),
-        )
-    pts = [
-        PointObject(position=np.array(pos, dtype=float), polarity=pol, radius=cfg.point_radius)
-        for pos, pol in points
-    ]
-    return WorldState(
-        config=cfg,
-        tick=0,
-        prey=prey,
-        predator=predator,
-        points=pts,
-        rng=np.random.default_rng(seed),
-        prey_speed=np.zeros(len(prey)),
-    )
+def rays(state, prey):
+    """One prey's (hit one-hot, normalized distance) per ray, from the batched ray cast."""
+    onehot, distance = _raycast_rows(state)
+    return onehot[prey], distance[prey]
 
 
 def inside_barrier(pos, cfg) -> bool:
@@ -88,6 +56,12 @@ class TestConfig:
     def test_negative_speed_rejected(self):
         with pytest.raises(ConfigError):
             WorldConfig(prey_move_speed=-2.0)
+
+    @pytest.mark.parametrize("name", ["tick_dt", "arena_side", "prey_move_speed", "point_radius", "ray_fov_degrees"])
+    def test_non_finite_rejected(self, name):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match=name):
+                WorldConfig(**{name: value})
 
     def test_view_angle_range(self):
         with pytest.raises(ConfigError):
@@ -130,19 +104,16 @@ class TestReset:
         cfg = WorldConfig()
         for seed in range(10_000):
             state = reset(cfg, seed)
-            bodies = [(b.position, cfg.prey_radius) for b in state.prey]
-            bodies.append((state.predator.body.position, cfg.predator_radius))
-            bodies.extend((p.position, p.radius) for p in state.points)
-            for pos, radius in bodies:
+            assert state.predator is not None
+            for pos, radius in bodies(state):
                 assert not inside_barrier(pos, cfg)
                 assert np.all(np.abs(pos) <= cfg.half_side - radius + 1e-12)
 
     def test_placements_do_not_overlap(self):
         cfg = WorldConfig()
         state = reset(cfg, 5)
-        entities = [(b.position, cfg.prey_radius) for b in state.prey]
-        entities.append((state.predator.body.position, cfg.predator_radius))
-        entities.extend((p.position, p.radius) for p in state.points)
+        entities = bodies(state)
+        assert len(entities) == cfg.n_prey + 1 + 20
         for i in range(len(entities)):
             for j in range(i + 1, len(entities)):
                 d = np.hypot(*(entities[i][0] - entities[j][0]))
@@ -155,33 +126,32 @@ class TestReset:
 
     def test_point_counts(self):
         state = reset(WorldConfig(), 3)
-        polarity = [p.polarity for p in state.points]
-        assert polarity.count("positive") == 10 and polarity.count("negative") == 10
+        assert state.point_pos.shape == (20, 2)
+        assert state.point_positive.sum() == 10 and (~state.point_positive).sum() == 10
 
 
 class TestStep:
     def test_noop_actions_keep_positions(self):
         cfg = WorldConfig(predator_present=False)
         state = reset(cfg, 11)
-        before = [b.position.copy() for b in state.prey]
+        before = state.prey_pos.copy()
         state, rewards, _, events = step(state, [0] * cfg.n_prey)
         if events:  # a prey may have spawned on a point; rerole is fine
             pytest.skip("spawn happened to overlap a point")
         assert np.all(rewards == 0.0)
-        for b, old in zip(state.prey, before):
-            assert np.array_equal(b.position, old)
+        assert np.array_equal(state.prey_pos, before)
 
     def test_noop_actions_with_predator_only_predator_moves(self):
         cfg = WorldConfig()
         state = reset(cfg, 13)
-        before = [b.position.copy() for b in state.prey]
-        pred_before = state.predator.body.position.copy()
+        before = state.prey_pos.copy()
+        pred_before = state.predator.position.copy()
         state, _, _, events = step(state, [0] * cfg.n_prey)
         caught = {e.prey_id for e in events if e.kind == EVENT_CAUGHT}
-        for b, old in zip(state.prey, before):
-            if b.id not in caught:
-                assert np.array_equal(b.position, old)
-        assert not np.array_equal(state.predator.body.position, pred_before)
+        for i, old in enumerate(before):
+            if i not in caught:
+                assert np.array_equal(state.prey_pos[i], old)
+        assert not np.array_equal(state.predator.position, pred_before)
 
     def test_prey_on_positive_point_collects_and_respawns(self):
         cfg = WorldConfig(predator_present=False)
@@ -194,8 +164,8 @@ class TestStep:
         assert rewards[0] == pytest.approx(1.0)
         assert [e.kind for e in events] == [EVENT_POSITIVE]
         assert events[0].tick == 0 and events[0].prey_id == 0
-        assert np.hypot(*(state.points[0].position - np.array([0.1, 0.0]))) > 1e-9
-        assert state.points[0].polarity == "positive"
+        assert np.hypot(*(state.point_pos[0] - np.array([0.1, 0.0]))) > 1e-9
+        assert state.point_positive[0]
 
     def test_forward_into_negative_point_penalizes(self):
         cfg = WorldConfig(predator_present=False)
@@ -222,7 +192,7 @@ class TestStep:
         assert rewards[0] == pytest.approx(-1.0)
         assert [e.kind for e in events] == [EVENT_CAUGHT]
         # teleported away from the predator
-        d = np.hypot(*(state.prey[0].position - state.predator.body.position))
+        d = np.hypot(*(state.prey_pos[0] - state.predator.position))
         assert d > cfg.prey_radius + cfg.predator_radius
 
     def test_malformed_action_names_prey(self):
@@ -242,15 +212,15 @@ class TestStep:
         space = prey_action_space()
         per_tick = cfg.prey_turn_speed * cfg.tick_dt
         state, *_ = step(state, [space.encode(0, 1)])
-        assert state.prey[0].heading == pytest.approx(90.0 + per_tick)
+        assert state.prey_heading[0] == pytest.approx(90.0 + per_tick)
         state, *_ = step(state, [space.encode(0, 2)])
-        assert state.prey[0].heading == pytest.approx(90.0)
+        assert state.prey_heading[0] == pytest.approx(90.0)
 
     def test_forward_displacement_length(self):
         cfg = WorldConfig(predator_present=False)
         state = make_state(cfg, prey_specs=[((0.0, 0.0), 37.0)])
         state, *_ = step(state, [prey_action_space().encode(1, 0)])
-        assert np.hypot(*state.prey[0].position) == pytest.approx(
+        assert np.hypot(*state.prey_pos[0]) == pytest.approx(
             cfg.prey_move_speed * cfg.tick_dt
         )
 
@@ -259,7 +229,7 @@ class TestStep:
         x_edge = cfg.half_side - cfg.prey_radius
         state = make_state(cfg, prey_specs=[((x_edge, 0.0), 0.0)])
         state, *_ = step(state, [prey_action_space().encode(1, 0)])
-        assert state.prey[0].position[0] == pytest.approx(x_edge)
+        assert state.prey_pos[0, 0] == pytest.approx(x_edge)
 
     def test_barrier_blocks_and_slides(self):
         cfg = WorldConfig(predator_present=False)
@@ -267,7 +237,7 @@ class TestStep:
         start = np.array([x0 - cfg.prey_radius - 0.05, 0.0])
         state = make_state(cfg, prey_specs=[(tuple(start), 30.0)])  # into the slab, angled up
         state, *_ = step(state, [prey_action_space().encode(1, 0)])
-        pos = state.prey[0].position
+        pos = state.prey_pos[0]
         assert pos[0] <= x0 - cfg.prey_radius + 1e-12  # clamped at the face
         assert pos[1] > 0.0  # slid along it
 
@@ -297,7 +267,7 @@ class TestStep:
             rewards_all.extend(float(r) for r in rewards)
             for e in events:
                 counts[e.kind] += 1
-            assert len(state.points) == 20
+            assert state.point_pos.shape == (20, 2) and state.point_positive.sum() == 10
         total = m.fsum(rewards_all)
         # exact at the rational level: 5 * total is an integer combination
         expected = 5 * counts[EVENT_POSITIVE] - counts[EVENT_NEGATIVE] - 5 * counts[EVENT_CAUGHT]
@@ -309,11 +279,11 @@ class TestRayCast:
     def test_empty_arena_rays_hit_walls(self):
         cfg = WorldConfig(predator_present=False, barrier_layout=())
         state = make_state(cfg, prey_specs=[((0.0, 0.0), 0.0)])
-        obs = ray_cast(state, 0)
+        onehot, distance = rays(state, 0)
         # centered prey: wall is within ray length in every fan direction
-        assert np.all(obs.hit_onehot[:, HIT_WALL] == 1.0)
+        assert np.all(onehot[:, HIT_WALL] == 1.0)
         forward_i = cfg.n_rays // 2
-        assert obs.distance[forward_i] == pytest.approx(cfg.half_side / cfg.ray_length)
+        assert distance[forward_i] == pytest.approx(cfg.half_side / cfg.ray_length)
 
     def test_positive_point_dead_ahead(self):
         cfg = WorldConfig(predator_present=False, barrier_layout=())
@@ -323,12 +293,12 @@ class TestRayCast:
             prey_specs=[((-3.0, 0.0), 0.0)],
             points=[((-3.0 + dist, 0.0), "positive")],
         )
-        obs = ray_cast(state, 0)
+        onehot, distance = rays(state, 0)
         forward_i = cfg.n_rays // 2
-        assert obs.hit_onehot[forward_i, HIT_POSITIVE] == 1.0
+        assert onehot[forward_i, HIT_POSITIVE] == 1.0
         expected = (dist - cfg.point_radius) / cfg.ray_length
-        assert obs.distance[forward_i] == pytest.approx(expected, abs=1e-12)
-        assert abs(obs.distance[forward_i] - 0.5) < 0.05
+        assert distance[forward_i] == pytest.approx(expected, abs=1e-12)
+        assert abs(distance[forward_i] - 0.5) < 0.05
 
     def test_point_behind_barrier_occluded(self):
         cfg = WorldConfig(predator_present=False)
@@ -338,10 +308,10 @@ class TestRayCast:
             prey_specs=[((x0 - 1.0, 0.0), 0.0)],
             points=[((x1 + 1.0, 0.0), "positive")],
         )
-        obs = ray_cast(state, 0)
+        onehot, distance = rays(state, 0)
         forward_i = cfg.n_rays // 2
-        assert obs.hit_onehot[forward_i, HIT_WALL] == 1.0
-        assert obs.distance[forward_i] == pytest.approx(1.0 / cfg.ray_length, abs=1e-9)
+        assert onehot[forward_i, HIT_WALL] == 1.0
+        assert distance[forward_i] == pytest.approx(1.0 / cfg.ray_length, abs=1e-9)
 
     def test_sees_predator_and_other_prey(self):
         cfg = WorldConfig(barrier_layout=())
@@ -350,31 +320,35 @@ class TestRayCast:
             prey_specs=[((0.0, 0.0), 0.0), ((2.0, 0.0), 0.0)],
             predator_spec=((0.0, 3.0), 0.0),
         )
-        obs = ray_cast(state, 0)
+        onehot, _ = rays(state, 0)
         forward_i = cfg.n_rays // 2
-        assert obs.hit_onehot[forward_i, HIT_PREY] == 1.0
+        assert onehot[forward_i, HIT_PREY] == 1.0
         up_i = np.argmin(np.abs(np.linspace(-70, 70, cfg.n_rays) - 70))
         # ray 70 degrees off heading 0 does not point straight up; rotate prey
-        state.prey[0].heading = 20.0
-        obs = ray_cast(state, 0)
-        assert obs.hit_onehot[up_i, HIT_PREDATOR] == 1.0
+        state.prey_heading[0] = 20.0
+        onehot, _ = rays(state, 0)
+        assert onehot[up_i, HIT_PREDATOR] == 1.0
 
     def test_nothing_beyond_ray_length(self):
         cfg = WorldConfig(
             predator_present=False, barrier_layout=(), arena_side=40.0, ray_length=5.0
         )
         state = make_state(cfg, prey_specs=[((0.0, 0.0), 0.0)])
-        obs = ray_cast(state, 0)
-        assert np.all(obs.hit_onehot[:, HIT_NOTHING] == 1.0)
-        assert np.all(obs.distance == 1.0)
+        onehot, distance = rays(state, 0)
+        assert np.all(onehot[:, HIT_NOTHING] == 1.0)
+        assert np.all(distance == 1.0)
 
     def test_vector_layout(self):
         cfg = WorldConfig()
         state = reset(cfg, 2)
-        obs = ray_cast(state, 0)
-        vec = obs.as_vector()
-        assert vec.shape == (cfg.obs_dim,)
-        assert vec[-1] == pytest.approx(state.prey[0].heading / 360.0)
+        obs = observe_all(state)
+        assert obs.shape == (cfg.n_prey, cfg.obs_dim)
+        assert obs[0, -1] == pytest.approx(state.prey_heading[0] / 360.0)
+        # each ray contributes its one-hot kind followed by its distance
+        onehot, distance = _raycast_rows(state)
+        per_ray = obs[:, : cfg.n_rays * (N_HIT_KINDS + 1)].reshape(cfg.n_prey, cfg.n_rays, N_HIT_KINDS + 1)
+        assert np.array_equal(per_ray[:, :, :N_HIT_KINDS], onehot)
+        assert np.array_equal(per_ray[:, :, N_HIT_KINDS], distance)
 
     def test_matches_analytic_circle_oracle(self):
         # straight-ahead ray vs circle at distance d: t = d - r exactly
@@ -387,30 +361,30 @@ class TestRayCast:
                 prey_specs=[((-4.0, 0.0), 0.0)],
                 points=[((-4.0 + d, 0.0), "negative")],
             )
-            obs = ray_cast(state, 0)
+            onehot, distance = rays(state, 0)
             fi = cfg.n_rays // 2
-            assert obs.hit_onehot[fi, HIT_NEGATIVE] == 1.0
-            assert obs.distance[fi] == pytest.approx((d - cfg.point_radius) / cfg.ray_length, abs=1e-10)
+            assert onehot[fi, HIT_NEGATIVE] == 1.0
+            assert distance[fi] == pytest.approx((d - cfg.point_radius) / cfg.ray_length, abs=1e-10)
 
 
 class TestPredatorVision:
     def test_prey_dead_ahead_inside_cone(self):
         cfg = WorldConfig(barrier_layout=())
         state = make_state(cfg, prey_specs=[((1.0, 0.0), 0.0)], predator_spec=((-4.0, 0.0), 0.0))
-        assert predator_can_see(state, 0)
+        assert 0 in visible_prey(state)
 
     def test_prey_beyond_radius(self):
         cfg = WorldConfig(arena_side=30.0, barrier_layout=())
         state = make_state(cfg, prey_specs=[((11.0, 0.0), 0.0)], predator_spec=((0.0, 0.0), 0.0))
-        assert not predator_can_see(state, 0)
-        state.prey[0].position = np.array([10.0, 0.0])
-        assert predator_can_see(state, 0)
+        assert 0 not in visible_prey(state)
+        state.prey_pos[0] = [10.0, 0.0]
+        assert 0 in visible_prey(state)
 
     def test_outside_cone(self):
         cfg = WorldConfig(barrier_layout=())
         state = make_state(cfg, prey_specs=[((0.0, 3.0), 0.0)], predator_spec=((0.0, 0.0), 0.0))
         # bearing 90, heading 0, half-angle 40 -> hidden
-        assert not predator_can_see(state, 0)
+        assert 0 not in visible_prey(state)
 
     def test_barrier_occludes(self):
         cfg = WorldConfig()
@@ -421,13 +395,13 @@ class TestPredatorVision:
             prey_specs=[((x1 + 1.0, mid_y), 0.0)],
             predator_spec=((x0 - 1.0, mid_y), 0.0),
         )
-        assert not predator_can_see(state, 0)
+        assert 0 not in visible_prey(state)
 
     def test_no_predator_contract(self):
         cfg = WorldConfig(predator_present=False)
         state = make_state(cfg, prey_specs=[((0.0, 0.0), 0.0)])
         with pytest.raises(ContractViolation):
-            predator_can_see(state, 0)
+            visible_prey(state)
 
     def test_agrees_with_brute_force_oracle(self):
         cfg = WorldConfig()
@@ -440,13 +414,11 @@ class TestPredatorVision:
                 prey_specs=[(tuple(rng.uniform(-lim, lim, 2)), rng.uniform(0, 360))],
                 predator_spec=(tuple(rng.uniform(-lim, lim, 2)), rng.uniform(0, 360)),
             )
-            if predator_can_see(state, 0) != brute_force_can_see(state, 0):
+            if (0 in visible_prey(state)) != brute_force_can_see(state, 0):
                 mism += 1
         assert mism == 0
 
-    def test_batched_visibility_matches_scalar(self):
-        from predprey.world import _visible_prey
-
+    def test_batched_visibility_matches_oracle(self):
         cfg = WorldConfig()
         rng = np.random.default_rng(321)
         lim = cfg.half_side - 0.5
@@ -458,9 +430,9 @@ class TestPredatorVision:
                 ],
                 predator_spec=(tuple(rng.uniform(-lim, lim, 2)), rng.uniform(0, 360)),
             )
-            mask = set(_visible_prey(state))
+            mask = set(visible_prey(state).tolist())
             for i in range(4):
-                assert (i in mask) == predator_can_see(state, i)
+                assert (i in mask) == brute_force_can_see(state, i)
 
 
 class TestPredatorStep:
@@ -470,8 +442,8 @@ class TestPredatorStep:
         pred = predator_step(state)
         assert pred.mode == "chase"
         assert pred.target_prey_id == 0
-        assert pred.body.heading == pytest.approx(0.0)
-        assert pred.body.position[0] > 0.0
+        assert pred.heading == pytest.approx(0.0)
+        assert pred.position[0] > 0.0
 
     def test_targets_nearest_of_two(self):
         cfg = WorldConfig(barrier_layout=())
@@ -497,7 +469,7 @@ class TestPredatorStep:
     def test_patrol_draws_new_waypoint_on_arrival(self):
         cfg = WorldConfig(predator_present=True)
         state = make_state(cfg, prey_specs=[((4.5, 4.5), 0.0)], predator_spec=((-4.0, -4.0), 180.0))
-        state.predator.patrol_waypoint = state.predator.body.position + np.array([0.1, 0.0])
+        state.predator.patrol_waypoint = state.predator.position + np.array([0.1, 0.0])
         wp_before = state.predator.patrol_waypoint.copy()
         pred = predator_step(state)
         assert pred.mode == "patrol"
@@ -507,9 +479,9 @@ class TestPredatorStep:
         cfg = WorldConfig()
         state = make_state(cfg, prey_specs=[((4.5, 4.5), 0.0)], predator_spec=((-4.0, -4.0), 0.0))
         state.predator.patrol_waypoint = np.array([4.0, -4.0])
-        before = state.predator.body.position.copy()
+        before = state.predator.position.copy()
         pred = predator_step(state)
-        moved = np.hypot(*(pred.body.position - before))
+        moved = np.hypot(*(pred.position - before))
         assert moved == pytest.approx(cfg.predator_move_speed * cfg.tick_dt)
 
 
@@ -519,6 +491,6 @@ class TestEgoFeatures:
         state = make_state(cfg, prey_specs=[((0.0, 0.0), 0.0)])
         space = prey_action_space()
         _, _, obs, _ = step(state, [space.encode(1, 0)])
-        assert obs[0].ego[0] == 1.0
+        assert obs[0, -2] == 1.0  # ego features close the row: speed, then heading
         _, _, obs, _ = step(state, [space.encode(0, 0)])
-        assert obs[0].ego[0] == 0.0
+        assert obs[0, -2] == 0.0

@@ -4,16 +4,55 @@ import math
 
 import numpy as np
 
-from predprey.world import AgentBody, PredatorState, WorldConfig, WorldState
+from predprey.world import PredatorState, WorldConfig, WorldState
+
+
+def make_state(cfg: WorldConfig, prey_specs, predator_spec=None, points=(), seed=0) -> WorldState:
+    """Hand-placed world for geometry tests; bypasses random placement.
+
+    prey_specs: ((x, y), heading) per prey; predator_spec: ((x, y), heading)
+    or None; points: ((x, y), "positive" | "negative") per point.
+    """
+    predator = None
+    if predator_spec is not None:
+        pos, heading = predator_spec
+        predator = PredatorState(
+            position=np.array(pos, dtype=float),
+            heading=float(heading),
+            mode="patrol",
+            target_prey_id=None,
+            patrol_waypoint=np.array([0.0, 0.0]),
+        )
+    return WorldState(
+        config=cfg,
+        tick=0,
+        prey_pos=np.array([pos for pos, _ in prey_specs], dtype=float).reshape(-1, 2),
+        prey_heading=np.array([h for _, h in prey_specs], dtype=float),
+        prey_speed=np.zeros(len(prey_specs)),
+        predator=predator,
+        point_pos=np.array([pos for pos, _ in points], dtype=float).reshape(-1, 2),
+        point_positive=np.array([pol == "positive" for _, pol in points], dtype=bool),
+        rng=np.random.default_rng(seed),
+    )
+
+
+def bodies(state):
+    """(position, radius) of every body in the world: prey, predator, points."""
+    cfg = state.config
+    out = [(pos, cfg.prey_radius) for pos in state.prey_pos]
+    if state.predator is not None:
+        out.append((state.predator.position, cfg.predator_radius))
+    out.extend((pos, cfg.point_radius) for pos in state.point_pos)
+    return out
 
 
 def brute_force_can_see(state, prey_id) -> bool:
     """Independent oracle: explicit trig plus segment-vs-edge intersections."""
     cfg = state.config
-    pred = state.predator.body
-    prey = state.prey[prey_id]
-    dx = prey.position[0] - pred.position[0]
-    dy = prey.position[1] - pred.position[1]
+    pred = state.predator
+    prey_xy = state.prey_pos[prey_id]
+    dx = prey_xy[0] - pred.position[0]
+    dy = prey_xy[1] - pred.position[1]
     if math.sqrt(dx * dx + dy * dy) > cfg.predator_view_radius:
         return False
     bearing = math.degrees(math.atan2(dy, dx))
@@ -33,7 +72,7 @@ def brute_force_can_see(state, prey_id) -> bool:
         )
 
     a = tuple(pred.position)
-    b = tuple(prey.position)
+    b = tuple(prey_xy)
     for x0, y0, x1, y1 in cfg.barrier_layout:
         for p in (a, b):  # endpoint inside the rectangle counts as occluded
             if x0 < p[0] < x1 and y0 < p[1] < y1:
@@ -48,20 +87,4 @@ def brute_force_can_see(state, prey_id) -> bool:
 def make_contact_state():
     """Single prey directly in front of a chasing predator: a catch next step."""
     cfg = WorldConfig(barrier_layout=())
-    prey = AgentBody(position=np.array([3.0, 3.0]), heading=0.0, id=0)
-    predator = PredatorState(
-        body=AgentBody(position=np.array([3.1, 3.0]), heading=180.0, id=0),
-        mode="patrol",
-        target_prey_id=None,
-        patrol_waypoint=np.array([0.0, 0.0]),
-    )
-    state = WorldState(
-        config=cfg,
-        tick=0,
-        prey=[prey],
-        predator=predator,
-        points=[],
-        rng=np.random.default_rng(0),
-        prey_speed=np.zeros(1),
-    )
-    return cfg, state
+    return cfg, make_state(cfg, prey_specs=[((3.0, 3.0), 0.0)], predator_spec=((3.1, 3.0), 180.0))
