@@ -1,4 +1,4 @@
-"""Pinned determinism: sha256 digests of a scripted world, a tiny training run and a tiny eval.
+"""Pinned determinism: sha256 digests of a scripted world, tiny training runs and a tiny eval.
 
 The expected digests live in golden_digests.json. A change that alters any of
 them changes the program's deterministic output and must say so. To print the
@@ -46,11 +46,18 @@ def scripted_world_digest() -> str:
     return state_digest(state)
 
 
-def train_digests(out_dir: Path) -> dict[str, str]:
-    run_training(tiny_config(), out_dir)
+# Two worlds stepped together, with episodes short enough to end inside a sweep.
+TWO_WORLDS = dict(
+    n_worlds=2, world=WorldConfig(n_prey=2, n_positive_points=4, n_negative_points=4, episode_length=24)
+)
+
+
+def train_digests(out_dir: Path, prefix: str = "train", **overrides) -> dict[str, str]:
+    """metrics.csv and the final checkpoint of a tiny training run with the given config overrides."""
+    run_training(tiny_config(**overrides), out_dir)
     return {
-        "train_metrics_csv": file_sha256(out_dir / "metrics.csv"),
-        "train_checkpoint_final": file_sha256(out_dir / "checkpoint_final.ckpt"),
+        f"{prefix}_metrics_csv": file_sha256(out_dir / "metrics.csv"),
+        f"{prefix}_checkpoint_final": file_sha256(out_dir / "checkpoint_final.ckpt"),
     }
 
 
@@ -84,6 +91,11 @@ def test_tiny_training_outputs(golden, tmp_path):
     assert got == {k: golden[k] for k in got}
 
 
+def test_tiny_training_two_worlds_outputs(golden, tmp_path):
+    got = train_digests(tmp_path, "train_2_worlds", **TWO_WORLDS)
+    assert got == {k: golden[k] for k in got}
+
+
 def test_tiny_eval_outputs(golden, tmp_path):
     got = eval_digests(tmp_path)
     # the fixture must exercise point rows and every event kind
@@ -100,5 +112,6 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(sys.stderr):
         digests = {"world_state_1000_ticks": scripted_world_digest()}
         digests.update(train_digests(Path(tmp) / "train"))
+        digests.update(train_digests(Path(tmp) / "train2", "train_2_worlds", **TWO_WORLDS))
         digests.update(eval_digests(Path(tmp) / "eval"))
     print(json.dumps(digests, indent=2))
