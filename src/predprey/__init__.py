@@ -18,7 +18,6 @@ from .ppo import (
     collect_rollout,
     compute_gae,
     ppo_update,
-    probability_ratio,
 )
 from .stats import (
     AnovaResult,
@@ -41,6 +40,7 @@ from .world import (
     predator_step,
     prey_action_space,
     reset,
+    reset_world,
     step,
     visible_prey,
 )

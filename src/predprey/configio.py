@@ -91,6 +91,12 @@ class EvalConfig:
     condition_id: str = "condition"
     log_points: bool = False
 
+    def __post_init__(self) -> None:
+        if self.n_runs < 2:
+            raise ConfigError(f"n_runs must be at least 2 to summarize a condition, got {self.n_runs}")
+        if self.duration < 1:
+            raise ConfigError(f"duration must be at least 1 tick, got {self.duration}")
+
 
 def _read_flat(path) -> dict[str, str]:
     entries: dict[str, str] = {}

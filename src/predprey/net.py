@@ -13,9 +13,11 @@ value head (W, b). Weight matrices are (fan_in, fan_out), applied as
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -154,8 +156,10 @@ def zeros_like_params(net: DenseNet) -> list[np.ndarray]:
 def forward(net: DenseNet, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
     """Evaluate the net: returns (policy logits, state value).
 
-    Accepts a single observation (input_dim,) or a batch (n, input_dim);
-    the value is a scalar float or an (n,) vector correspondingly.
+    Accepts a single observation (input_dim,) or a batch (..., input_dim);
+    the value is a scalar float or an array of the batch shape
+    correspondingly. Leading batch axes stay in the matmuls, so each
+    (n, input_dim) slice of a stacked batch gives the same bits as on its own.
     """
     obs = np.asarray(obs, dtype=np.float64)
     single = obs.ndim == 1
@@ -170,7 +174,7 @@ def forward(net: DenseNet, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray | fl
     for w, b in zip(net.weights[:-2], net.biases[:-2]):
         h = np.tanh(h @ w + b)
     logits = h @ net.weights[-2] + net.biases[-2]
-    value = (h @ net.weights[-1] + net.biases[-1])[:, 0]
+    value = (h @ net.weights[-1] + net.biases[-1])[..., 0]
     if single:
         return logits[0], float(value[0])
     return logits, value
@@ -421,9 +425,19 @@ def checkpoint_from_bytes(data: bytes) -> tuple[DenseNet, AdamState, int, int]:
 
 
 def save_checkpoint(path, net: DenseNet, adam: AdamState, rng_seed: int, global_step: int) -> None:
+    """Write the checkpoint atomically: a crash mid-write leaves any previous file at `path` intact."""
     blob = checkpoint_to_bytes(net, adam, rng_seed, global_step)
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> tuple[DenseNet, AdamState, int, int]:

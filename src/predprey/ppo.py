@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import net as nets
 from .errors import ConfigError, ContractViolation, InputError, NumericsError, StructuralError
 from .net import AdamState, DenseNet
-from .world import WorldState, observe_all, step
+from .world import WorldState, observe_all, reset_world, step
 
 ADVANTAGE_NORM_EPS = 1e-8
 
@@ -109,17 +109,6 @@ def compute_gae(
     return AdvantageEstimates(advantages=advantages, returns=advantages + values)
 
 
-def probability_ratio(
-    net: DenseNet, obs: np.ndarray, action: int, log_prob_old: float
-) -> float:
-    """exp(log pi(a|s) under the current net minus the stored behaviour log-prob)."""
-    if not np.isfinite(log_prob_old):
-        raise InputError(f"log_prob_old must be finite, got {log_prob_old}")
-    logits, _ = nets.forward(net, obs)
-    logp = nets.log_softmax(logits)[action]
-    return float(np.exp(logp - log_prob_old))
-
-
 def clipped_surrogate(r, advantage, epsilon: float):
     """Pessimistic objective: min(r * A, clip(r, 1-eps, 1+eps) * A). Elementwise."""
     if not 0.0 < epsilon < 1.0:
@@ -170,103 +159,114 @@ class RolloutBuffer:
 
 
 @dataclass(eq=False)
-class ActorWorld:
-    """One world plus the cached observations the policy acts on."""
+class ActorWorlds:
+    """The worlds of one rollout plus the cached observations the policy acts on."""
 
     state: WorldState
-    obs: np.ndarray  # (n_prey, obs_dim)
-    episode_return: np.ndarray
-    completed_episode_returns: list[float] = field(default_factory=list)
+    obs: np.ndarray  # (W, n_prey, obs_dim)
+    episode_return: np.ndarray  # (W, n_prey)
+    completed_episode_returns: list[list[float]]  # per world, in the order episodes ended
 
     @classmethod
-    def from_state(cls, state: WorldState) -> "ActorWorld":
+    def from_state(cls, state: WorldState) -> "ActorWorlds":
         return cls(
             state=state,
             obs=observe_all(state),
-            episode_return=np.zeros(len(state.prey_pos)),
+            episode_return=np.zeros(state.prey_heading.shape),
+            completed_episode_returns=[[] for _ in range(state.n_worlds)],
         )
 
-    def finish_episode(self) -> None:
-        self.completed_episode_returns.extend(float(r) for r in self.episode_return)
-        self.episode_return[:] = 0.0
+    def finish_episode(self, world: int) -> None:
+        self.completed_episode_returns[world].extend(float(r) for r in self.episode_return[world])
+        self.episode_return[world] = 0.0
 
 
 def sample_actions(
-    net: DenseNet, obs_matrix: np.ndarray, rng: np.random.Generator, greedy: bool = False
+    net: DenseNet, obs: np.ndarray, u: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw one action per row; returns (actions, log_probs, values)."""
-    logits, values = nets.forward(net, obs_matrix)
+    """One action per row of obs (..., obs_dim); returns (actions, log_probs, values).
+
+    Each action inverts the policy's CDF at its uniform draw in u, of shape
+    obs.shape[:-1]; with no draws the action is the argmax.
+    """
+    logits, values = nets.forward(net, obs)
     logp = nets.log_softmax(logits)
-    if greedy:
-        actions = logits.argmax(axis=1)
+    if u is None:
+        actions = logits.argmax(axis=-1)
     else:
-        u = rng.random(len(obs_matrix))
-        cdf = np.cumsum(np.exp(logp), axis=1)
-        actions = (u[:, None] > cdf).sum(axis=1)
-        actions = np.minimum(actions, logits.shape[1] - 1)
-    rows = np.arange(len(obs_matrix))
-    return actions, logp[rows, actions], values
+        cdf = np.cumsum(np.exp(logp), axis=-1)
+        actions = np.minimum((u[..., None] > cdf).sum(axis=-1), logits.shape[-1] - 1)
+    return actions, np.take_along_axis(logp, actions[..., None], axis=-1)[..., 0], values
 
 
 def collect_rollout(
     net: DenseNet,
-    actors: list[ActorWorld],
+    actors: ActorWorlds,
     T: int,
     hp: PpoHyperparams,
     rng: np.random.Generator,
     buffer: RolloutBuffer | None = None,
-    reset_fn=None,
+    episode_seed=None,
 ) -> RolloutBuffer:
-    """One sweep: T ticks in every world, one chunk appended per prey stream.
+    """One sweep: T ticks of every world in lockstep, one chunk appended per prey stream.
 
-    Chunks are horizon-truncated: the value of the state after the last tick
-    bootstraps the advantage recursion unless an episode boundary cut it.
-    reset_fn(actor_index) -> WorldState is invoked when a world's tick count
-    reaches its configured episode_length; passing None disables resets.
+    The sweep's action uniforms are drawn up front as (W, T, n_prey), which is
+    the stream that drawing each world's ticks in turn would give. Chunks are
+    appended world by world, prey by prey, and are horizon-truncated: the value
+    of the state after the last tick bootstraps the advantage recursion unless
+    an episode boundary cut it. When a world's tick count reaches its
+    configured episode_length it is redrawn in place from the seed
+    episode_seed(world_index) returns; passing None disables resets.
     """
     if buffer is None:
         buffer = RolloutBuffer(hp.buffer_size)
-    for a_idx, actor in enumerate(actors):
-        n_prey = len(actor.state.prey_pos)
-        obs_seq = np.empty((T, n_prey, actor.obs.shape[1]))
-        act_seq = np.empty((T, n_prey), dtype=np.int64)
-        logp_seq = np.empty((T, n_prey))
-        rew_seq = np.empty((T, n_prey))
-        val_seq = np.empty((T, n_prey))
-        bound_seq = np.zeros((T, n_prey), dtype=bool)
+    state = actors.state
+    n_worlds, n_prey = state.prey_heading.shape
+    u = rng.random((n_worlds, T, n_prey))
+    obs_seq = np.empty((T,) + actors.obs.shape)
+    act_seq = np.empty((T, n_worlds, n_prey), dtype=np.int64)
+    logp_seq = np.empty((T, n_worlds, n_prey))
+    rew_seq = np.empty((T, n_worlds, n_prey))
+    val_seq = np.empty((T, n_worlds, n_prey))
+    bound_seq = np.zeros((T, n_worlds, n_prey), dtype=bool)
 
-        for t in range(T):
-            obs_seq[t] = actor.obs
-            actions, logp, values = sample_actions(net, actor.obs, rng)
-            act_seq[t] = actions
-            logp_seq[t] = logp
-            val_seq[t] = values
-            _, rewards, actor.obs, _ = step(actor.state, actions)
-            rew_seq[t] = rewards
-            actor.episode_return += rewards
-            if reset_fn is not None and actor.state.tick >= actor.state.config.episode_length:
-                bound_seq[t] = True
-                actor.finish_episode()
-                actor.state = reset_fn(a_idx)
-                actor.obs = observe_all(actor.state)
+    for t in range(T):
+        obs_seq[t] = actors.obs
+        actions, logp, values = sample_actions(net, actors.obs, u[:, t])
+        act_seq[t] = actions
+        logp_seq[t] = logp
+        val_seq[t] = values
+        _, rewards, actors.obs, _ = step(state, actions)
+        rew_seq[t] = rewards
+        actors.episode_return += rewards
+        if episode_seed is None:
+            continue
+        ended = np.flatnonzero(state.tick >= state.config.episode_length)
+        for w in ended:
+            bound_seq[t, w] = True
+            actors.finish_episode(w)
+            reset_world(state, w, episode_seed(w))
+        if len(ended):
+            actors.obs = observe_all(state)
 
-        _, bootstrap = nets.forward(net, actor.obs)
+    _, bootstrap = nets.forward(net, actors.obs)
+    for w in range(n_worlds):
         for i in range(n_prey):
             est = compute_gae(
-                rew_seq[:, i],
-                val_seq[:, i],
-                bound_seq[:, i],
-                float(bootstrap[i]),
+                rew_seq[:, w, i],
+                val_seq[:, w, i],
+                bound_seq[:, w, i],
+                float(bootstrap[w, i]),
                 hp.gamma,
                 hp.gae_lambda,
             )
             buffer.append_chunk(
-                obs=obs_seq[:, i, :],
-                actions=act_seq[:, i],
-                log_prob_old=logp_seq[:, i],
-                rewards=rew_seq[:, i],
-                values=val_seq[:, i],
-                boundaries=bound_seq[:, i],
+                obs=obs_seq[:, w, i, :],
+                actions=act_seq[:, w, i],
+                log_prob_old=logp_seq[:, w, i],
+                rewards=rew_seq[:, w, i],
+                values=val_seq[:, w, i],
+                boundaries=bound_seq[:, w, i],
                 advantages=est.advantages,
                 returns=est.returns,
             )

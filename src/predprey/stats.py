@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import csv
 import math
+import shutil
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -111,8 +113,16 @@ def evaluate_condition(
     `checkpoint` is a file path or an already-loaded DenseNet. Actions are
     sampled from the policy by default; greedy switches to argmax. The world
     config decides predator presence at test time, independent of how the
-    policy was trained. When trajectory_path is set, every run's entity
-    positions stream into one trajectory CSV.
+    policy was trained.
+
+    The runs execute in lockstep as the worlds of one batched state: each tick
+    is one policy forward over (n_runs, n_prey, obs_dim) and one world step.
+    Each run keeps its own world seed and its own action generator, so every
+    run's outcome is the one it would have alone. When trajectory_path is set,
+    run 0 streams into the trajectory CSV and every later run's rows spool to
+    an anonymous temp file beside it; the spools are appended in run order at
+    the end, so the CSV stays run-major and memory does not grow with
+    `duration`.
     """
     if isinstance(checkpoint, DenseNet):
         net = checkpoint
@@ -125,39 +135,37 @@ def evaluate_condition(
             f"world ({world_cfg.obs_dim} -> {n_actions})"
         )
 
-    writer = None
-    traj_fh = None
-    if trajectory_path is not None:
-        trajectory_path = Path(trajectory_path)
-        traj_fh = open(trajectory_path, "w", newline="")
-        writer = TrajectoryWriter(traj_fh, kinds=trajectory_kinds)
-
-    records = []
+    state = reset(world_cfg, [derive_seed(seed, _TAG_EVAL_WORLD, run) for run in range(n_runs)])
+    rngs = [np.random.default_rng(derive_seed(seed, _TAG_EVAL_ACTIONS, run)) for run in range(n_runs)]
+    obs = observe_all(state)
+    kind_index = {EVENT_POSITIVE: 0, EVENT_NEGATIVE: 1, EVENT_CAUGHT: 2}
+    counts = np.zeros((n_runs, len(kind_index)), dtype=np.int64)
+    files = []  # the trajectory CSV, which takes run 0's rows, then one spool per later run
     try:
-        for run in range(n_runs):
-            state = reset(world_cfg, derive_seed(seed, _TAG_EVAL_WORLD, run))
-            rng = np.random.default_rng(derive_seed(seed, _TAG_EVAL_ACTIONS, run))
-            obs = observe_all(state)
-            counts = {EVENT_POSITIVE: 0, EVENT_NEGATIVE: 0, EVENT_CAUGHT: 0}
-            for tick in range(duration):
-                actions, _, _ = sample_actions(net, obs, rng, greedy=greedy)
-                _, _, obs, events = step(state, actions)
-                for ev in events:
-                    counts[ev.kind] += 1
-                if writer is not None:
-                    writer.record(run, tick, state, events)
-            records.append(
-                RunRecord(
-                    run_id=run,
-                    pos_total=counts[EVENT_POSITIVE],
-                    neg_total=counts[EVENT_NEGATIVE],
-                    caught_total=counts[EVENT_CAUGHT],
-                    duration_steps=duration,
-                )
-            )
+        if trajectory_path is not None:
+            trajectory_path = Path(trajectory_path)
+            files.append(open(trajectory_path, "w", newline=""))
+            spool_dir = trajectory_path.parent
+            files.extend(tempfile.TemporaryFile("w+", newline="", dir=spool_dir) for _ in range(n_runs - 1))
+        writers = [TrajectoryWriter(fh, kinds=trajectory_kinds, header=fh is files[0]) for fh in files]
+        for tick in range(duration):
+            u = None if greedy else np.stack([rng.random(world_cfg.n_prey) for rng in rngs])
+            actions, _, _ = sample_actions(net, obs, u)
+            _, _, obs, events = step(state, actions)
+            for ev in events:
+                counts[ev.world, kind_index[ev.kind]] += 1
+            for run, writer in enumerate(writers):
+                writer.record(run, tick, state, events, world=run)
+        for spool in files[1:]:
+            spool.seek(0)
+            shutil.copyfileobj(spool, files[0])
     finally:
-        if traj_fh is not None:
-            traj_fh.close()
+        for fh in files:
+            fh.close()
+    records = [
+        RunRecord(run_id=run, pos_total=pos, neg_total=neg, caught_total=caught, duration_steps=duration)
+        for run, (pos, neg, caught) in enumerate(counts.tolist())
+    ]
     return records, trajectory_path
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, StructuralError
 from .net import AdamState, LrSchedule, init_net, load_checkpoint, lr_at, save_checkpoint
-from .ppo import ActorWorld, PpoHyperparams, RolloutBuffer, collect_rollout, ppo_update
+from .ppo import ActorWorlds, PpoHyperparams, RolloutBuffer, collect_rollout, ppo_update
 from .seeding import derive_seed
 from .world import WorldConfig, prey_action_space, reset
 
@@ -194,31 +194,25 @@ def run_training(
         writer.writerow(METRICS_HEADER)
 
         while global_step < hp.max_steps:
-            actors = [
-                ActorWorld.from_state(
-                    reset(train_world, derive_seed(run_seed, _TAG_WORLD, update_idx, w))
-                )
-                for w in range(cfg.n_worlds)
-            ]
+            actors = ActorWorlds.from_state(
+                reset(train_world, [derive_seed(run_seed, _TAG_WORLD, update_idx, w) for w in range(cfg.n_worlds)])
+            )
             episode_counts = [0] * cfg.n_worlds
 
-            def reset_world(idx: int):
+            def episode_seed(idx: int) -> int:
                 episode_counts[idx] += 1
-                return reset(
-                    train_world,
-                    derive_seed(run_seed, _TAG_EPISODE, update_idx, idx, episode_counts[idx]),
-                )
+                return derive_seed(run_seed, _TAG_EPISODE, update_idx, idx, episode_counts[idx])
 
             action_rng = np.random.default_rng(derive_seed(run_seed, _TAG_ACTIONS, update_idx))
             buffer = RolloutBuffer(hp.buffer_size)
             while not buffer.is_full():
                 collect_rollout(
-                    net, actors, hp.time_horizon, hp, action_rng, buffer, reset_world
+                    net, actors, hp.time_horizon, hp, action_rng, buffer, episode_seed
                 )
                 global_step += steps_per_tick * hp.time_horizon
-            for actor in actors:
-                actor.finish_episode()
-            episode_returns = [r for a in actors for r in a.completed_episode_returns]
+            for w in range(cfg.n_worlds):
+                actors.finish_episode(w)
+            episode_returns = [r for returns in actors.completed_episode_returns for r in returns]
 
             lr = lr_at(schedule, min(global_step, hp.max_steps))
             shuffle_rng = np.random.default_rng(derive_seed(run_seed, _TAG_SHUFFLE, update_idx))

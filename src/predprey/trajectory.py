@@ -23,33 +23,41 @@ ALL_KINDS = ("prey", "predator", "points")
 
 
 class TrajectoryWriter:
-    """Streams rows to an open CSV file; caller owns the file handle."""
+    """Streams rows to an open text file; caller owns the file handle.
 
-    def __init__(self, fh, kinds: tuple[str, ...] = ALL_KINDS):
-        self._writer = csv.writer(fh)
-        self._writer.writerow(CSV_HEADER)
+    Rows are written as csv.writer writes them (no field ever needs quoting),
+    one write per recorded tick. The header goes first, unless `header` is
+    False for rows that will be appended to a file that has one.
+    """
+
+    def __init__(self, fh, kinds: tuple[str, ...] = ALL_KINDS, header: bool = True):
+        self._fh = fh
+        if header:
+            fh.write(",".join(CSV_HEADER) + "\r\n")
         self.kinds = kinds
 
-    def record(self, run_id: int, tick: int, state: WorldState, events: list[Event]) -> None:
+    def record(self, run_id: int, tick: int, state: WorldState, events: list[Event], world: int = 0) -> None:
+        """One tick of one world of `state` as rows of run `run_id`; events of other worlds are skipped."""
         by_prey: dict[int, list[str]] = {}
         for ev in events:
-            by_prey.setdefault(ev.prey_id, []).append(ev.kind)
+            if ev.world == world:
+                by_prey.setdefault(ev.prey_id, []).append(ev.kind)
         rows = []
         if "prey" in self.kinds:
-            headings = state.prey_heading.tolist()
-            for i, (x, y) in enumerate(state.prey_pos.tolist()):
+            headings = state.prey_heading[world].tolist()
+            for i, (x, y) in enumerate(state.prey_pos[world].tolist()):
                 events_i = ";".join(by_prey.get(i, []))
-                rows.append([run_id, tick, "prey", i, f"{x:.6f}", f"{y:.6f}", f"{headings[i]:.4f}", events_i])
+                rows.append(f"{run_id},{tick},prey,{i},{x:.6f},{y:.6f},{headings[i]:.4f},{events_i}\r\n")
         if "predator" in self.kinds and state.predator is not None:
             p = state.predator
-            x, y = p.position.tolist()
-            rows.append([run_id, tick, "predator", 0, f"{x:.6f}", f"{y:.6f}", f"{p.heading:.4f}", ""])
+            x, y = p.position[world].tolist()
+            rows.append(f"{run_id},{tick},predator,0,{x:.6f},{y:.6f},{float(p.heading[world]):.4f},\r\n")
         if "points" in self.kinds:
-            positive = state.point_positive.tolist()
-            for idx, (x, y) in enumerate(state.point_pos.tolist()):
+            positive = state.point_positive[world].tolist()
+            for idx, (x, y) in enumerate(state.point_pos[world].tolist()):
                 kind = "point_positive" if positive[idx] else "point_negative"
-                rows.append([run_id, tick, kind, idx, f"{x:.6f}", f"{y:.6f}", "0.0", ""])
-        self._writer.writerows(rows)
+                rows.append(f"{run_id},{tick},{kind},{idx},{x:.6f},{y:.6f},0.0,\r\n")
+        self._fh.write("".join(rows))
 
 
 @dataclass(eq=False)

@@ -210,11 +210,11 @@ class TestCriterion6EnvironmentInvariants:
         n_pos0 = int(state.point_positive.sum())
         n_neg0 = int((~state.point_positive).sum())
         for _ in range(100_000):
-            state, rewards, _, events = step(state, rng.integers(0, 6, size=cfg.n_prey))
-            rewards_all.extend(map(float, rewards))
+            state, rewards, _, events = step(state, rng.integers(0, 6, size=(1, cfg.n_prey)))
+            rewards_all.extend(map(float, rewards[0]))
             for e in events:
                 counts[e.kind] += 1
-            pos = np.concatenate([state.prey_pos, state.predator.position[None, :], state.point_pos])
+            pos = np.concatenate([state.prey_pos[0], state.predator.position, state.point_pos[0]])
             if not (np.abs(pos) <= half).all():
                 containment_ok = False
                 break
@@ -225,7 +225,7 @@ class TestCriterion6EnvironmentInvariants:
             if not containment_ok:
                 break
             if (
-                state.point_pos.shape != (n_pos0 + n_neg0, 2)
+                state.point_pos.shape != (1, n_pos0 + n_neg0, 2)
                 or state.point_positive.sum() != n_pos0
                 or (~state.point_positive).sum() != n_neg0
             ):
@@ -248,7 +248,7 @@ class TestCriterion6EnvironmentInvariants:
                 prey_specs=[(oracle_rng.uniform(-lim, lim, 2), float(oracle_rng.uniform(0, 360)))],
                 predator_spec=(oracle_rng.uniform(-lim, lim, 2), float(oracle_rng.uniform(0, 360))),
             )
-            if (0 in visible_prey(probe)) != brute_force_can_see(probe, 0):
+            if visible_prey(probe)[0, 0] != brute_force_can_see(probe, 0):
                 mismatches += 1
 
         ok = containment_ok and conservation_ok and accounting_ok and mismatches == 0

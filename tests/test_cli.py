@@ -132,6 +132,8 @@ class TestBadNumericInput:
             ("train", "tick_dt = nan"),
             ("eval", "tick_dt = nan"),
             ("eval", "arena_side = inf"),
+            ("eval", "n_runs = 1"),
+            ("eval", "duration = 0"),
         ],
     )
     def test_config_value_exits_2_without_traceback(self, tmp_path, subcommand, line):
@@ -141,6 +143,16 @@ class TestBadNumericInput:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert line.split(" = ")[0] in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--n-runs", "1"), ("--duration", "-5")])
+    def test_eval_count_flag_exits_2_before_loading_the_checkpoint(self, tmp_path, flag, value):
+        # the checkpoint does not exist: loading it would be an i/o failure (exit 4)
+        argv = ["eval", "--checkpoint", "none.ckpt", flag, value, "-o", str(tmp_path / "out")]
+        proc = run_cli(argv, tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert flag[2:].replace("-", "_") in proc.stderr
         assert not (tmp_path / "out").exists()
 
     def test_predator_flag_typo_exits_2(self, tmp_path):
@@ -328,7 +340,7 @@ class TestReplayExport:
             writer = TrajectoryWriter(fh)
             rng = np.random.default_rng(0)
             for tick in range(n_ticks):
-                state, _, _, events = step(state, rng.integers(0, 6, size=2))
+                state, _, _, events = step(state, rng.integers(0, 6, size=(1, 2)))
                 writer.record(0, tick, state, events)
         return TrajectoryTable.from_csv(path)
 
@@ -361,7 +373,7 @@ class TestReplayExport:
         path = tmp_path / "t.csv"
         with open(path, "w", newline="") as fh:
             writer = TrajectoryWriter(fh)
-            state, _, _, events = step(state, [0])
+            state, _, _, events = step(state, [[0]])
             assert any(e.kind == "prey_caught" for e in events)
             writer.record(0, 0, state, events)
         table = TrajectoryTable.from_csv(path)

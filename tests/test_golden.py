@@ -42,7 +42,7 @@ def scripted_world_digest() -> str:
     state = reset(cfg, 2024)
     rng = np.random.default_rng(2024)
     for _ in range(1000):
-        state, _, _, _ = step(state, rng.integers(0, 6, size=cfg.n_prey))
+        state, _, _, _ = step(state, rng.integers(0, 6, size=(1, cfg.n_prey)))
     return state_digest(state)
 
 

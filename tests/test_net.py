@@ -92,6 +92,18 @@ class TestForward:
             assert np.allclose(li, logits[i], rtol=0, atol=1e-12)
             assert vi == pytest.approx(values[i], abs=1e-12)
 
+    @pytest.mark.parametrize("n_prey", [1, 2, 6])
+    def test_stacked_worlds_match_each_world_bitwise(self, n_prey):
+        # lockstep worlds stack on a leading axis; each world's rows must give
+        # exactly the bits they give on their own
+        net = init_net(79, 6, seed=4)
+        obs = np.random.default_rng(n_prey).normal(size=(50, n_prey, 79))
+        logits, values = forward(net, obs)
+        assert logits.shape == (50, n_prey, 6) and values.shape == (50, n_prey)
+        for w in range(50):
+            logits_w, values_w = forward(net, obs[w])
+            assert np.array_equal(logits[w], logits_w) and np.array_equal(values[w], values_w)
+
     def test_deterministic_bitwise(self):
         net = small_net()
         obs = np.random.default_rng(0).normal(size=4)
@@ -287,6 +299,39 @@ class TestCheckpoint:
         net2, _, _, step = load_checkpoint(path)
         assert step == 0
         assert np.array_equal(net.get_flat(), net2.get_flat())
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        import predprey.net as net_module
+
+        net, state = self.make_state()
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, net, state, rng_seed=1, global_step=5)
+        before = path.read_bytes()
+
+        class HalfWrite:
+            """A file whose write stops halfway through the blob, as on a full disk."""
+
+            def __init__(self, *args):
+                self.fh = open(*args)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                raise OSError("no space left on device")
+
+        monkeypatch.setattr(net_module, "open", HalfWrite, raising=False)
+        net2, state2 = self.make_state(seed=1)
+        with pytest.raises(OSError):
+            save_checkpoint(path, net2, state2, rng_seed=1, global_step=9)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert load_checkpoint(path)[3] == 5
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.bin"]
 
     def test_bad_tag_rejected(self):
         with pytest.raises(CheckpointError):

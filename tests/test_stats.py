@@ -237,9 +237,9 @@ class TestRunRecordConsistency:
         rewards_all = []
         counts = {"positive_collected": 0, "negative_collected": 0, "prey_caught": 0}
         for _ in range(300):
-            actions, _, _ = sample_actions(net, obs, rng)
+            actions, _, _ = sample_actions(net, obs, rng.random(obs.shape[:-1]))
             state, rewards, obs, events = step(state, actions)
-            rewards_all.extend(map(float, rewards))
+            rewards_all.extend(map(float, rewards[0]))
             for e in events:
                 counts[e.kind] += 1
         rec = RunRecord(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from predprey.errors import ConfigError, ContractViolation, InputError
-from tests_support import bodies, brute_force_can_see, make_state
+from tests_support import bodies, brute_force_can_see, make_state, stack_worlds
 
 from predprey.world import (
     EVENT_CAUGHT,
@@ -23,6 +23,7 @@ from predprey.world import (
     predator_step,
     prey_action_space,
     reset,
+    reset_world,
     state_digest,
     step,
     visible_prey,
@@ -30,9 +31,9 @@ from predprey.world import (
 
 
 def rays(state, prey):
-    """One prey's (hit one-hot, normalized distance) per ray, from the batched ray cast."""
+    """One prey's (hit one-hot, normalized distance) per ray, from the batched ray cast of world 0."""
     onehot, distance = _raycast_rows(state)
-    return onehot[prey], distance[prey]
+    return onehot[0, prey], distance[0, prey]
 
 
 def inside_barrier(pos, cfg) -> bool:
@@ -126,8 +127,24 @@ class TestReset:
 
     def test_point_counts(self):
         state = reset(WorldConfig(), 3)
-        assert state.point_pos.shape == (20, 2)
+        assert state.point_pos.shape == (1, 20, 2)
         assert state.point_positive.sum() == 10 and (~state.point_positive).sum() == 10
+
+    def test_seed_list_gives_one_world_per_seed(self):
+        cfg = WorldConfig()
+        state = reset(cfg, [4, 9, 4])
+        assert state.n_worlds == 3 and state.prey_pos.shape == (3, cfg.n_prey, 2)
+        for w, seed in enumerate([4, 9, 4]):
+            assert state_digest(state, w) == state_digest(reset(cfg, seed))
+
+    def test_reset_world_redraws_one_world_in_place(self):
+        cfg = WorldConfig()
+        state = reset(cfg, [1, 2])
+        step(state, np.zeros((2, cfg.n_prey), dtype=int))
+        other = state_digest(state, 1)
+        reset_world(state, 0, 7)
+        assert state_digest(state, 0) == state_digest(reset(cfg, 7))
+        assert state_digest(state, 1) == other
 
 
 class TestStep:
@@ -135,7 +152,7 @@ class TestStep:
         cfg = WorldConfig(predator_present=False)
         state = reset(cfg, 11)
         before = state.prey_pos.copy()
-        state, rewards, _, events = step(state, [0] * cfg.n_prey)
+        state, rewards, _, events = step(state, [[0] * cfg.n_prey])
         if events:  # a prey may have spawned on a point; rerole is fine
             pytest.skip("spawn happened to overlap a point")
         assert np.all(rewards == 0.0)
@@ -146,11 +163,11 @@ class TestStep:
         state = reset(cfg, 13)
         before = state.prey_pos.copy()
         pred_before = state.predator.position.copy()
-        state, _, _, events = step(state, [0] * cfg.n_prey)
+        state, _, _, events = step(state, [[0] * cfg.n_prey])
         caught = {e.prey_id for e in events if e.kind == EVENT_CAUGHT}
-        for i, old in enumerate(before):
+        for i, old in enumerate(before[0]):
             if i not in caught:
-                assert np.array_equal(state.prey_pos[i], old)
+                assert np.array_equal(state.prey_pos[0, i], old)
         assert not np.array_equal(state.predator.position, pred_before)
 
     def test_prey_on_positive_point_collects_and_respawns(self):
@@ -160,12 +177,12 @@ class TestStep:
             prey_specs=[((0.0, 0.0), 0.0)],
             points=[((0.1, 0.0), "positive")],
         )
-        state, rewards, _, events = step(state, [0])
-        assert rewards[0] == pytest.approx(1.0)
+        state, rewards, _, events = step(state, [[0]])
+        assert rewards[0, 0] == pytest.approx(1.0)
         assert [e.kind for e in events] == [EVENT_POSITIVE]
-        assert events[0].tick == 0 and events[0].prey_id == 0
-        assert np.hypot(*(state.point_pos[0] - np.array([0.1, 0.0]))) > 1e-9
-        assert state.point_positive[0]
+        assert events[0].tick == 0 and events[0].prey_id == 0 and events[0].world == 0
+        assert np.hypot(*(state.point_pos[0, 0] - np.array([0.1, 0.0]))) > 1e-9
+        assert state.point_positive[0, 0]
 
     def test_forward_into_negative_point_penalizes(self):
         cfg = WorldConfig(predator_present=False)
@@ -177,8 +194,8 @@ class TestStep:
             points=[((ahead, 0.0), "negative")],
         )
         joint_forward = prey_action_space().encode(1, 0)
-        state, rewards, _, events = step(state, [joint_forward])
-        assert rewards[0] == pytest.approx(-0.2)
+        state, rewards, _, events = step(state, [[joint_forward]])
+        assert rewards[0, 0] == pytest.approx(-0.2)
         assert [e.kind for e in events] == [EVENT_NEGATIVE]
 
     def test_catch_penalizes_and_teleports(self):
@@ -188,18 +205,18 @@ class TestStep:
             prey_specs=[((3.0, 3.0), 0.0)],
             predator_spec=((3.1, 3.0), 180.0),  # facing the prey: chase closes the gap
         )
-        state, rewards, _, events = step(state, [0])
-        assert rewards[0] == pytest.approx(-1.0)
+        state, rewards, _, events = step(state, [[0]])
+        assert rewards[0, 0] == pytest.approx(-1.0)
         assert [e.kind for e in events] == [EVENT_CAUGHT]
         # teleported away from the predator
-        d = np.hypot(*(state.prey_pos[0] - state.predator.position))
+        d = np.hypot(*(state.prey_pos[0, 0] - state.predator.position[0]))
         assert d > cfg.prey_radius + cfg.predator_radius
 
     def test_malformed_action_names_prey(self):
         cfg = WorldConfig(predator_present=False, n_prey=2)
         state = reset(cfg, 0)
         with pytest.raises(InputError, match="prey 1"):
-            step(state, [0, 17])
+            step(state, [[0, 17]])
 
     def test_wrong_action_count(self):
         state = reset(WorldConfig(), 0)
@@ -211,16 +228,16 @@ class TestStep:
         state = make_state(cfg, prey_specs=[((0.0, 0.0), 90.0)])
         space = prey_action_space()
         per_tick = cfg.prey_turn_speed * cfg.tick_dt
-        state, *_ = step(state, [space.encode(0, 1)])
-        assert state.prey_heading[0] == pytest.approx(90.0 + per_tick)
-        state, *_ = step(state, [space.encode(0, 2)])
-        assert state.prey_heading[0] == pytest.approx(90.0)
+        state, *_ = step(state, [[space.encode(0, 1)]])
+        assert state.prey_heading[0, 0] == pytest.approx(90.0 + per_tick)
+        state, *_ = step(state, [[space.encode(0, 2)]])
+        assert state.prey_heading[0, 0] == pytest.approx(90.0)
 
     def test_forward_displacement_length(self):
         cfg = WorldConfig(predator_present=False)
         state = make_state(cfg, prey_specs=[((0.0, 0.0), 37.0)])
-        state, *_ = step(state, [prey_action_space().encode(1, 0)])
-        assert np.hypot(*state.prey_pos[0]) == pytest.approx(
+        state, *_ = step(state, [[prey_action_space().encode(1, 0)]])
+        assert np.hypot(*state.prey_pos[0, 0]) == pytest.approx(
             cfg.prey_move_speed * cfg.tick_dt
         )
 
@@ -228,23 +245,23 @@ class TestStep:
         cfg = WorldConfig(predator_present=False)
         x_edge = cfg.half_side - cfg.prey_radius
         state = make_state(cfg, prey_specs=[((x_edge, 0.0), 0.0)])
-        state, *_ = step(state, [prey_action_space().encode(1, 0)])
-        assert state.prey_pos[0, 0] == pytest.approx(x_edge)
+        state, *_ = step(state, [[prey_action_space().encode(1, 0)]])
+        assert state.prey_pos[0, 0, 0] == pytest.approx(x_edge)
 
     def test_barrier_blocks_and_slides(self):
         cfg = WorldConfig(predator_present=False)
         x0, y0, x1, y1 = cfg.barrier_layout[1]  # slab at positive x
         start = np.array([x0 - cfg.prey_radius - 0.05, 0.0])
         state = make_state(cfg, prey_specs=[(tuple(start), 30.0)])  # into the slab, angled up
-        state, *_ = step(state, [prey_action_space().encode(1, 0)])
-        pos = state.prey_pos[0]
+        state, *_ = step(state, [[prey_action_space().encode(1, 0)]])
+        pos = state.prey_pos[0, 0]
         assert pos[0] <= x0 - cfg.prey_radius + 1e-12  # clamped at the face
         assert pos[1] > 0.0  # slid along it
 
     def test_determinism_full_rollout(self):
         cfg = WorldConfig()
         rng = np.random.default_rng(21)
-        actions = [rng.integers(0, 6, size=cfg.n_prey) for _ in range(400)]
+        actions = [rng.integers(0, 6, size=(1, cfg.n_prey)) for _ in range(400)]
         logs = []
         for _ in range(2):
             state = reset(cfg, 77)
@@ -263,11 +280,11 @@ class TestStep:
         rng = np.random.default_rng(4)
         rewards_all, counts = [], {EVENT_POSITIVE: 0, EVENT_NEGATIVE: 0, EVENT_CAUGHT: 0}
         for _ in range(2000):
-            state, rewards, _, events = step(state, rng.integers(0, 6, size=cfg.n_prey))
-            rewards_all.extend(float(r) for r in rewards)
+            state, rewards, _, events = step(state, rng.integers(0, 6, size=(1, cfg.n_prey)))
+            rewards_all.extend(float(r) for r in rewards[0])
             for e in events:
                 counts[e.kind] += 1
-            assert state.point_pos.shape == (20, 2) and state.point_positive.sum() == 10
+            assert state.point_pos.shape == (1, 20, 2) and state.point_positive.sum() == 10
         total = m.fsum(rewards_all)
         # exact at the rational level: 5 * total is an integer combination
         expected = 5 * counts[EVENT_POSITIVE] - counts[EVENT_NEGATIVE] - 5 * counts[EVENT_CAUGHT]
@@ -325,7 +342,7 @@ class TestRayCast:
         assert onehot[forward_i, HIT_PREY] == 1.0
         up_i = np.argmin(np.abs(np.linspace(-70, 70, cfg.n_rays) - 70))
         # ray 70 degrees off heading 0 does not point straight up; rotate prey
-        state.prey_heading[0] = 20.0
+        state.prey_heading[0, 0] = 20.0
         onehot, _ = rays(state, 0)
         assert onehot[up_i, HIT_PREDATOR] == 1.0
 
@@ -342,49 +359,47 @@ class TestRayCast:
         cfg = WorldConfig()
         state = reset(cfg, 2)
         obs = observe_all(state)
-        assert obs.shape == (cfg.n_prey, cfg.obs_dim)
-        assert obs[0, -1] == pytest.approx(state.prey_heading[0] / 360.0)
+        assert obs.shape == (1, cfg.n_prey, cfg.obs_dim)
+        assert obs[0, 0, -1] == pytest.approx(state.prey_heading[0, 0] / 360.0)
         # each ray contributes its one-hot kind followed by its distance
         onehot, distance = _raycast_rows(state)
-        per_ray = obs[:, : cfg.n_rays * (N_HIT_KINDS + 1)].reshape(cfg.n_prey, cfg.n_rays, N_HIT_KINDS + 1)
-        assert np.array_equal(per_ray[:, :, :N_HIT_KINDS], onehot)
-        assert np.array_equal(per_ray[:, :, N_HIT_KINDS], distance)
+        per_ray = obs[..., : cfg.n_rays * (N_HIT_KINDS + 1)].reshape(1, cfg.n_prey, cfg.n_rays, N_HIT_KINDS + 1)
+        assert np.array_equal(per_ray[..., :N_HIT_KINDS], onehot)
+        assert np.array_equal(per_ray[..., N_HIT_KINDS], distance)
 
     def test_matches_analytic_circle_oracle(self):
-        # straight-ahead ray vs circle at distance d: t = d - r exactly
+        # straight-ahead ray vs circle at distance d: t = d - r exactly, in
+        # each of 50 worlds cast together
         cfg = WorldConfig(predator_present=False, barrier_layout=())
-        rng = np.random.default_rng(8)
-        for _ in range(50):
-            d = rng.uniform(1.0, 4.0)
-            state = make_state(
-                cfg,
-                prey_specs=[((-4.0, 0.0), 0.0)],
-                points=[((-4.0 + d, 0.0), "negative")],
-            )
-            onehot, distance = rays(state, 0)
-            fi = cfg.n_rays // 2
-            assert onehot[fi, HIT_NEGATIVE] == 1.0
-            assert distance[fi] == pytest.approx((d - cfg.point_radius) / cfg.ray_length, abs=1e-10)
+        dists = np.random.default_rng(8).uniform(1.0, 4.0, size=50)
+        batch = stack_worlds(
+            [make_state(cfg, prey_specs=[((-4.0, 0.0), 0.0)], points=[((-4.0 + d, 0.0), "negative")]) for d in dists]
+        )
+        onehot, distance = _raycast_rows(batch)
+        fi = cfg.n_rays // 2
+        for w, d in enumerate(dists):
+            assert onehot[w, 0, fi, HIT_NEGATIVE] == 1.0
+            assert distance[w, 0, fi] == pytest.approx((d - cfg.point_radius) / cfg.ray_length, abs=1e-10)
 
 
 class TestPredatorVision:
     def test_prey_dead_ahead_inside_cone(self):
         cfg = WorldConfig(barrier_layout=())
         state = make_state(cfg, prey_specs=[((1.0, 0.0), 0.0)], predator_spec=((-4.0, 0.0), 0.0))
-        assert 0 in visible_prey(state)
+        assert visible_prey(state)[0, 0]
 
     def test_prey_beyond_radius(self):
         cfg = WorldConfig(arena_side=30.0, barrier_layout=())
         state = make_state(cfg, prey_specs=[((11.0, 0.0), 0.0)], predator_spec=((0.0, 0.0), 0.0))
-        assert 0 not in visible_prey(state)
-        state.prey_pos[0] = [10.0, 0.0]
-        assert 0 in visible_prey(state)
+        assert not visible_prey(state)[0, 0]
+        state.prey_pos[0, 0] = [10.0, 0.0]
+        assert visible_prey(state)[0, 0]
 
     def test_outside_cone(self):
         cfg = WorldConfig(barrier_layout=())
         state = make_state(cfg, prey_specs=[((0.0, 3.0), 0.0)], predator_spec=((0.0, 0.0), 0.0))
         # bearing 90, heading 0, half-angle 40 -> hidden
-        assert 0 not in visible_prey(state)
+        assert not visible_prey(state)[0, 0]
 
     def test_barrier_occludes(self):
         cfg = WorldConfig()
@@ -395,7 +410,7 @@ class TestPredatorVision:
             prey_specs=[((x1 + 1.0, mid_y), 0.0)],
             predator_spec=((x0 - 1.0, mid_y), 0.0),
         )
-        assert 0 not in visible_prey(state)
+        assert not visible_prey(state)[0, 0]
 
     def test_no_predator_contract(self):
         cfg = WorldConfig(predator_present=False)
@@ -414,7 +429,7 @@ class TestPredatorVision:
                 prey_specs=[(tuple(rng.uniform(-lim, lim, 2)), rng.uniform(0, 360))],
                 predator_spec=(tuple(rng.uniform(-lim, lim, 2)), rng.uniform(0, 360)),
             )
-            if (0 in visible_prey(state)) != brute_force_can_see(state, 0):
+            if visible_prey(state)[0, 0] != brute_force_can_see(state, 0):
                 mism += 1
         assert mism == 0
 
@@ -430,9 +445,10 @@ class TestPredatorVision:
                 ],
                 predator_spec=(tuple(rng.uniform(-lim, lim, 2)), rng.uniform(0, 360)),
             )
-            mask = set(visible_prey(state).tolist())
+            mask = visible_prey(state)
+            assert mask.shape == (1, 4)
             for i in range(4):
-                assert (i in mask) == brute_force_can_see(state, i)
+                assert mask[0, i] == brute_force_can_see(state, i)
 
 
 class TestPredatorStep:
@@ -440,10 +456,10 @@ class TestPredatorStep:
         cfg = WorldConfig(barrier_layout=())
         state = make_state(cfg, prey_specs=[((3.0, 0.0), 0.0)], predator_spec=((0.0, 0.0), 0.0))
         pred = predator_step(state)
-        assert pred.mode == "chase"
-        assert pred.target_prey_id == 0
-        assert pred.heading == pytest.approx(0.0)
-        assert pred.position[0] > 0.0
+        assert pred.chasing[0]
+        assert pred.target_prey_id[0] == 0
+        assert pred.heading[0] == pytest.approx(0.0)
+        assert pred.position[0, 0] > 0.0
 
     def test_targets_nearest_of_two(self):
         cfg = WorldConfig(barrier_layout=())
@@ -453,8 +469,8 @@ class TestPredatorStep:
             predator_spec=((0.0, 0.0), 0.0),
         )
         pred = predator_step(state)
-        assert pred.mode == "chase"
-        assert pred.target_prey_id == 1  # distance ~3 beats ~4.9
+        assert pred.chasing[0]
+        assert pred.target_prey_id[0] == 1  # distance ~3 beats ~4.9
 
     def test_nearest_tie_breaks_to_lowest_id(self):
         cfg = WorldConfig(barrier_layout=())
@@ -464,7 +480,7 @@ class TestPredatorStep:
             predator_spec=((0.0, 0.0), 0.0),
         )
         pred = predator_step(state)
-        assert pred.target_prey_id == 0
+        assert pred.target_prey_id[0] == 0
 
     def test_patrol_draws_new_waypoint_on_arrival(self):
         cfg = WorldConfig(predator_present=True)
@@ -472,16 +488,16 @@ class TestPredatorStep:
         state.predator.patrol_waypoint = state.predator.position + np.array([0.1, 0.0])
         wp_before = state.predator.patrol_waypoint.copy()
         pred = predator_step(state)
-        assert pred.mode == "patrol"
+        assert not pred.chasing[0] and pred.target_prey_id[0] == -1
         assert not np.array_equal(pred.patrol_waypoint, wp_before)
 
     def test_patrol_moves_at_speed(self):
         cfg = WorldConfig()
         state = make_state(cfg, prey_specs=[((4.5, 4.5), 0.0)], predator_spec=((-4.0, -4.0), 0.0))
-        state.predator.patrol_waypoint = np.array([4.0, -4.0])
+        state.predator.patrol_waypoint = np.array([[4.0, -4.0]])
         before = state.predator.position.copy()
         pred = predator_step(state)
-        moved = np.hypot(*(pred.position - before))
+        moved = np.hypot(*(pred.position[0] - before[0]))
         assert moved == pytest.approx(cfg.predator_move_speed * cfg.tick_dt)
 
 
@@ -490,7 +506,100 @@ class TestEgoFeatures:
         cfg = WorldConfig(predator_present=False)
         state = make_state(cfg, prey_specs=[((0.0, 0.0), 0.0)])
         space = prey_action_space()
-        _, _, obs, _ = step(state, [space.encode(1, 0)])
-        assert obs[0, -2] == 1.0  # ego features close the row: speed, then heading
-        _, _, obs, _ = step(state, [space.encode(0, 0)])
-        assert obs[0, -2] == 0.0
+        _, _, obs, _ = step(state, [[space.encode(1, 0)]])
+        assert obs[0, 0, -2] == 1.0  # ego features close the row: speed, then heading
+        _, _, obs, _ = step(state, [[space.encode(0, 0)]])
+        assert obs[0, 0, -2] == 0.0
+
+
+def random_world(cfg, rng, seed):
+    """A hand-placed world where pickups, catches, chases, stalls and arrivals are all likely."""
+
+    def free_spot():
+        lim = cfg.half_side - 0.5
+        while True:
+            x, y = p = rng.uniform(-lim, lim, 2)
+            if not any(x0 - 0.5 < x < x1 + 0.5 and y0 - 0.5 < y < y1 + 0.5 for x0, y0, x1, y1 in cfg.barrier_layout):
+                return p
+
+    def near(p, gap):
+        return np.clip(p + rng.uniform(-gap, gap, 2), -cfg.half_side + 0.5, cfg.half_side - 0.5)
+
+    prey = [free_spot() for _ in range(cfg.n_prey)]
+    n_points = cfg.n_positive_points + cfg.n_negative_points
+    points = [
+        (near(prey[rng.integers(cfg.n_prey)], 0.5) if rng.random() < 0.2 else free_spot(),
+         "positive" if j < cfg.n_positive_points else "negative")
+        for j in range(n_points)
+    ]  # fmt: skip
+    predator = near(prey[0], 0.7) if rng.random() < 0.5 else free_spot()
+    state = make_state(
+        cfg,
+        prey_specs=[(tuple(p), rng.uniform(0, 360)) for p in prey],
+        predator_spec=(tuple(predator), rng.uniform(0, 360)),
+        points=[(tuple(p), pol) for p, pol in points],
+        seed=seed,
+    )
+    state.tick[0] = rng.integers(0, 1000)
+    state.prey_speed[0] = rng.integers(0, 2, cfg.n_prey)
+    state.predator.ticks_since_waypoint[0] = rng.integers(195, 205)
+    state.predator.patrol_waypoint[0] = near(predator, 0.3) if rng.random() < 0.3 else free_spot()
+    return state
+
+
+def event_tuples(events):
+    return [(e.tick, e.kind, e.prey_id) for e in events]
+
+
+class TestBatchedWorlds:
+    """One step of W worlds must equal W one-world steps bit for bit."""
+
+    def test_batched_step_matches_single_world_steps(self):
+        cfg = WorldConfig()
+        rng = np.random.default_rng(2718)
+        n_worlds = 4
+        seen_kinds = set()
+        for trial in range(200):
+            singles = [random_world(cfg, rng, seed=trial * n_worlds + w) for w in range(n_worlds)]
+            batch = stack_worlds(singles)
+            actions = rng.integers(0, 6, size=(n_worlds, cfg.n_prey))
+            _, rewards, obs, events = step(batch, actions)
+            assert [e.world for e in events] == sorted(e.world for e in events)
+            for w, single in enumerate(singles):
+                _, rewards_w, obs_w, events_w = step(single, actions[w : w + 1])
+                assert np.array_equal(rewards[w], rewards_w[0])
+                assert np.array_equal(obs[w], obs_w[0])
+                assert event_tuples(e for e in events if e.world == w) == event_tuples(events_w)
+                assert np.array_equal(batch.prey_pos[w], single.prey_pos[0])
+                assert np.array_equal(batch.prey_heading[w], single.prey_heading[0])
+                assert np.array_equal(batch.predator.position[w], single.predator.position[0])
+                assert np.array_equal(batch.point_pos[w], single.point_pos[0])
+                assert state_digest(batch, w) == state_digest(single)
+                seen_kinds.update(e.kind for e in events_w)
+        assert seen_kinds == {EVENT_POSITIVE, EVENT_NEGATIVE, EVENT_CAUGHT}
+
+    def test_batched_run_matches_single_world_runs(self):
+        cfg = WorldConfig()
+        seeds = [5, 6, 7]
+        batch = reset(cfg, seeds)
+        singles = [reset(cfg, s) for s in seeds]
+        rng = np.random.default_rng(3)
+        for tick in range(300):
+            actions = rng.integers(0, 6, size=(len(seeds), cfg.n_prey))
+            _, _, obs, events = step(batch, actions)
+            for w, single in enumerate(singles):
+                _, _, obs_w, events_w = step(single, actions[w : w + 1])
+                assert np.array_equal(obs[w], obs_w[0])
+                assert event_tuples(e for e in events if e.world == w) == event_tuples(events_w)
+        for w, single in enumerate(singles):
+            assert state_digest(batch, w) == state_digest(single)
+
+    def test_visibility_of_every_world_matches_oracle(self):
+        cfg = WorldConfig()
+        rng = np.random.default_rng(99)
+        batch = stack_worlds([random_world(cfg, rng, seed=w) for w in range(50)])
+        mask = visible_prey(batch)
+        assert mask.shape == (50, cfg.n_prey)
+        for w in range(50):
+            for i in range(cfg.n_prey):
+                assert mask[w, i] == brute_force_can_see(batch, i, world=w)

@@ -51,29 +51,28 @@ def outside_inflated_barriers(pos, radius, layout) -> bool:
 @given(layout=barrier_layouts(), seed=st.integers(0, 2**32 - 1), predator=st.booleans())
 def test_world_invariants(layout, seed, predator):
     cfg = WorldConfig(barrier_layout=layout, predator_present=predator)
-    state = reset(cfg, seed)
-    actions = np.random.default_rng(seed).integers(0, 6, size=(TICKS, cfg.n_prey))
-    n_positive = int(state.point_positive.sum())
-    assert n_positive == cfg.n_positive_points
+    n_worlds = 3  # stepped together, so the checks cover the batched code
+    state = reset(cfg, [seed + w for w in range(n_worlds)])
+    actions = np.random.default_rng(seed).integers(0, 6, size=(TICKS, n_worlds, cfg.n_prey))
+    assert (state.point_positive.sum(axis=1) == cfg.n_positive_points).all()
     limit = cfg.half_side
     for tick, joint in enumerate(actions):
         state, rewards, obs, events = step(state, joint)
-        assert obs.shape == (cfg.n_prey, cfg.obs_dim)
+        assert obs.shape == (n_worlds, cfg.n_prey, cfg.obs_dim)
+        assert state.point_pos.shape == (n_worlds, cfg.n_positive_points + cfg.n_negative_points, 2)
+        assert (state.point_positive.sum(axis=1) == cfg.n_positive_points).all()
 
-        for pos, radius in bodies(state):
-            assert np.all(np.abs(pos) <= limit - radius + 1e-12), (tick, pos)
-            assert outside_inflated_barriers(pos, radius, layout), (tick, pos, radius)
-
-        assert state.point_pos.shape == (cfg.n_positive_points + cfg.n_negative_points, 2)
-        assert state.point_positive.sum() == n_positive
-
-        expected = np.zeros(cfg.n_prey)
+        expected = np.zeros((n_worlds, cfg.n_prey))
         for ev in events:
             assert ev.tick == tick
-            expected[ev.prey_id] += EVENT_REWARD[ev.kind]
+            expected[ev.world, ev.prey_id] += EVENT_REWARD[ev.kind]
         assert np.array_equal(rewards, expected)
 
-        if predator:
-            seen = set(visible_prey(state).tolist())
-            for i in range(cfg.n_prey):
-                assert (i in seen) == brute_force_can_see(state, i), (tick, i)
+        seen = visible_prey(state) if predator else None
+        for w in range(n_worlds):
+            for pos, radius in bodies(state, w):
+                assert np.all(np.abs(pos) <= limit - radius + 1e-12), (tick, w, pos)
+                assert outside_inflated_barriers(pos, radius, layout), (tick, w, pos, radius)
+            if predator:
+                for i in range(cfg.n_prey):
+                    assert seen[w, i] == brute_force_can_see(state, i, world=w), (tick, w, i)

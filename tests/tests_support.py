@@ -1,6 +1,8 @@
-"""Shared helpers: hand-placed world states and the independent vision oracle."""
+"""Shared helpers: hand-placed world states, world stacking and the independent vision oracle."""
 
+import copy
 import math
+from dataclasses import fields
 
 import numpy as np
 
@@ -8,7 +10,7 @@ from predprey.world import PredatorState, WorldConfig, WorldState
 
 
 def make_state(cfg: WorldConfig, prey_specs, predator_spec=None, points=(), seed=0) -> WorldState:
-    """Hand-placed world for geometry tests; bypasses random placement.
+    """Hand-placed one-world state for geometry tests; bypasses random placement.
 
     prey_specs: ((x, y), heading) per prey; predator_spec: ((x, y), heading)
     or None; points: ((x, y), "positive" | "negative") per point.
@@ -17,46 +19,66 @@ def make_state(cfg: WorldConfig, prey_specs, predator_spec=None, points=(), seed
     if predator_spec is not None:
         pos, heading = predator_spec
         predator = PredatorState(
-            position=np.array(pos, dtype=float),
-            heading=float(heading),
-            mode="patrol",
-            target_prey_id=None,
-            patrol_waypoint=np.array([0.0, 0.0]),
+            position=np.array([pos], dtype=float),
+            heading=np.array([heading], dtype=float),
+            chasing=np.zeros(1, dtype=bool),
+            target_prey_id=np.full(1, -1),
+            patrol_waypoint=np.zeros((1, 2)),
+            ticks_since_waypoint=np.zeros(1, dtype=np.int64),
         )
     return WorldState(
         config=cfg,
-        tick=0,
-        prey_pos=np.array([pos for pos, _ in prey_specs], dtype=float).reshape(-1, 2),
-        prey_heading=np.array([h for _, h in prey_specs], dtype=float),
-        prey_speed=np.zeros(len(prey_specs)),
+        tick=np.zeros(1, dtype=np.int64),
+        prey_pos=np.array([pos for pos, _ in prey_specs], dtype=float).reshape(1, -1, 2),
+        prey_heading=np.array([[h for _, h in prey_specs]], dtype=float),
+        prey_speed=np.zeros((1, len(prey_specs))),
         predator=predator,
-        point_pos=np.array([pos for pos, _ in points], dtype=float).reshape(-1, 2),
-        point_positive=np.array([pol == "positive" for _, pol in points], dtype=bool),
-        rng=np.random.default_rng(seed),
+        point_pos=np.array([pos for pos, _ in points], dtype=float).reshape(1, -1, 2),
+        point_positive=np.array([[pol == "positive" for _, pol in points]], dtype=bool).reshape(1, -1),
+        rngs=[np.random.default_rng(seed)],
     )
 
 
-def bodies(state):
-    """(position, radius) of every body in the world: prey, predator, points."""
+def stack_worlds(states) -> WorldState:
+    """One W-world state holding copies of the given states' worlds, in order."""
+    first = states[0]
+
+    def cat(owner, name):
+        return np.concatenate([getattr(owner(s), name) for s in states])
+
+    predator = None
+    if first.predator is not None:
+        predator = PredatorState(**{f.name: cat(lambda s: s.predator, f.name) for f in fields(PredatorState)})
+    arrays = ("tick", "prey_pos", "prey_heading", "prey_speed", "point_pos", "point_positive")
+    return WorldState(
+        config=first.config,
+        predator=predator,
+        rngs=[copy.deepcopy(rng) for s in states for rng in s.rngs],
+        **{name: cat(lambda s: s, name) for name in arrays},
+    )
+
+
+def bodies(state, world=0):
+    """(position, radius) of every body in one world: prey, predator, points."""
     cfg = state.config
-    out = [(pos, cfg.prey_radius) for pos in state.prey_pos]
+    out = [(pos, cfg.prey_radius) for pos in state.prey_pos[world]]
     if state.predator is not None:
-        out.append((state.predator.position, cfg.predator_radius))
-    out.extend((pos, cfg.point_radius) for pos in state.point_pos)
+        out.append((state.predator.position[world], cfg.predator_radius))
+    out.extend((pos, cfg.point_radius) for pos in state.point_pos[world])
     return out
 
 
-def brute_force_can_see(state, prey_id) -> bool:
+def brute_force_can_see(state, prey_id, world=0) -> bool:
     """Independent oracle: explicit trig plus segment-vs-edge intersections."""
     cfg = state.config
-    pred = state.predator
-    prey_xy = state.prey_pos[prey_id]
-    dx = prey_xy[0] - pred.position[0]
-    dy = prey_xy[1] - pred.position[1]
+    pred_xy = state.predator.position[world]
+    prey_xy = state.prey_pos[world, prey_id]
+    dx = prey_xy[0] - pred_xy[0]
+    dy = prey_xy[1] - pred_xy[1]
     if math.sqrt(dx * dx + dy * dy) > cfg.predator_view_radius:
         return False
     bearing = math.degrees(math.atan2(dy, dx))
-    diff = abs((bearing - pred.heading) % 360.0)
+    diff = abs((bearing - state.predator.heading[world]) % 360.0)
     diff = min(diff, 360.0 - diff)
     if diff > cfg.predator_view_angle / 2.0:
         return False
@@ -71,7 +93,7 @@ def brute_force_can_see(state, prey_id) -> bool:
             and orient(p3, p4, p1) != orient(p3, p4, p2)
         )
 
-    a = tuple(pred.position)
+    a = tuple(pred_xy)
     b = tuple(prey_xy)
     for x0, y0, x1, y1 in cfg.barrier_layout:
         for p in (a, b):  # endpoint inside the rectangle counts as occluded
