@@ -16,6 +16,7 @@ from __future__ import annotations
 import os
 import struct
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -153,6 +154,28 @@ def zeros_like_params(net: DenseNet) -> list[np.ndarray]:
 # forward / backward
 
 
+def trunk(net: DenseNet, x: np.ndarray) -> list[np.ndarray]:
+    """The input batch (..., input_dim) followed by each hidden activation, in layer order.
+
+    The last entry feeds both heads; `backward` takes the whole list for the
+    tanh derivatives and the weight gradients.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[-1] != net.input_dim:
+        raise StructuralError(f"observation dim {x.shape[-1]} != network input dim {net.input_dim}")
+    if not np.all(np.isfinite(x)):
+        raise InputError("observation contains non-finite entries")
+    acts = [x]
+    for w, b in zip(net.weights[:-2], net.biases[:-2]):
+        acts.append(np.tanh(acts[-1] @ w + b))
+    return acts
+
+
+def heads(net: DenseNet, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Policy logits (..., policy_dim) and values (...) from the last trunk activation."""
+    return h @ net.weights[-2] + net.biases[-2], (h @ net.weights[-1] + net.biases[-1])[..., 0]
+
+
 def forward(net: DenseNet, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
     """Evaluate the net: returns (policy logits, state value).
 
@@ -163,18 +186,7 @@ def forward(net: DenseNet, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray | fl
     """
     obs = np.asarray(obs, dtype=np.float64)
     single = obs.ndim == 1
-    if obs.shape[-1] != net.input_dim:
-        raise StructuralError(
-            f"observation dim {obs.shape[-1]} != network input dim {net.input_dim}"
-        )
-    if not np.all(np.isfinite(obs)):
-        raise InputError("observation contains non-finite entries")
-    x = obs[None, :] if single else obs
-    h = x
-    for w, b in zip(net.weights[:-2], net.biases[:-2]):
-        h = np.tanh(h @ w + b)
-    logits = h @ net.weights[-2] + net.biases[-2]
-    value = (h @ net.weights[-1] + net.biases[-1])[..., 0]
+    logits, value = heads(net, trunk(net, obs[None, :] if single else obs)[-1])
     if single:
         return logits[0], float(value[0])
     return logits, value
@@ -182,36 +194,24 @@ def forward(net: DenseNet, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray | fl
 
 def backward(
     net: DenseNet,
-    obs: np.ndarray,
+    acts: list[np.ndarray],
     d_logits: np.ndarray,
-    d_value: np.ndarray | float,
+    d_value: np.ndarray,
 ) -> list[np.ndarray]:
     """Exact gradients of ``d_logits . logits + d_value . value`` w.r.t. every parameter.
 
-    Upstream gradient shapes must match the corresponding forward output
-    shapes (batched or single). Returns arrays in canonical parameter order;
-    batched inputs accumulate (sum) over the batch.
+    acts is what `trunk` returned for an (n, input_dim) batch; d_logits is
+    (n, policy_dim) and d_value (n,). Returns arrays in canonical parameter
+    order, summed over the batch.
     """
-    obs = np.asarray(obs, dtype=np.float64)
-    single = obs.ndim == 1
-    x = obs[None, :] if single else obs
     d_logits = np.asarray(d_logits, dtype=np.float64)
-    d_logits = d_logits[None, :] if single else d_logits
-    d_value = np.atleast_1d(np.asarray(d_value, dtype=np.float64))
-    if x.shape[-1] != net.input_dim:
-        raise StructuralError(f"observation dim {x.shape[-1]} != input dim {net.input_dim}")
-    if d_logits.shape != (x.shape[0], net.policy_dim) or d_value.shape != (x.shape[0],):
+    d_value = np.asarray(d_value, dtype=np.float64)
+    n = len(acts[0])
+    if len(acts) != net.n_hidden + 1 or d_logits.shape != (n, net.policy_dim) or d_value.shape != (n,):
         raise StructuralError(
-            f"upstream shapes {d_logits.shape}/{d_value.shape} do not match outputs "
-            f"({x.shape[0]}, {net.policy_dim})/({x.shape[0]},)"
+            f"got {len(acts)} trunk activations and upstream shapes {d_logits.shape}/{d_value.shape}, "
+            f"need {net.n_hidden + 1} and ({n}, {net.policy_dim})/({n},)"
         )
-
-    # Re-run the trunk keeping post-activation values for the tanh derivative.
-    acts = [x]
-    h = x
-    for w, b in zip(net.weights[:-2], net.biases[:-2]):
-        h = np.tanh(h @ w + b)
-        acts.append(h)
 
     grads = zeros_like_params(net)
     last = acts[-1]
@@ -243,14 +243,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return np.exp(log_softmax(logits))
 
 
-def categorical_entropy(logits: np.ndarray) -> np.ndarray | float:
-    """Exact entropy of softmax(logits), in nats. Bounded by log(n_actions)."""
-    logp = log_softmax(logits)
-    p = np.exp(logp)
-    h = -(p * logp).sum(axis=-1)
-    return float(h) if h.ndim == 0 else h
-
-
 # ---------------------------------------------------------------------------
 # Adam
 
@@ -262,9 +254,6 @@ class AdamState:
     first_moment: list[np.ndarray]
     second_moment: list[np.ndarray]
     step_count: int = 0
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    eps_stability: float = ADAM_EPS
 
     @classmethod
     def for_net(cls, net: DenseNet) -> "AdamState":
@@ -278,9 +267,6 @@ class AdamState:
             first_moment=[m.copy() for m in self.first_moment],
             second_moment=[v.copy() for v in self.second_moment],
             step_count=self.step_count,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            eps_stability=self.eps_stability,
         )
 
 
@@ -302,14 +288,14 @@ def adam_step(
 
     state.step_count += 1
     t = state.step_count
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
+    c1 = 1.0 - ADAM_BETA1**t
+    c2 = 1.0 - ADAM_BETA2**t
     for p, m, v, g in zip(params, state.first_moment, state.second_moment, grads):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= rate * (m / c1) / (np.sqrt(v / c2) + state.eps_stability)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p -= rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     return net, state
 
 
@@ -348,7 +334,7 @@ def lr_at(schedule: LrSchedule, step: int) -> float:
 #   <Q   RNG seed
 #   <Q   global step
 #   <I   CRC32 of everything above
-# Adam beta1/beta2/eps are fixed constants and are not serialized.
+# ADAM_BETA1, ADAM_BETA2 and ADAM_EPS are module constants and are not serialized.
 
 
 def checkpoint_to_bytes(
@@ -424,20 +410,30 @@ def checkpoint_from_bytes(data: bytes) -> tuple[DenseNet, AdamState, int, int]:
     return net, adam, rng_seed, global_step
 
 
-def save_checkpoint(path, net: DenseNet, adam: AdamState, rng_seed: int, global_step: int) -> None:
-    """Write the checkpoint atomically: a crash mid-write leaves any previous file at `path` intact."""
-    blob = checkpoint_to_bytes(net, adam, rng_seed, global_step)
+@contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Open a temp file beside `path` for writing; on a clean exit fsync it and move it onto `path`.
+
+    A failure mid-write removes the temp file and leaves any previous file at `path` intact.
+    """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(blob)
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def save_checkpoint(path, net: DenseNet, adam: AdamState, rng_seed: int, global_step: int) -> None:
+    """Write the checkpoint atomically: a crash mid-write leaves any previous file at `path` intact."""
+    blob = checkpoint_to_bytes(net, adam, rng_seed, global_step)
+    with atomic_open(path, "wb") as fh:
+        fh.write(blob)
 
 
 def load_checkpoint(path) -> tuple[DenseNet, AdamState, int, int]:

@@ -74,38 +74,44 @@ def compute_gae(
     rewards: np.ndarray,
     values: np.ndarray,
     boundaries: np.ndarray,
-    bootstrap_value: float,
+    bootstrap_value,
     gamma: float,
     lam: float,
 ) -> AdvantageEstimates:
-    """Backward recursion over one stream.
+    """Backward recursion over time, the last axis, for every stream on the leading axes at once.
 
     delta_t = r_t + gamma * V(s_{t+1}) * (1 - done_t) - V(s_t), with
     V(s_{t+1}) = bootstrap_value past the last index; the advantage is the
     (gamma * lam)-discounted sum of deltas, cut at episode boundaries.
-    Returns are advantages + values.
+    Returns are advantages + values. bootstrap_value is a scalar or one value
+    per stream, of shape rewards.shape[:-1]. Each stream gets the same bits
+    as a one-stream call.
     """
     rewards = np.asarray(rewards, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     boundaries = np.asarray(boundaries, dtype=bool)
-    if not (rewards.shape == values.shape == boundaries.shape) or rewards.ndim != 1:
+    bootstrap = np.asarray(bootstrap_value, dtype=np.float64)
+    if not (rewards.shape == values.shape == boundaries.shape) or rewards.ndim == 0:
         raise StructuralError(
             f"misaligned sequences: rewards {rewards.shape}, values {values.shape}, "
             f"boundaries {boundaries.shape}"
         )
+    if bootstrap.shape not in ((), rewards.shape[:-1]):
+        raise StructuralError(f"bootstrap shape {bootstrap.shape} != stream shape {rewards.shape[:-1]}")
     if not (0.0 <= gamma <= 1.0 and 0.0 <= lam <= 1.0):
         raise InputError(f"gamma={gamma} and lam={lam} must lie in [0, 1]")
 
-    n = len(rewards)
-    advantages = np.zeros(n)
-    next_value = float(bootstrap_value)
+    # The deltas need no recursion; only the discounted sum runs tick by tick.
+    live = np.where(boundaries, 0.0, 1.0)
+    bootstrap = np.broadcast_to(bootstrap, rewards.shape[:-1])[..., None]
+    next_values = np.concatenate([values[..., 1:], bootstrap], axis=-1)
+    deltas = rewards + gamma * next_values * live - values
+    decay = gamma * lam * live
+    advantages = np.empty(rewards.shape)
     next_advantage = 0.0
-    for t in range(n - 1, -1, -1):
-        live = 0.0 if boundaries[t] else 1.0
-        delta = rewards[t] + gamma * next_value * live - values[t]
-        next_advantage = delta + gamma * lam * live * next_advantage
-        advantages[t] = next_advantage
-        next_value = values[t]
+    for t in range(rewards.shape[-1] - 1, -1, -1):
+        next_advantage = deltas[..., t] + decay[..., t] * next_advantage
+        advantages[..., t] = next_advantage
     return AdvantageEstimates(advantages=advantages, returns=advantages + values)
 
 
@@ -124,9 +130,9 @@ def clipped_surrogate(r, advantage, epsilon: float):
 
 
 class RolloutBuffer:
-    """Columnar store of transitions, appended one (stream, horizon) chunk at a time."""
+    """Columnar store of transitions, appended one sweep's chunk at a time."""
 
-    FIELDS = ("obs", "actions", "log_prob_old", "rewards", "values", "boundaries", "advantages", "returns")
+    FIELDS = ("obs", "actions", "log_prob_old", "values", "advantages", "returns")
 
     def __init__(self, capacity: int):
         self.capacity = capacity
@@ -208,68 +214,58 @@ def collect_rollout(
     buffer: RolloutBuffer | None = None,
     episode_seed=None,
 ) -> RolloutBuffer:
-    """One sweep: T ticks of every world in lockstep, one chunk appended per prey stream.
+    """One sweep: T ticks of every world in lockstep, appended to the buffer as one chunk.
 
     The sweep's action uniforms are drawn up front as (W, T, n_prey), which is
-    the stream that drawing each world's ticks in turn would give. Chunks are
-    appended world by world, prey by prey, and are horizon-truncated: the value
-    of the state after the last tick bootstraps the advantage recursion unless
-    an episode boundary cut it. When a world's tick count reaches its
-    configured episode_length it is redrawn in place from the seed
-    episode_seed(world_index) returns; passing None disables resets.
+    the stream that drawing each world's ticks in turn would give. The sweep is
+    stored stream-major, (W, n_prey, T, ...), so the chunk's rows run world by
+    world, prey by prey, tick by tick. Advantages are horizon-truncated: the
+    value of the state after the last tick bootstraps the recursion unless an
+    episode boundary cut it. When a world's tick count reaches its configured
+    episode_length it is redrawn in place from the seed episode_seed(world_index)
+    returns; passing None disables resets.
     """
     if buffer is None:
         buffer = RolloutBuffer(hp.buffer_size)
     state = actors.state
-    n_worlds, n_prey = state.prey_heading.shape
+    n_worlds, n_prey, obs_dim = actors.obs.shape
     u = rng.random((n_worlds, T, n_prey))
-    obs_seq = np.empty((T,) + actors.obs.shape)
-    act_seq = np.empty((T, n_worlds, n_prey), dtype=np.int64)
-    logp_seq = np.empty((T, n_worlds, n_prey))
-    rew_seq = np.empty((T, n_worlds, n_prey))
-    val_seq = np.empty((T, n_worlds, n_prey))
-    bound_seq = np.zeros((T, n_worlds, n_prey), dtype=bool)
+    obs_seq = np.empty((n_worlds, n_prey, T, obs_dim))
+    act_seq = np.empty((n_worlds, n_prey, T), dtype=np.int64)
+    logp_seq = np.empty((n_worlds, n_prey, T))
+    rew_seq = np.empty((n_worlds, n_prey, T))
+    val_seq = np.empty((n_worlds, n_prey, T))
+    bound_seq = np.zeros((n_worlds, n_prey, T), dtype=bool)
 
     for t in range(T):
-        obs_seq[t] = actors.obs
+        obs_seq[:, :, t] = actors.obs
         actions, logp, values = sample_actions(net, actors.obs, u[:, t])
-        act_seq[t] = actions
-        logp_seq[t] = logp
-        val_seq[t] = values
+        act_seq[..., t] = actions
+        logp_seq[..., t] = logp
+        val_seq[..., t] = values
         _, rewards, actors.obs, _ = step(state, actions)
-        rew_seq[t] = rewards
+        rew_seq[..., t] = rewards
         actors.episode_return += rewards
         if episode_seed is None:
             continue
         ended = np.flatnonzero(state.tick >= state.config.episode_length)
         for w in ended:
-            bound_seq[t, w] = True
+            bound_seq[w, :, t] = True
             actors.finish_episode(w)
             reset_world(state, w, episode_seed(w))
         if len(ended):
             actors.obs = observe_all(state)
 
     _, bootstrap = nets.forward(net, actors.obs)
-    for w in range(n_worlds):
-        for i in range(n_prey):
-            est = compute_gae(
-                rew_seq[:, w, i],
-                val_seq[:, w, i],
-                bound_seq[:, w, i],
-                float(bootstrap[w, i]),
-                hp.gamma,
-                hp.gae_lambda,
-            )
-            buffer.append_chunk(
-                obs=obs_seq[:, w, i, :],
-                actions=act_seq[:, w, i],
-                log_prob_old=logp_seq[:, w, i],
-                rewards=rew_seq[:, w, i],
-                values=val_seq[:, w, i],
-                boundaries=bound_seq[:, w, i],
-                advantages=est.advantages,
-                returns=est.returns,
-            )
+    est = compute_gae(rew_seq, val_seq, bound_seq, bootstrap, hp.gamma, hp.gae_lambda)
+    buffer.append_chunk(
+        obs=obs_seq.reshape(-1, obs_dim),
+        actions=act_seq.ravel(),
+        log_prob_old=logp_seq.ravel(),
+        values=val_seq.ravel(),
+        advantages=est.advantages.ravel(),
+        returns=est.returns.ravel(),
+    )
     return buffer
 
 
@@ -294,7 +290,8 @@ def ppo_loss_and_grads(
            - beta * mean(entropy)
     """
     n = len(obs)
-    logits, values = nets.forward(net, obs)
+    acts = nets.trunk(net, obs)
+    logits, values = nets.heads(net, acts[-1])
     logp_all = nets.log_softmax(logits)
     probs = np.exp(logp_all)
     rows = np.arange(n)
@@ -324,7 +321,7 @@ def ppo_loss_and_grads(
     d_logits += (beta / n) * probs * (logp_all + entropy[:, None])
     d_value = (-2.0 * value_loss_coeff / n) * value_err
 
-    grads = nets.backward(net, obs, d_logits, d_value)
+    grads = nets.backward(net, acts, d_logits, d_value)
     parts = {
         "policy_loss": policy_loss,
         "value_loss": value_loss,

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import betainc, erf
 
 from .errors import InputError, NumericsError, StructuralError
-from .net import DenseNet, load_checkpoint
+from .net import DenseNet, atomic_open, load_checkpoint
 from .ppo import sample_actions
 from .seeding import derive_seed
 from .trajectory import TrajectoryTable, TrajectoryWriter
@@ -71,7 +71,7 @@ RUN_RECORD_HEADER = ["run_id", "pos_total", "neg_total", "caught_total", "durati
 
 
 def write_run_records(records: list[RunRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RUN_RECORD_HEADER)
         for r in records:
@@ -224,7 +224,7 @@ SUMMARY_HEADER = [
 
 
 def write_summary_csv(summaries: list[ConditionSummary], path) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_HEADER)
         for s in summaries:
@@ -312,7 +312,7 @@ STATS_HEADER = ["pairing", "mean_1", "mean_2", "f_score", "p_value", "cohens_d"]
 
 def write_stats_csv(rows: list[tuple[str, np.ndarray, np.ndarray]], path) -> None:
     """One line per pairing: means, F, p, and d for the two groups."""
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(STATS_HEADER)
         for label, g1, g2 in rows:

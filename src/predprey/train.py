@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, StructuralError
-from .net import AdamState, LrSchedule, init_net, load_checkpoint, lr_at, save_checkpoint
+from .net import AdamState, LrSchedule, atomic_open, init_net, load_checkpoint, lr_at, save_checkpoint
 from .ppo import ActorWorlds, PpoHyperparams, RolloutBuffer, collect_rollout, ppo_update
 from .seeding import derive_seed
 from .world import WorldConfig, prey_action_space, reset
@@ -115,7 +115,7 @@ class TrainingMetrics:
     rows: list[MetricsRow] = field(default_factory=list)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
+        with atomic_open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(METRICS_HEADER)
             for row in self.rows:
@@ -147,11 +147,12 @@ def run_training(
     out_dir,
     resume_from=None,
 ) -> tuple[Path, TrainingMetrics]:
-    """Train until global step reaches max_steps; returns (final checkpoint, metrics).
+    """Train until global step reaches max_steps; returns (final checkpoint, metrics.csv rows).
 
     Writes metrics.csv incrementally and a checkpoint whenever the global
     step crosses a checkpoint_interval boundary, plus a final one. Resuming
-    from any written checkpoint reproduces the uninterrupted run exactly.
+    from any written checkpoint reproduces the uninterrupted run exactly; a
+    resume into out_dir keeps the metrics.csv rows up to the checkpoint's step.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -187,11 +188,13 @@ def run_training(
     update_idx = global_step // cycle_steps
     steps_per_tick = cfg.n_worlds * train_world.n_prey
 
-    metrics = TrainingMetrics()
     metrics_path = out_dir / "metrics.csv"
-    with open(metrics_path, "w", newline="") as metrics_fh:
+    metrics = TrainingMetrics()
+    if resume_from is not None and metrics_path.exists():
+        metrics.rows = [r for r in TrainingMetrics.from_csv(metrics_path).rows if r.global_step <= global_step]
+    metrics.to_csv(metrics_path)
+    with open(metrics_path, "a", newline="") as metrics_fh:
         writer = csv.writer(metrics_fh)
-        writer.writerow(METRICS_HEADER)
 
         while global_step < hp.max_steps:
             actors = ActorWorlds.from_state(

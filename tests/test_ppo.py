@@ -14,7 +14,7 @@ from predprey.ppo import (
     ppo_update,
     sample_actions,
 )
-from predprey.world import WorldConfig, reset
+from predprey.world import WorldConfig, observe_all, reset, reset_world, step
 
 
 def brute_gae(rewards, values, boundaries, bootstrap, gamma, lam):
@@ -39,6 +39,19 @@ def brute_gae(rewards, values, boundaries, bootstrap, gamma, lam):
             w *= gamma * lam
         adv[t] = acc
     return adv
+
+
+def scalar_gae(rewards, values, boundaries, bootstrap, gamma, lam):
+    """The one-stream recursion on Python scalars, tick by tick: the bitwise reference."""
+    advantages = np.zeros(len(rewards))
+    next_value, next_advantage = float(bootstrap), 0.0
+    for t in range(len(rewards) - 1, -1, -1):
+        live = 0.0 if boundaries[t] else 1.0
+        delta = rewards[t] + gamma * next_value * live - values[t]
+        next_advantage = delta + gamma * lam * live * next_advantage
+        advantages[t] = next_advantage
+        next_value = values[t]
+    return advantages
 
 
 class TestComputeGae:
@@ -82,6 +95,24 @@ class TestComputeGae:
             gamma, lam = rng.uniform(0.8, 1.0), rng.uniform(0.9, 1.0)
             est = compute_gae(r, v, b, bootstrap, gamma, lam)
             assert np.abs(est.advantages - brute_gae(r, v, b, bootstrap, gamma, lam)).max() < 1e-10
+
+    def test_streams_on_leading_axes_match_one_stream_calls_bitwise(self):
+        rng = np.random.default_rng(21)
+        for shape in ((1, 1), (5, 64), (3, 4, 17)):
+            r, v = rng.normal(size=shape), rng.normal(size=shape)
+            b = rng.random(shape) < 0.15
+            bootstrap = rng.normal(size=shape[:-1])
+            est = compute_gae(r, v, b, bootstrap, 0.99, 0.95)
+            assert est.advantages.shape == est.returns.shape == shape
+            for s in np.ndindex(shape[:-1]):
+                one = compute_gae(r[s], v[s], b[s], float(bootstrap[s]), 0.99, 0.95)
+                assert np.array_equal(est.advantages[s], one.advantages)
+                assert np.array_equal(est.returns[s], one.returns)
+                assert np.array_equal(one.advantages, scalar_gae(r[s], v[s], b[s], bootstrap[s], 0.99, 0.95))
+
+    def test_bootstrap_shape_must_match_streams(self):
+        with pytest.raises(StructuralError):
+            compute_gae(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 3), dtype=bool), np.zeros(3), 0.99, 0.95)
 
     def test_boundary_stops_bootstrap(self):
         est = compute_gae(
@@ -263,6 +294,69 @@ class TestCollectRollout:
             r = probability_ratio(net, data["obs"][i], int(data["actions"][i]), data["log_prob_old"][i])
             assert r == pytest.approx(1.0, abs=1e-9)
 
+    def test_three_worlds_with_resets_match_per_stream_reference(self):
+        cfg = WorldConfig(n_prey=2, n_positive_points=4, n_negative_points=4, episode_length=6)
+        net = init_net(cfg.obs_dim, 6, hidden_units=16, num_layers=1, seed=5)
+        hp = PpoHyperparams(batch_size=32, buffer_size=192, time_horizon=16)
+        seeds = [31, 32, 33]
+        actors = ActorWorlds.from_state(reset(cfg, seeds))
+        buf, rng, episode_seed = RolloutBuffer(hp.buffer_size), np.random.default_rng(4), counting_episode_seeds(7)
+        for _ in range(2):
+            collect_rollout(net, actors, 16, hp, rng, buf, episode_seed)
+        ref_actors = ActorWorlds.from_state(reset(cfg, seeds))
+        ref_rng, ref_seed = np.random.default_rng(4), counting_episode_seeds(7)
+        sweeps = [reference_sweep(net, ref_actors, 16, hp, ref_rng, ref_seed) for _ in range(2)]
+        got = buf.stacked()
+        assert buf.size == 2 * 3 * 2 * 16
+        assert all(len(returns) == 2 * 5 for returns in actors.completed_episode_returns)  # 5 resets per world
+        for key in RolloutBuffer.FIELDS:
+            assert np.array_equal(got[key], np.concatenate([sw[key] for sw in sweeps])), key
+
+
+def counting_episode_seeds(base):
+    """episode_seed(w) for collect_rollout: a fresh seed for each episode of each world."""
+    counts = {}
+
+    def episode_seed(w):
+        counts[w] = counts.get(w, 0) + 1
+        return base + 100 * int(w) + counts[w]
+
+    return episode_seed
+
+
+def reference_sweep(net, actors, T, hp, rng, episode_seed):
+    """One sweep laid out stream by stream: time-major arrays and one GAE call per (world, prey)."""
+    state = actors.state
+    n_worlds, n_prey, _ = actors.obs.shape
+    u = rng.random((n_worlds, T, n_prey))
+    seq = {k: [] for k in ("obs", "actions", "log_prob_old", "values", "rewards", "boundaries")}
+    for t in range(T):
+        actions, logp, values = sample_actions(net, actors.obs, u[:, t])
+        for key, x in (("obs", actors.obs), ("actions", actions), ("log_prob_old", logp), ("values", values)):
+            seq[key].append(np.array(x))
+        _, rewards, actors.obs, _ = step(state, actions)
+        ended = state.tick >= state.config.episode_length
+        for w in np.flatnonzero(ended):
+            reset_world(state, w, episode_seed(w))
+        if ended.any():
+            actors.obs = observe_all(state)
+        seq["rewards"].append(np.array(rewards))
+        seq["boundaries"].append(np.repeat(ended[:, None], n_prey, axis=1))
+    seq = {k: np.stack(v) for k, v in seq.items()}  # (T, W, n_prey, ...)
+    _, bootstrap = forward(net, actors.obs)
+    rows = {k: [] for k in RolloutBuffer.FIELDS}
+    for w in range(n_worlds):
+        for i in range(n_prey):
+            est = compute_gae(
+                seq["rewards"][:, w, i], seq["values"][:, w, i], seq["boundaries"][:, w, i],
+                float(bootstrap[w, i]), hp.gamma, hp.gae_lambda,
+            )
+            for key in ("obs", "actions", "log_prob_old", "values"):
+                rows[key].append(seq[key][:, w, i])
+            rows["advantages"].append(est.advantages)
+            rows["returns"].append(est.returns)
+    return {k: np.concatenate(v) for k, v in rows.items()}
+
 
 def synthetic_buffer(net, n, obs_dim, rng, adv_scale=1.0, perturb=0.0):
     """Buffer of random transitions; log_prob_old from a perturbed copy of net."""
@@ -280,9 +374,7 @@ def synthetic_buffer(net, n, obs_dim, rng, adv_scale=1.0, perturb=0.0):
         obs=obs,
         actions=actions,
         log_prob_old=lp_old,
-        rewards=rng.normal(size=n),
         values=values,
-        boundaries=np.zeros(n, dtype=bool),
         advantages=adv_scale * rng.normal(size=n),
         returns=rng.normal(size=n),
     )
@@ -405,8 +497,7 @@ class TestPpoUpdate:
                 adv[i], rets[i] = est.advantages[0], est.returns[0]
             buf = RolloutBuffer(64)
             buf.append_chunk(
-                obs=obs, actions=actions, log_prob_old=lp_old, rewards=rewards,
-                values=values, boundaries=np.ones(64, dtype=bool), advantages=adv, returns=rets,
+                obs=obs, actions=actions, log_prob_old=lp_old, values=values, advantages=adv, returns=rets,
             )
             ppo_update(net, adam, buf, hp, lr=0.01, rng=rng)
         logits, _ = forward(net, obs1)

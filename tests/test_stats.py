@@ -19,9 +19,12 @@ from predprey.stats import (
     write_grid_pgm,
     write_grid_text,
     write_run_records,
+    write_stats_csv,
+    write_summary_csv,
 )
 from predprey.trajectory import TrajectoryTable
 from predprey.world import WorldConfig
+from tests_support import HalfWrite
 
 
 def group_with_moments(mean, sd, n=50):
@@ -262,6 +265,34 @@ class TestSummaries:
         effs = [task_efficiency(r) for r in records]
         assert s.task_efficiency_mean == pytest.approx(np.mean(effs))
         assert s.task_efficiency_std == pytest.approx(np.std(effs, ddof=1))
+
+
+def scaled_records(k):
+    return [RunRecord(i, k * (10 + i), 4, 1, 100) for i in range(4)]
+
+
+# Each CSV writer, writing rows that depend on k.
+CSV_WRITERS = {
+    "run_records": lambda path, k: write_run_records(scaled_records(k), path),
+    "summary": lambda path, k: write_summary_csv([summarize_condition("c", scaled_records(k))], path),
+    "stats": lambda path, k: write_stats_csv([("a_vs_b", k * np.arange(5.0), np.arange(5.0) + 2.0)], path),
+}
+
+
+class TestAtomicCsv:
+    @pytest.mark.parametrize("kind", sorted(CSV_WRITERS))
+    def test_failed_write_keeps_previous_file(self, kind, tmp_path, monkeypatch):
+        import predprey.net as net_module
+
+        path = tmp_path / "out.csv"
+        CSV_WRITERS[kind](path, 1.0)
+        before = path.read_bytes()
+        monkeypatch.setattr(net_module, "open", HalfWrite, raising=False)
+        with pytest.raises(OSError):
+            CSV_WRITERS[kind](path, 2.0)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 class TestKde:

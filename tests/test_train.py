@@ -123,6 +123,16 @@ class TestResume:
             tmp_path / "resumed" / "checkpoint_final.ckpt"
         ).read_bytes()
 
+    def test_resume_into_own_directory_keeps_metrics_history(self, tmp_path):
+        # rows past the checkpoint are logged again, rows up to it are kept
+        cfg = tiny_config(seed=9, max_steps=1024, checkpoint_interval=512)
+        run_training(cfg, tmp_path)
+        straight = (tmp_path / "metrics.csv").read_bytes()
+        assert len(TrainingMetrics.from_csv(tmp_path / "metrics.csv").rows) == 4
+        _, metrics = run_training(cfg, tmp_path, resume_from=tmp_path / "checkpoint_0000000512.ckpt")
+        assert (tmp_path / "metrics.csv").read_bytes() == straight
+        assert metrics == TrainingMetrics.from_csv(tmp_path / "metrics.csv")
+
     def test_interval_checkpoints_written(self, tmp_path):
         cfg = tiny_config(max_steps=2048, checkpoint_interval=512)
         run_training(cfg, tmp_path)

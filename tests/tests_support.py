@@ -1,4 +1,4 @@
-"""Shared helpers: hand-placed world states, world stacking and the independent vision oracle."""
+"""Shared helpers: hand-placed world states, world stacking, the independent vision oracle and a failing file."""
 
 import copy
 import math
@@ -110,3 +110,23 @@ def make_contact_state():
     """Single prey directly in front of a chasing predator: a catch next step."""
     cfg = WorldConfig(barrier_layout=())
     return cfg, make_state(cfg, prey_specs=[((3.0, 3.0), 0.0)], predator_spec=((3.1, 3.0), 180.0))
+
+
+class HalfWrite:
+    """A file whose write stops halfway through the data, as on a full disk.
+
+    Monkeypatched in as `open` of predprey.net, where atomic_open opens its temp file.
+    """
+
+    def __init__(self, *args, **kwargs):
+        self.fh = open(*args, **kwargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError("no space left on device")
