@@ -1,83 +1,29 @@
 """Flat key = value config files for training and evaluation runs.
 
-One key per line, '#' starts a comment, unknown keys are hard errors.
-Resolution order is defaults, then file, then command-line flags; the
-winning source for every key is recorded and echoed back as a comment when
-the resolved config is written next to a run's outputs. Scenario ids pin
-(max_steps, predator_in_training) unless a file or flag overrides them
-explicitly.
+One key per line, '#' starts a comment, unknown keys are hard errors. The
+config dataclasses are the schema: every leaf field of ScenarioConfig or
+EvalConfig, with the fields of their nested PpoHyperparams and WorldConfig
+flattened in, is a key, parsed by its annotated type. Resolution order is
+defaults, then file, then command-line flags; the winning source for every
+key is recorded and echoed back as a comment when the resolved config is
+written next to a run's outputs. Training defaults come from
+train.scenario_defaults, so a scenario id pins (max_steps,
+predator_in_training) unless a file or flag overrides them explicitly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_origin, get_type_hints
 
 from .errors import ConfigError
-from .ppo import PpoHyperparams
-from .train import SCENARIO_TABLE, ScenarioConfig
+from .seeding import check_seed
+from .train import ScenarioConfig, scenario_defaults
 from .world import WorldConfig
 
-# key -> value kind; "sci_int" accepts 1.0e6 style integers
-_WORLD_KEYS = {
-    "arena_side": "float",
-    "barrier_layout": "barriers",
-    "n_prey": "int",
-    "n_positive_points": "int",
-    "n_negative_points": "int",
-    "predator_present": "bool",
-    "prey_move_speed": "float",
-    "prey_turn_speed": "float",
-    "predator_move_speed": "float",
-    "predator_view_radius": "float",
-    "predator_view_angle": "float",
-    "tick_dt": "float",
-    "episode_length": "int",
-    "n_rays": "int",
-    "ray_fov_degrees": "float",
-    "ray_length": "float",
-    "prey_radius": "float",
-    "predator_radius": "float",
-    "point_radius": "float",
-}
-
-_HP_KEYS = {
-    "batch_size": "int",
-    "beta": "float",
-    "buffer_size": "int",
-    "epsilon": "float",
-    "gamma": "float",
-    "gae_lambda": "float",
-    "learning_rate": "float",
-    "max_steps": "sci_int",
-    "num_epoch": "int",
-    "time_horizon": "int",
-    "summary_freq": "sci_int",
-    "value_loss_coeff": "float",
-}
-
-_SCENARIO_KEYS = {
-    "scenario_id": "int",
-    "seed": "sci_int",
-    "hidden_units": "int",
-    "num_layers": "int",
-    "n_worlds": "int",
-    "checkpoint_interval": "sci_int",
-    "predator_in_training": "bool",
-}
-
-_EVAL_KEYS = {
-    "checkpoint": "str",
-    "n_runs": "int",
-    "duration": "sci_int",
-    "greedy": "bool",
-    "seed": "sci_int",
-    "condition_id": "str",
-    "log_points": "bool",
-}
-
-TRAIN_KEY_KINDS = {**_SCENARIO_KEYS, **_HP_KEYS, **_WORLD_KEYS}
-EVAL_KEY_KINDS = {**_EVAL_KEYS, **_WORLD_KEYS}
+# Integer keys that also accept 1.0e6 style values.
+SCI_INT_KEYS = frozenset({"seed", "max_steps", "summary_freq", "checkpoint_interval", "duration"})
 
 
 @dataclass
@@ -92,10 +38,65 @@ class EvalConfig:
     log_points: bool = False
 
     def __post_init__(self) -> None:
+        check_seed(self.seed)
         if self.n_runs < 2:
             raise ConfigError(f"n_runs must be at least 2 to summarize a condition, got {self.n_runs}")
         if self.duration < 1:
             raise ConfigError(f"duration must be at least 1 tick, got {self.duration}")
+
+
+def parse_bool(raw: str) -> bool:
+    """Strict boolean: true/1/yes or false/0/no in any case; anything else is a ValueError."""
+    low = raw.lower()
+    if low in ("true", "1", "yes"):
+        return True
+    if low in ("false", "0", "no"):
+        return False
+    raise ValueError(f"expected true/false, got {raw!r}")
+
+
+def _parse_sci_int(raw: str) -> int:
+    try:
+        return int(raw)  # exact, also beyond float precision
+    except ValueError:
+        v = float(raw)
+    if v != int(v):
+        raise ValueError("not an integer")
+    return int(v)
+
+
+def _parse_barriers(raw: str) -> tuple:
+    if raw.lower() in ("none", ""):
+        return ()
+    rects = []
+    for part in raw.split(";"):
+        coords = [float(v) for v in part.split(",")]
+        if len(coords) != 4:
+            raise ValueError("each barrier is 'xmin,ymin,xmax,ymax'")
+        rects.append(tuple(coords))
+    return tuple(rects)
+
+
+_TYPE_PARSERS = {int: int, float: float, bool: parse_bool, str: str, str | None: str}
+
+
+def _schema(cls) -> dict:
+    """Config key -> value parser for every leaf field of cls, nested config dataclasses flattened."""
+    hints = get_type_hints(cls)
+    schema = {}
+    for f in fields(cls):
+        kind = hints[f.name]
+        if is_dataclass(kind):
+            schema.update(_schema(kind))
+        elif f.name in SCI_INT_KEYS:
+            schema[f.name] = _parse_sci_int
+        else:
+            schema[f.name] = _parse_barriers if get_origin(kind) is tuple else _TYPE_PARSERS[kind]
+    return schema
+
+
+TRAIN_SCHEMA = _schema(ScenarioConfig)
+EVAL_SCHEMA = _schema(EvalConfig)
 
 
 def _read_flat(path) -> dict[str, str]:
@@ -113,44 +114,51 @@ def _read_flat(path) -> dict[str, str]:
     return entries
 
 
-def parse_bool(raw: str) -> bool:
-    """Strict boolean: true/1/yes or false/0/no in any case; anything else is a ValueError."""
-    low = raw.lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ValueError(f"expected true/false, got {raw!r}")
+def _resolve(schema: dict, path, overrides: dict | None) -> tuple[dict, dict[str, str]]:
+    """Merge file values and typed flag overrides; returns (values, provenance of every key)."""
+    values: dict = {}
+    provenance = dict.fromkeys(schema, "default")
+    if path is not None:
+        for key, raw in _read_flat(path).items():
+            if key not in schema:
+                raise ConfigError(f"{path}: unknown config key {key!r}")
+            try:
+                values[key] = schema[key](raw)
+            except (ValueError, OverflowError) as exc:  # int(float("inf")) overflows
+                raise ConfigError(f"config key {key!r}: cannot parse {raw!r} ({exc})") from None
+            provenance[key] = "file"
+    for key, value in (overrides or {}).items():
+        if key not in schema:
+            raise ConfigError(f"unknown override key {key!r}")
+        if value is not None:
+            values[key] = value
+            provenance[key] = "flag"
+    return values, provenance
 
 
-def _parse_value(key: str, raw: str, kind: str):
-    try:
-        if kind == "int":
-            return int(raw)
-        if kind == "sci_int":
-            v = float(raw)
-            if v != int(v):
-                raise ValueError("not an integer")
-            return int(v)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
-            return parse_bool(raw)
-        if kind == "str":
-            return raw
-        if kind == "barriers":
-            if raw.lower() in ("none", ""):
-                return ()
-            rects = []
-            for part in raw.split(";"):
-                coords = [float(v) for v in part.split(",")]
-                if len(coords) != 4:
-                    raise ValueError("each barrier is 'xmin,ymin,xmax,ymax'")
-                rects.append(tuple(coords))
-            return tuple(rects)
-    except (ValueError, OverflowError) as exc:  # int(float("inf")) overflows
-        raise ConfigError(f"config key {key!r}: cannot parse {raw!r} ({exc})") from None
-    raise ConfigError(f"internal: unknown value kind {kind!r}")
+def _apply(cfg, values: dict):
+    """cfg with every leaf field named in values replaced, nested configs included."""
+    changes = {}
+    for f in fields(cfg):
+        current = getattr(cfg, f.name)
+        if is_dataclass(current):
+            changes[f.name] = _apply(current, values)
+        elif f.name in values:
+            changes[f.name] = values[f.name]
+    return replace(cfg, **changes)
+
+
+def parse_scenario_config(
+    path=None, overrides: dict | None = None
+) -> tuple[ScenarioConfig, dict[str, str]]:
+    values, provenance = _resolve(TRAIN_SCHEMA, path, overrides)
+    base = scenario_defaults(values.get("scenario_id", ScenarioConfig.scenario_id))
+    return _apply(base, values), provenance
+
+
+def parse_eval_config(path=None, overrides: dict | None = None) -> tuple[EvalConfig, dict[str, str]]:
+    values, provenance = _resolve(EVAL_SCHEMA, path, overrides)
+    return _apply(EvalConfig(), values), provenance
 
 
 def _format_value(value) -> str:
@@ -165,126 +173,23 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _resolve(
-    key_kinds: dict[str, str], path, overrides: dict | None
-) -> tuple[dict, dict[str, str]]:
-    """Merge file values and typed flag overrides; returns (values, provenance)."""
-    values: dict = {}
-    provenance: dict[str, str] = {}
-    if path is not None:
-        for key, raw in _read_flat(path).items():
-            if key not in key_kinds:
-                raise ConfigError(f"{path}: unknown config key {key!r}")
-            values[key] = _parse_value(key, raw, key_kinds[key])
-            provenance[key] = "file"
-    for key, value in (overrides or {}).items():
-        if key not in key_kinds:
-            raise ConfigError(f"unknown override key {key!r}")
-        if value is None:
-            continue
-        values[key] = value
-        provenance[key] = "flag"
-    return values, provenance
-
-
-def parse_scenario_config(
-    path=None, overrides: dict | None = None
-) -> tuple[ScenarioConfig, dict[str, str]]:
-    values, provenance = _resolve(TRAIN_KEY_KINDS, path, overrides)
-
-    scenario_id = values.get("scenario_id", 3)
-    if scenario_id not in SCENARIO_TABLE:
-        raise ConfigError(f"scenario_id must be 1, 2 or 3, got {scenario_id}")
-    table_steps, table_predator = SCENARIO_TABLE[scenario_id]
-
-    world_kwargs = {k: values[k] for k in _WORLD_KEYS if k in values}
-    world = WorldConfig(seed=values.get("seed", 0), **world_kwargs)
-
-    hp_kwargs = {k: values[k] for k in _HP_KEYS if k in values}
-    hp_kwargs.setdefault("max_steps", table_steps)
-    hyperparams = PpoHyperparams(**hp_kwargs)
-
-    cfg = ScenarioConfig(
-        scenario_id=scenario_id,
-        predator_in_training=values.get("predator_in_training", table_predator),
-        hyperparams=hyperparams,
-        world=world,
-        seed=values.get("seed", 0),
-        hidden_units=values.get("hidden_units", 128),
-        num_layers=values.get("num_layers", 2),
-        n_worlds=values.get("n_worlds", 1),
-        checkpoint_interval=values.get("checkpoint_interval", 50_000),
-    )
-    for key in TRAIN_KEY_KINDS:
-        provenance.setdefault(key, "default")
-    return cfg, provenance
-
-
-def parse_eval_config(path=None, overrides: dict | None = None) -> tuple[EvalConfig, dict[str, str]]:
-    values, provenance = _resolve(EVAL_KEY_KINDS, path, overrides)
-    world_kwargs = {k: values[k] for k in _WORLD_KEYS if k in values}
-    world = WorldConfig(seed=values.get("seed", 0), **world_kwargs)
-    cfg = EvalConfig(
-        checkpoint=values.get("checkpoint"),
-        world=world,
-        n_runs=values.get("n_runs", 50),
-        duration=values.get("duration", 5000),
-        greedy=values.get("greedy", False),
-        seed=values.get("seed", 0),
-        condition_id=values.get("condition_id", "condition"),
-        log_points=values.get("log_points", False),
-    )
-    for key in EVAL_KEY_KINDS:
-        provenance.setdefault(key, "default")
-    return cfg, provenance
-
-
-def _scenario_items(cfg: ScenarioConfig) -> list[tuple[str, object]]:
-    hp = cfg.hyperparams
-    w = cfg.world
-    return [
-        ("scenario_id", cfg.scenario_id),
-        ("seed", cfg.seed),
-        ("predator_in_training", cfg.predator_in_training),
-        ("hidden_units", cfg.hidden_units),
-        ("num_layers", cfg.num_layers),
-        ("n_worlds", cfg.n_worlds),
-        ("checkpoint_interval", cfg.checkpoint_interval),
-        ("batch_size", hp.batch_size),
-        ("beta", hp.beta),
-        ("buffer_size", hp.buffer_size),
-        ("epsilon", hp.epsilon),
-        ("gamma", hp.gamma),
-        ("gae_lambda", hp.gae_lambda),
-        ("learning_rate", hp.learning_rate),
-        ("max_steps", hp.max_steps),
-        ("num_epoch", hp.num_epoch),
-        ("time_horizon", hp.time_horizon),
-        ("summary_freq", hp.summary_freq),
-        ("value_loss_coeff", hp.value_loss_coeff),
-    ] + [(k, getattr(w, k)) for k in _WORLD_KEYS]
-
-
-def _eval_items(cfg: EvalConfig) -> list[tuple[str, object]]:
-    items: list[tuple[str, object]] = [
-        ("seed", cfg.seed),
-        ("n_runs", cfg.n_runs),
-        ("duration", cfg.duration),
-        ("greedy", cfg.greedy),
-        ("condition_id", cfg.condition_id),
-        ("log_points", cfg.log_points),
-    ]
-    if cfg.checkpoint is not None:
-        items.insert(0, ("checkpoint", cfg.checkpoint))
-    return items + [(k, getattr(cfg.world, k)) for k in _WORLD_KEYS]
+def _items(cfg) -> list[tuple[str, object]]:
+    """(key, value) for every leaf field in field order, nested configs inline; None is left unset."""
+    items = []
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if is_dataclass(value):
+            items += _items(value)
+        elif value is not None:
+            items.append((f.name, value))
+    return items
 
 
 def write_resolved(cfg, path, provenance: dict[str, str] | None = None) -> None:
     """Full key = value snapshot; parsing it back reproduces the config."""
-    items = _scenario_items(cfg) if isinstance(cfg, ScenarioConfig) else _eval_items(cfg)
     provenance = provenance or {}
     lines = ["# resolved configuration"]
-    for key, value in items:
+    for key, value in _items(cfg):
         source = provenance.get(key)
         suffix = f"  # {source}" if source else ""
         lines.append(f"{key} = {_format_value(value)}{suffix}")

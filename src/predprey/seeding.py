@@ -8,7 +8,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 def derive_seed(*parts: int) -> int:
     """Stable 64-bit seed from a tuple of non-negative integers."""
     return int(np.random.SeedSequence(list(parts)).generate_state(1, dtype=np.uint64)[0])
+
+
+def check_seed(seed: int) -> None:
+    """ConfigError unless seed fits the unsigned 64-bit field that checkpoints store it in."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be in [0, 2**64), got {seed}")

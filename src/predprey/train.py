@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigError, StructuralError
 from .net import AdamState, LrSchedule, atomic_open, init_net, load_checkpoint, lr_at, save_checkpoint
 from .ppo import ActorWorlds, PpoHyperparams, RolloutBuffer, collect_rollout, ppo_update
-from .seeding import derive_seed
+from .seeding import check_seed, derive_seed
 from .world import WorldConfig, prey_action_space, reset
 
 SCENARIO_TABLE: dict[int, tuple[int, bool]] = {
@@ -58,21 +58,21 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.scenario_id not in SCENARIO_TABLE:
             raise ConfigError(f"scenario_id must be 1, 2 or 3, got {self.scenario_id}")
+        check_seed(self.seed)
+        if self.hidden_units < 1 or self.num_layers < 0:
+            raise ConfigError(
+                f"hidden_units must be at least 1 and num_layers at least 0, "
+                f"got hidden_units={self.hidden_units}, num_layers={self.num_layers}"
+            )
         if self.n_worlds <= 0 or self.checkpoint_interval <= 0:
             raise ConfigError("n_worlds and checkpoint_interval must be positive")
 
 
 def scenario_defaults(scenario_id: int, seed: int = 0) -> ScenarioConfig:
     """Canonical config for one scenario; only (max_steps, predator presence) vary."""
-    if scenario_id not in SCENARIO_TABLE:
-        raise ConfigError(f"scenario_id must be 1, 2 or 3, got {scenario_id}")
+    cfg = ScenarioConfig(scenario_id=scenario_id, seed=seed)  # rejects an unknown scenario id
     max_steps, predator = SCENARIO_TABLE[scenario_id]
-    return ScenarioConfig(
-        scenario_id=scenario_id,
-        predator_in_training=predator,
-        hyperparams=PpoHyperparams(max_steps=max_steps),
-        seed=seed,
-    )
+    return replace(cfg, predator_in_training=predator, hyperparams=PpoHyperparams(max_steps=max_steps))
 
 
 METRICS_HEADER = [

@@ -87,7 +87,6 @@ class WorldConfig:
     predator_view_angle: float = 80.0
     tick_dt: float = 0.05
     episode_length: int = 2000
-    seed: int = 0
     n_rays: int = 11
     ray_fov_degrees: float = 140.0
     ray_length: float = 10.0
@@ -343,13 +342,11 @@ def _sample_free_position(
 # reset / step
 
 
-def reset(config: WorldConfig, seed: int | list[int] | None = None) -> WorldState:
+def reset(config: WorldConfig, seed: int | list[int]) -> WorldState:
     """Fresh worlds, one per seed, with uniformly random non-overlapping placements.
 
-    An int seeds one world (W = 1), a list seeds W worlds; None uses config.seed.
+    An int seeds one world (W = 1), a list seeds W worlds.
     """
-    if seed is None:
-        seed = config.seed
     seeds = [seed] if np.isscalar(seed) else list(seed)
     n_worlds, n_prey = len(seeds), config.n_prey
     predator = None

@@ -134,6 +134,11 @@ class TestBadNumericInput:
             ("eval", "arena_side = inf"),
             ("eval", "n_runs = 1"),
             ("eval", "duration = 0"),
+            ("train", "seed = -1"),
+            ("eval", "seed = -1"),
+            ("train", "seed = 18446744073709551616"),
+            ("train", "num_layers = -1"),
+            ("train", "hidden_units = 0"),
         ],
     )
     def test_config_value_exits_2_without_traceback(self, tmp_path, subcommand, line):
@@ -145,7 +150,7 @@ class TestBadNumericInput:
         assert line.split(" = ")[0] in proc.stderr
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("flag, value", [("--n-runs", "1"), ("--duration", "-5")])
+    @pytest.mark.parametrize("flag, value", [("--n-runs", "1"), ("--duration", "-5"), ("--seed", "-1")])
     def test_eval_count_flag_exits_2_before_loading_the_checkpoint(self, tmp_path, flag, value):
         # the checkpoint does not exist: loading it would be an i/o failure (exit 4)
         argv = ["eval", "--checkpoint", "none.ckpt", flag, value, "-o", str(tmp_path / "out")]
