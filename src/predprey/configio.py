@@ -43,6 +43,10 @@ class EvalConfig:
             raise ConfigError(f"n_runs must be at least 2 to summarize a condition, got {self.n_runs}")
         if self.duration < 1:
             raise ConfigError(f"duration must be at least 1 tick, got {self.duration}")
+        for name in ("checkpoint", "condition_id"):
+            value = getattr(self, name)
+            if value is not None and ("#" in value or value != value.strip() or len(value.splitlines()) > 1):
+                raise ConfigError(f"{name} {value!r}: a config file cannot carry '#', line breaks or end spaces")
 
 
 def parse_bool(raw: str) -> bool:

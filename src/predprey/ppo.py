@@ -47,6 +47,12 @@ class PpoHyperparams:
         for name in ("epsilon", "beta", "gamma", "gae_lambda", "learning_rate", "value_loss_coeff"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        if not 0.0 < self.epsilon < 1.0:
+            raise ConfigError(f"epsilon must be in (0, 1), got {self.epsilon}")
+        for name in ("gamma", "gae_lambda", "learning_rate", "beta", "value_loss_coeff"):
+            hi = 1.0 if name in ("gamma", "gae_lambda") else math.inf
+            if not 0.0 <= getattr(self, name) <= hi:
+                raise ConfigError(f"{name} must be in [0, {hi}], got {getattr(self, name)}")
         if self.buffer_size % self.batch_size != 0:
             raise StructuralError(
                 f"batch_size {self.batch_size} must divide buffer_size {self.buffer_size}"
@@ -202,7 +208,8 @@ def sample_actions(
     else:
         cdf = np.cumsum(np.exp(logp), axis=-1)
         actions = np.minimum((u[..., None] > cdf).sum(axis=-1), logits.shape[-1] - 1)
-    return actions, np.take_along_axis(logp, actions[..., None], axis=-1)[..., 0], values
+    rows = logp.reshape(-1, logp.shape[-1])
+    return actions, rows[np.arange(len(rows)), actions.ravel()].reshape(actions.shape), values
 
 
 def collect_rollout(
@@ -298,9 +305,7 @@ def ppo_loss_and_grads(
     logp = logp_all[rows, actions]
     ratio = np.exp(logp - log_prob_old)
 
-    unclipped = ratio * advantages
-    clipped = np.clip(ratio, 1.0 - epsilon, 1.0 + epsilon) * advantages
-    surrogate = np.minimum(unclipped, clipped)
+    surrogate = clipped_surrogate(ratio, advantages, epsilon)
     policy_loss = -float(surrogate.mean())
 
     value_err = returns - values
@@ -311,9 +316,9 @@ def ppo_loss_and_grads(
     total = policy_loss + value_loss_coeff * value_loss - beta * entropy_mean
 
     # d surrogate / d ratio is the advantage wherever the unclipped branch is
-    # active; when the clipped branch wins strictly, the ratio sits in the
-    # saturated region and the derivative vanishes.
-    active = (unclipped <= clipped).astype(np.float64)
+    # the minimum; when the clipped branch wins strictly, the ratio sits in
+    # the saturated region and the derivative vanishes.
+    active = (surrogate == ratio * advantages).astype(np.float64)
     d_ratio = -(active * advantages) / n
     onehot = np.zeros_like(logits)
     onehot[rows, actions] = 1.0

@@ -24,6 +24,11 @@ Each world draws all its randomness from its own generator (state.rngs[w])
 in the order it would alone, so a world's run depends only on its (config,
 seed, action sequence), never on W or on the other worlds, and a W-world
 step equals W one-world steps bit for bit.
+
+A WorldState computes the constants of its config and body counts once, when
+it is built. Ray casting tests every barrier and the arena in one slab pass:
+the arena is an inverted slab that holds every prey and that a ray leaves at
+its exit parameter. One ray-vs-circle pass per block of worlds follows.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -96,26 +101,11 @@ class WorldConfig:
 
     def __post_init__(self) -> None:
         self.barrier_layout = tuple(tuple(float(v) for v in rect) for rect in self.barrier_layout)
-        positives = {
-            "arena_side": self.arena_side,
-            "n_prey": self.n_prey,
-            "n_positive_points": self.n_positive_points,
-            "n_negative_points": self.n_negative_points,
-            "prey_move_speed": self.prey_move_speed,
-            "prey_turn_speed": self.prey_turn_speed,
-            "predator_move_speed": self.predator_move_speed,
-            "predator_view_radius": self.predator_view_radius,
-            "tick_dt": self.tick_dt,
-            "episode_length": self.episode_length,
-            "n_rays": self.n_rays,
-            "ray_length": self.ray_length,
-            "prey_radius": self.prey_radius,
-            "predator_radius": self.predator_radius,
-            "point_radius": self.point_radius,
-        }
-        for name, value in positives.items():
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be finite and strictly positive, got {value}")
+        angles = ("predator_view_angle", "ray_fov_degrees")  # checked on their own below
+        for f in fields(self):  # f.type is the annotation's text, as annotations are postponed here
+            value = getattr(self, f.name)
+            if f.type in ("int", "float") and f.name not in angles and not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{f.name} must be finite and strictly positive, got {value}")
         if not math.isfinite(self.ray_fov_degrees):
             raise ConfigError(f"ray_fov_degrees must be finite, got {self.ray_fov_degrees}")
         if not 0.0 < self.predator_view_angle <= 360.0:
@@ -177,6 +167,30 @@ class WorldState:
     point_pos: np.ndarray  # (W, P, 2)
     point_positive: np.ndarray  # (W, P) bool
     rngs: list[np.random.Generator]  # one generator per world
+    # Constants of the config and the body counts, computed once at construction for every tick.
+    ray_offsets: np.ndarray = field(init=False, repr=False)  # (n_rays,) degrees off the heading
+    slab_lo: np.ndarray = field(init=False, repr=False)  # (B + 1, 2, 1, 1): barriers, then the arena
+    slab_hi: np.ndarray = field(init=False, repr=False)
+    circle_radii: np.ndarray = field(init=False, repr=False)  # (J,) points, then prey, then the predator
+    circle_radii_sq: np.ndarray = field(init=False, repr=False)
+    circle_kinds: np.ndarray = field(init=False, repr=False)  # (J,) with every point HIT_NEGATIVE
+    own_circle: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)  # (prey row, its circle column)
+    turn_deg: np.ndarray = field(init=False, repr=False)  # (3,) heading change per turn action
+
+    def __post_init__(self) -> None:
+        cfg = self.config
+        n_prey, n_points = self.prey_pos.shape[1], self.point_pos.shape[1]
+        half_fov, half = cfg.ray_fov_degrees / 2.0, cfg.half_side
+        self.ray_offsets = np.linspace(-half_fov, half_fov, cfg.n_rays)
+        rects = np.array(cfg.barrier_layout + ((-half, -half, half, half),)).reshape(-1, 2, 2, 1, 1)
+        self.slab_lo, self.slab_hi = rects[:, 0], rects[:, 1]
+        counts = [n_points, n_prey, int(self.predator is not None)]
+        self.circle_radii = np.repeat([cfg.point_radius, cfg.prey_radius, cfg.predator_radius], counts)
+        self.circle_radii_sq = self.circle_radii**2
+        self.circle_kinds = np.repeat([HIT_NEGATIVE, HIT_PREY, HIT_PREDATOR], counts)
+        self.own_circle = (np.arange(n_prey), n_points + np.arange(n_prey))
+        turn_step = cfg.prey_turn_speed * cfg.tick_dt
+        self.turn_deg = np.array([0.0, turn_step, -turn_step])
 
     @property
     def n_worlds(self) -> int:
@@ -234,17 +248,15 @@ class ActionSpace:
         return joint // len(self.turn_labels), joint % len(self.turn_labels)
 
 
+_PREY_ACTIONS = ActionSpace()
+
+
 def prey_action_space() -> ActionSpace:
-    return ActionSpace()
+    return _PREY_ACTIONS
 
 
 # ---------------------------------------------------------------------------
 # geometry helpers
-
-
-def _heading_vector(heading_deg: float | np.ndarray) -> np.ndarray:
-    rad = np.deg2rad(heading_deg)
-    return np.stack([np.cos(rad), np.sin(rad)], axis=-1)
 
 
 def _inside_rect(p: np.ndarray, rect: tuple[float, float, float, float], pad: float = 0.0) -> bool:
@@ -252,27 +264,22 @@ def _inside_rect(p: np.ndarray, rect: tuple[float, float, float, float], pad: fl
     return (x0 - pad < p[0] < x1 + pad) and (y0 - pad < p[1] < y1 + pad)
 
 
-def _slab_interval(origins: np.ndarray, dirs: np.ndarray, cfg: WorldConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Entry and exit parameters of each line origins + t * dirs (R, 2) through each barrier, shape (B, R).
+def _slab_interval(lo: np.ndarray, hi: np.ndarray, origins: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entry and exit parameters of the lines origins + t * dirs through each rectangle, shape (rects, R, K).
 
-    Liang-Barsky slabs: a line parallel to an axis is unbounded by that slab
-    when its origin lies strictly inside it, and misses the rectangle otherwise.
+    lo, hi are the (rects, 2, 1, 1) corners; origins (2, R, 1) and dirs (2, R, K)
+    put the axis first. A zero direction component divides by zero: strictly
+    inside that slab it gives infinities of opposite sign, which do not bound
+    the line; outside, infinities of one sign or NaN (on a face), so every test
+    a caller makes of a hit fails. Callers silence numpy's divide and invalid warnings.
     """
-    rects = np.asarray(cfg.barrier_layout, dtype=float).reshape(-1, 2, 2, 1)
-    lo, hi = rects[:, 0], rects[:, 1]  # (B, axis, 1)
-    o, d = np.ascontiguousarray(origins.T), np.ascontiguousarray(dirs.T)  # (axis, R): R innermost
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_lo = (lo - o) / d
-        t_hi = (hi - o) / d
-    flat = d == 0.0
-    inside = (o > lo) & (o < hi)
-    t_near = np.where(flat, np.where(inside, -np.inf, np.inf), np.minimum(t_lo, t_hi))
-    t_far = np.where(flat, np.where(inside, np.inf, -np.inf), np.maximum(t_lo, t_hi))
-    return t_near.max(axis=1), t_far.min(axis=1)
+    t_lo = (lo - origins) / dirs
+    t_hi = (hi - origins) / dirs
+    return np.minimum(t_lo, t_hi).max(axis=1), np.maximum(t_lo, t_hi).min(axis=1)
 
 
-def _slide(pos: np.ndarray, delta: np.ndarray, radius: float, cfg: WorldConfig) -> np.ndarray:
-    """Integrate displacements (k, 2) from positions (k, 2) with wall clamping and axis-separated barrier sliding.
+def _slide(pos: np.ndarray, dx: np.ndarray, dy: np.ndarray, radius: float, cfg: WorldConfig) -> np.ndarray:
+    """Move positions (k, 2) by (dx, dy), each (k,), with wall clamping and axis-separated barrier sliding.
 
     Barriers are inflated by the body radius, so every returned center is
     outside every barrier and at least `radius` from every wall. Bodies move
@@ -282,9 +289,9 @@ def _slide(pos: np.ndarray, delta: np.ndarray, radius: float, cfg: WorldConfig) 
     """
     limit = cfg.half_side - radius
     out = np.empty_like(pos)
-    for k, ((x, y), (dx, dy)) in enumerate(zip(pos.tolist(), delta.tolist())):
+    for k, ((x, y), dx_k, dy_k) in enumerate(zip(pos.tolist(), dx.tolist(), dy.tolist())):
         # X sweep.
-        tx = min(limit, max(-limit, x + dx))
+        tx = min(limit, max(-limit, x + dx_k))
         for x0, y0, x1, y1 in cfg.barrier_layout:
             if not (y0 - radius < y < y1 + radius):
                 continue
@@ -296,7 +303,7 @@ def _slide(pos: np.ndarray, delta: np.ndarray, radius: float, cfg: WorldConfig) 
             elif lo < x < hi:  # started inside the inflated band: push to nearest face
                 tx = lo if (x - lo) <= (hi - x) else hi
         # Y sweep.
-        ty = min(limit, max(-limit, y + dy))
+        ty = min(limit, max(-limit, y + dy_k))
         for x0, y0, x1, y1 in cfg.barrier_layout:
             if not (x0 - radius < tx < x1 + radius):
                 continue
@@ -417,27 +424,20 @@ def reset_world(state: WorldState, world: int, seed: int) -> None:
     state.rngs[world] = rng
 
 
-def _circles(state: WorldState, world: int | slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bodies of `world` (an index or a slice of worlds) as circles, points then prey then the predator.
+def _circles(state: WorldState, world: int | slice) -> np.ndarray:
+    """Centers (..., J, 2) of the bodies of `world` (an index or a slice of worlds) as circles.
 
-    Returns (centers (..., J, 2), radii (J,), hit kinds (..., J)).
+    Points, then prey, then the predator; state.circle_radii holds their radii.
     """
-    cfg = state.config
-    n_points, n_prey = state.point_pos.shape[1], state.prey_pos.shape[1]
     parts = [state.point_pos[world], state.prey_pos[world]]
     if state.predator is not None:
         parts.append(state.predator.position[world][..., None, :])
-    counts = [n_points, n_prey, len(parts) - 2]
-    centers = np.concatenate(parts, axis=-2)
-    radii = np.repeat([cfg.point_radius, cfg.prey_radius, cfg.predator_radius], counts)
-    kinds = np.broadcast_to(np.repeat([HIT_NEGATIVE, HIT_PREY, HIT_PREDATOR], counts), centers.shape[:-1]).copy()
-    kinds[..., :n_points][state.point_positive[world]] = HIT_POSITIVE
-    return centers, radii, kinds
+    return np.concatenate(parts, axis=-2)
 
 
 def _respawn_position(state: WorldState, world: int, radius: float, skip_point: int | None = None) -> np.ndarray:
     """Free spot in one world, off every prey, the predator and every point except `skip_point`."""
-    centers, radii, _ = _circles(state, world)
+    centers, radii = _circles(state, world), state.circle_radii
     if skip_point is not None:  # points lead the circle rows
         centers = np.delete(centers, skip_point, axis=0)
         radii = np.delete(radii, skip_point)
@@ -454,7 +454,7 @@ def step(
     and this tick's events, world by world.
     """
     cfg = state.config
-    space = prey_action_space()
+    space = _PREY_ACTIONS
     shape = state.prey_heading.shape
     actions = np.asarray(prey_actions)
     if actions.shape != shape:
@@ -466,18 +466,16 @@ def step(
         raise InputError(f"world {w}, prey {i}: action index {actions[w, i]} outside [0, {space.n_joint})")
     rewards = np.zeros(shape)
     events: list[list[Event]] = [[] for _ in range(len(actions))]
-    turn_step = cfg.prey_turn_speed * cfg.tick_dt
     move_step = cfg.prey_move_speed * cfg.tick_dt
 
     # Prey locomotion: turn, then move along the new heading.
     move, turn = space.decode(actions)
     heading = state.prey_heading
-    heading[turn == 1] = (heading[turn == 1] + turn_step) % 360.0
-    heading[turn == 2] = (heading[turn == 2] - turn_step) % 360.0
+    np.copyto(heading, (heading + state.turn_deg[turn]) % 360.0, where=turn != 0)
     moving = move == 1
     rad = np.deg2rad(heading[moving])
-    delta = np.column_stack([move_step * np.cos(rad), move_step * np.sin(rad)])
-    state.prey_pos[moving] = _slide(state.prey_pos[moving], delta, cfg.prey_radius, cfg)
+    dx, dy = move_step * np.cos(rad), move_step * np.sin(rad)
+    state.prey_pos[moving] = _slide(state.prey_pos[moving], dx, dy, cfg.prey_radius, cfg)
     state.prey_speed[:] = move
 
     if state.predator is not None:
@@ -529,8 +527,10 @@ def _sight(state: WorldState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     w, i = np.nonzero(visible)
     if len(w):
         # the sight line is the segment t in [0, 1] from the predator to each prey
-        entry, exit_ = _slab_interval(pred.position[w], offsets[w, i], cfg)
-        visible[w, i] = ~(np.maximum(entry, 0.0) < np.minimum(exit_, 1.0)).any(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lo, hi = state.slab_lo[:-1], state.slab_hi[:-1]  # the barriers, without the arena
+            entry, exit_ = _slab_interval(lo, hi, pred.position[w].T[..., None], offsets[w, i].T[..., None])
+            visible[w, i] = ~(np.maximum(entry, 0.0) < np.minimum(exit_, 1.0)).any(axis=0)[:, 0]
     return visible, offsets, dist
 
 
@@ -567,7 +567,8 @@ def predator_step(state: WorldState) -> PredatorState:
     heading = np.degrees(np.arctan2(offset[:, 1], offset[:, 0])) % 360.0
     pred.heading[:] = np.where(moves, heading, pred.heading)
     delta = offset * (step_len / np.maximum(goal_dist, step_len))[:, None]  # the whole offset within reach
-    pred.position[:] = np.where(moves[:, None], _slide(pred.position, delta, cfg.predator_radius, cfg), pred.position)
+    slid = _slide(pred.position, delta[:, 0], delta[:, 1], cfg.predator_radius, cfg)
+    pred.position[:] = np.where(moves[:, None], slid, pred.position)
     gap = pred.patrol_waypoint - pred.position
     for w in np.flatnonzero(patrol & (np.hypot(gap[:, 0], gap[:, 1]) <= 1e-9)):
         pred.patrol_waypoint[w] = _sample_free_position(state.rngs[w], cfg, cfg.predator_radius)
@@ -581,37 +582,36 @@ def predator_step(state: WorldState) -> PredatorState:
 # Worlds per ray-vs-circle kernel call: its scratch arrays grow with the block,
 # not with W (about 1.3 MiB at 8 default worlds).
 _RAY_BLOCK_WORLDS = 8
+_HIT_COLUMNS = np.arange(N_HIT_KINDS)
 
 
-def _ray_circle_hits(
-    origins: np.ndarray, dirs: np.ndarray, centers: np.ndarray, radii: np.ndarray
-) -> np.ndarray:
-    """Smallest non-negative ray parameter per (ray, circle); inf when missed.
+def _nearest_circles(state: WorldState, worlds: slice, dx: np.ndarray, dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest circle per ray of the prey of `worlds`, rays (Wb, n, K) along (dx, dy).
 
-    Each of P origins (P, 2) casts K rays dirs (P, K, 2) against its own
-    circles centers (P, J, 2); returns (P, K, J). Rays starting inside a
-    circle report t = 0. Origin-to-center terms are shared by an origin's rays.
+    Returns the smallest non-negative ray parameter (inf when every circle is
+    missed) and the hit kind, each (Wb, n, K). A ray starting inside a circle
+    reports t = 0; a prey's rays skip its own body. The origin-to-center
+    terms are computed once per (prey, circle) and shared by the prey's rays.
     """
-    ocx = origins[:, 0, None] - centers[..., 0]  # (P, J)
-    ocy = origins[:, 1, None] - centers[..., 1]
-    c0 = (ocx * ocx + ocy * ocy - radii**2)[:, None, :]
-    b = dirs[..., 0, None] * ocx[:, None, :] + dirs[..., 1, None] * ocy[:, None, :]
-    disc = b * b - c0
-    ok = disc >= 0.0
-    sq = np.sqrt(np.where(ok, disc, 0.0))
-    near = -b - sq
-    far = -b + sq
-    # the two cases are exclusive: hit ahead, or origin inside the circle
-    return np.where(ok & (near >= 0.0), near, np.where(ok & (near < 0.0) & (far >= 0.0), 0.0, np.inf))
-
-
-def _ray_wall_exit(origins: np.ndarray, dirs: np.ndarray, half: float) -> np.ndarray:
-    """Distance at which each interior ray reaches the arena boundary."""
-    with np.errstate(divide="ignore"):
-        t_pos = (half - origins) / dirs
-        t_neg = (-half - origins) / dirs
-    t_all = np.where(dirs > 0.0, t_pos, np.where(dirs < 0.0, t_neg, np.inf))
-    return t_all.min(axis=1)
+    oc = state.prey_pos[worlds][:, :, None, :] - _circles(state, worlds)[:, None, :, :]  # (Wb, n, J, 2)
+    ocx, ocy = oc[..., 0], oc[..., 1]
+    c0 = ocx * ocx + ocy * ocy - state.circle_radii_sq
+    c0[:, state.own_circle[0], state.own_circle[1]] = np.inf  # no real root: the own body is never hit
+    b = dx[..., None] * ocx[:, :, None, :] + dy[..., None] * ocy[:, :, None, :]  # (Wb, n, K, J)
+    sq = np.sqrt(b * b - c0[:, :, None, :])  # NaN where the ray's line misses the circle
+    nb = -b
+    near = nb - sq
+    # hit ahead, else origin inside the circle, else a miss (NaN compares false)
+    t = np.where(near >= 0.0, near, np.where(nb + sq >= 0.0, 0.0, np.inf))
+    rows = t.reshape(-1, t.shape[-1])
+    j_best = rows.argmin(axis=1)
+    t_best = rows[np.arange(len(rows)), j_best].reshape(dx.shape)
+    j_best = j_best.reshape(dx.shape)
+    # the template reads HIT_NEGATIVE at every point; a positive one reads HIT_POSITIVE, one lower
+    polarity = state.point_positive[worlds]
+    no_points = np.zeros((len(polarity), rows.shape[1] - polarity.shape[1]), bool)
+    padded = np.concatenate((polarity, no_points), axis=1)
+    return t_best, state.circle_kinds[j_best] - padded[np.arange(len(padded))[:, None, None], j_best]
 
 
 def _raycast_rows(state: WorldState) -> tuple[np.ndarray, np.ndarray]:
@@ -619,62 +619,55 @@ def _raycast_rows(state: WorldState) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (one-hot kinds, normalized distances) of shape
     (W, n_prey, n_rays, N_HIT_KINDS) and (W, n_prey, n_rays). A ray tests only
-    its own world's bodies, minus its own prey's body.
+    its own world's bodies, minus its own prey's body. The arena is the last
+    slab: every prey lies strictly inside it, so a ray leaves it at its exit
+    parameter, where each barrier blocks a ray from its entry parameter.
     """
     cfg = state.config
     n_worlds, n = state.prey_heading.shape
-    n_rays = cfg.n_rays
-    per_world = n * n_rays
-    half_fov = cfg.ray_fov_degrees / 2.0
-    angles = state.prey_heading[..., None] + np.linspace(-half_fov, half_fov, n_rays)
-    dirs = _heading_vector(angles).reshape(-1, 2)
-    origins = np.repeat(state.prey_pos, n_rays, axis=1).reshape(-1, 2)
-
-    entry, exit_ = _slab_interval(origins, dirs, cfg)
-    t_barrier = np.where((entry <= exit_) & (exit_ >= 0.0), np.maximum(entry, 0.0), np.inf)
-    best_t = np.minimum(_ray_wall_exit(origins, dirs, cfg.half_side), t_barrier.min(axis=0, initial=np.inf))
-    best_kind = np.full(len(best_t), HIT_WALL, dtype=np.int64)  # arena walls and barriers alike
-
-    centers, radii, kinds = _circles(state, slice(None))
-    own = state.point_pos.shape[1] + np.arange(n)  # a prey's rays never hit its own body
-    dirs_by_prey = dirs.reshape(n_worlds * n, n_rays, 2)
-    prey_origins = state.prey_pos.reshape(n_worlds * n, 2)
-    for first in range(0, n_worlds, _RAY_BLOCK_WORLDS):
-        worlds = np.arange(first, min(first + _RAY_BLOCK_WORLDS, n_worlds))
-        prey = slice(first * n, (worlds[-1] + 1) * n)
-        rays = slice(first * per_world, (worlds[-1] + 1) * per_world)
-        world_of_prey = np.repeat(worlds, n)
-        t = _ray_circle_hits(prey_origins[prey], dirs_by_prey[prey], centers[world_of_prey], radii)
-        t[np.arange(len(t)), :, np.tile(own, len(worlds))] = np.inf
-        t = t.reshape(-1, t.shape[-1])
-        j_best = t.argmin(axis=1)
-        t_best = t[np.arange(len(t)), j_best]
-        closer = t_best < best_t[rays]
-        best_t[rays] = np.where(closer, t_best, best_t[rays])
-        best_kind[rays] = np.where(closer, kinds[np.repeat(world_of_prey, n_rays), j_best], best_kind[rays])
-
+    rad = np.deg2rad(state.prey_heading.reshape(-1, 1) + state.ray_offsets)  # (W * n, K)
+    dirs = np.empty((2, *rad.shape))
+    np.cos(rad, out=dirs[0])
+    np.sin(rad, out=dirs[1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        origins = state.prey_pos.reshape(-1, 2).T[..., None]
+        entry, exit_ = _slab_interval(state.slab_lo, state.slab_hi, origins, dirs)  # (B + 1, W * n, K)
+        t_rect = np.where((entry <= exit_) & (exit_ >= 0.0), np.maximum(entry, 0.0), np.inf)
+        t_rect[-1] = exit_[-1]
+        best_t = t_rect.min(axis=0).reshape(n_worlds, n, -1)
+        dirs = dirs.reshape(2, n_worlds, n, -1)
+        t_circle, kind = np.empty(best_t.shape), np.empty(best_t.shape, dtype=np.int64)
+        for first in range(0, n_worlds, _RAY_BLOCK_WORLDS):
+            worlds = slice(first, first + _RAY_BLOCK_WORLDS)
+            t_circle[worlds], kind[worlds] = _nearest_circles(state, worlds, dirs[0, worlds], dirs[1, worlds])
+    closer = t_circle < best_t
+    best_t = np.where(closer, t_circle, best_t)
     missed = best_t > cfg.ray_length
-    best_kind = np.where(missed, HIT_NOTHING, best_kind)
+    kind = np.where(missed, HIT_NOTHING, np.where(closer, kind, HIT_WALL))  # arena walls and barriers alike
     distance = np.where(missed, 1.0, best_t / cfg.ray_length)
-
-    onehot = np.zeros((len(best_t), N_HIT_KINDS))
-    onehot[np.arange(len(best_t)), best_kind] = 1.0
-    return onehot.reshape(n_worlds, n, n_rays, N_HIT_KINDS), distance.reshape(n_worlds, n, n_rays)
+    return kind[..., None] == _HIT_COLUMNS, distance
 
 
 def observe_all(state: WorldState) -> np.ndarray:
     """Every prey's observation of its world: the (W, n_prey, obs_dim) policy input."""
     onehot, distance = _raycast_rows(state)
-    ego = np.stack([state.prey_speed, state.prey_heading / 360.0], axis=-1)
-    return observation_matrix(onehot, distance, ego)
+    return observation_matrix(onehot, distance, (state.prey_speed, state.prey_heading / 360.0))
 
 
-def observation_matrix(onehot: np.ndarray, distance: np.ndarray, ego: np.ndarray) -> np.ndarray:
+def observation_matrix(onehot: np.ndarray, distance: np.ndarray, ego: tuple[np.ndarray, ...]) -> np.ndarray:
     """Pack per-ray (one-hot kind, distance) pairs, then the ego features, one row per prey.
 
-    Takes (..., n_rays, N_HIT_KINDS), (..., n_rays) and (..., N_EGO_FEATURES).
-    Row layout: for each ray, N_HIT_KINDS one-hot entries then its normalized
+    Takes (..., n_rays, N_HIT_KINDS), (..., n_rays) and the N_EGO_FEATURES
+    arrays (...), and writes them into one new (..., obs_dim) array. Row
+    layout: for each ray, N_HIT_KINDS one-hot entries then its normalized
     distance (1.0 when nothing was hit); then normalized speed and heading / 360.
     """
-    per_ray = np.concatenate([onehot, distance[..., None]], axis=-1)
-    return np.concatenate([per_ray.reshape(*per_ray.shape[:-2], -1), ego], axis=-1)
+    *lead, n_rays = distance.shape
+    width = n_rays * (N_HIT_KINDS + 1)
+    out = np.zeros((*lead, width + len(ego)))
+    per_ray = out[..., :width].reshape(*lead, n_rays, N_HIT_KINDS + 1)  # a view of out
+    per_ray[..., :N_HIT_KINDS] = onehot
+    per_ray[..., N_HIT_KINDS] = distance
+    for k, feature in enumerate(ego):
+        out[..., width + k] = feature
+    return out

@@ -139,6 +139,12 @@ class TestBadNumericInput:
             ("train", "seed = 18446744073709551616"),
             ("train", "num_layers = -1"),
             ("train", "hidden_units = 0"),
+            ("train", "gamma = 1.5"),
+            ("train", "gae_lambda = 2"),
+            ("train", "learning_rate = -0.001"),
+            ("train", "epsilon = -0.5"),
+            ("train", "beta = -1"),
+            ("train", "value_loss_coeff = -1"),
         ],
     )
     def test_config_value_exits_2_without_traceback(self, tmp_path, subcommand, line):
@@ -158,6 +164,17 @@ class TestBadNumericInput:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert flag[2:].replace("-", "_") in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--condition", "run#2"), ("--condition", "a\nb"), ("--checkpoint", " none.ckpt")]
+    )
+    def test_string_flag_a_config_file_cannot_carry_exits_2(self, tmp_path, flag, value):
+        argv = ["eval", "--checkpoint", "none.ckpt", flag, value, "-o", str(tmp_path / "out")]
+        proc = run_cli(argv, tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert flag[2:] in proc.stderr
         assert not (tmp_path / "out").exists()
 
     def test_predator_flag_typo_exits_2(self, tmp_path):

@@ -1,6 +1,7 @@
-"""Config files: the shipped examples parse, and write_resolved round-trips any valid config."""
+"""Config files: the shipped examples parse, and write_resolved round-trips any config that entry accepts."""
 
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from predprey.configio import (
     parse_scenario_config,
     write_resolved,
 )
+from predprey.errors import ConfigError
 from predprey.ppo import PpoHyperparams
 from predprey.train import ScenarioConfig
 from predprey.world import WorldConfig
@@ -46,9 +48,9 @@ def test_configs_directory_is_not_empty():
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=1e-3, max_value=1e3)
 small_count = st.integers(1, 12)
+unit = st.floats(0.0, 1.0)
+non_negative = st.floats(min_value=0.0, allow_infinity=False)
 seeds = st.integers(0, 2**64 - 1)
-# write_resolved does not quote strings, so a '#' or surrounding whitespace would not survive.
-labels = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789_./-", min_size=1, max_size=20)
 
 
 @st.composite
@@ -93,15 +95,15 @@ def hyperparams(draw):
     return PpoHyperparams(
         batch_size=batch_size,
         buffer_size=batch_size * draw(st.integers(1, 64)),
-        epsilon=draw(finite),
-        beta=draw(finite),
-        gamma=draw(finite),
-        gae_lambda=draw(finite),
+        epsilon=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        beta=draw(non_negative),
+        gamma=draw(unit),
+        gae_lambda=draw(unit),
         num_epoch=draw(small_count),
         time_horizon=draw(st.integers(1, 4096)),
-        learning_rate=draw(finite),
+        learning_rate=draw(non_negative),
         max_steps=draw(st.integers(1, 10**18)),
-        value_loss_coeff=draw(finite),
+        value_loss_coeff=draw(non_negative),
         summary_freq=draw(st.integers(1, 10**18)),
     )
 
@@ -121,18 +123,34 @@ def scenario_configs(draw):
     )
 
 
+STRING_KEYS = ("checkpoint", "condition_id")
+
+
 @st.composite
-def eval_configs(draw):
-    return EvalConfig(
-        checkpoint=draw(st.none() | labels),
+def eval_fields(draw):
+    """EvalConfig keyword arguments, its strings drawn from any text."""
+    return dict(
+        checkpoint=draw(st.none() | st.text()),
         world=draw(world_configs()),
         n_runs=draw(st.integers(2, 1000)),
         duration=draw(st.integers(1, 10**12)),
         greedy=draw(st.booleans()),
         seed=draw(seeds),
-        condition_id=draw(labels),
+        condition_id=draw(st.text()),
         log_points=draw(st.booleans()),
     )
+
+
+def survives_a_config_file(key: str, value: str, tmp_path) -> bool:
+    """Whether a default eval config holding this string, set past the entry check, parses back equal."""
+    cfg = EvalConfig()
+    setattr(cfg, key, value)
+    path = tmp_path / "probe.txt"
+    write_resolved(cfg, path)
+    try:
+        return parse_eval_config(path)[0] == cfg
+    except ConfigError:
+        return False
 
 
 def sci_notation(text: str) -> str:
@@ -166,9 +184,27 @@ def test_scenario_config_round_trip(cfg, tmp_path):
 
 
 @round_trip_settings
-@given(cfg=eval_configs())
-def test_eval_config_round_trip(cfg, tmp_path):
+@given(kwargs=eval_fields())
+def test_eval_config_round_trip(kwargs, tmp_path):
+    # entry rejects exactly the strings a resolved config file would change
+    try:
+        cfg = EvalConfig(**kwargs)
+    except ConfigError:
+        assert not all(survives_a_config_file(k, kwargs[k], tmp_path) for k in STRING_KEYS if kwargs[k] is not None)
+        return
     assert_round_trip(cfg, parse_eval_config, tmp_path)
+    for key in STRING_KEYS:  # the --checkpoint and --condition flags enter through the same check
+        assert parse_eval_config(overrides={key: kwargs[key]})[0] == replace(EvalConfig(), **{key: kwargs[key]})
+
+
+@pytest.mark.parametrize("value", ["run#2", " a.ckpt", "a.ckpt ", "a\nb", "a\rb", "a\x1cb", "\t"])
+def test_strings_a_config_file_cannot_carry_are_rejected(value, tmp_path):
+    for key in STRING_KEYS:
+        assert not survives_a_config_file(key, value, tmp_path)
+        with pytest.raises(ConfigError, match=key):
+            EvalConfig(**{key: value})
+        with pytest.raises(ConfigError, match=key):
+            parse_eval_config(overrides={key: value})
 
 
 def test_sci_notation_rewrites_every_sci_int_key(tmp_path):

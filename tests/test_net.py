@@ -17,7 +17,6 @@ from predprey.net import (
     log_softmax,
     lr_at,
     save_checkpoint,
-    softmax,
     trunk,
     zeros_like_params,
 )
@@ -59,7 +58,7 @@ class TestForward:
         logits, value = forward(net, np.ones(4))
         assert np.all(logits == 0.0)
         assert value == 0.0
-        assert np.allclose(softmax(logits), 0.5)
+        assert np.allclose(np.exp(log_softmax(logits)), 0.5)
 
     def test_identity_single_layer_passes_observation_through(self):
         # No hidden layers: the policy head is applied straight to the input.
@@ -255,11 +254,12 @@ class TestCategoricalHelpers:
         rng = np.random.default_rng(5)
         for _ in range(200):
             logits = rng.normal(scale=rng.uniform(0.1, 30.0), size=rng.integers(2, 9))
-            assert abs(softmax(logits).sum() - 1.0) < 1e-9
+            assert abs(np.exp(log_softmax(logits)).sum() - 1.0) < 1e-9
 
     def test_log_softmax_consistency(self):
         logits = np.array([1.0, 2.0, 3.0])
-        assert np.allclose(np.exp(log_softmax(logits)), softmax(logits), atol=1e-15)
+        plain = np.exp(logits) / np.exp(logits).sum()  # textbook softmax
+        assert np.allclose(np.exp(log_softmax(logits)), plain, atol=1e-15)
 
 
 class TestCheckpoint:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from predprey.errors import ConfigError, ContractViolation, InputError, NumericsError, StructuralError
-from predprey.net import AdamState, forward, init_net, log_softmax, softmax
+from predprey.net import AdamState, forward, init_net, log_softmax
 from predprey.ppo import (
     ActorWorlds,
     PpoHyperparams,
@@ -501,7 +501,7 @@ class TestPpoUpdate:
             )
             ppo_update(net, adam, buf, hp, lr=0.01, rng=rng)
         logits, _ = forward(net, obs1)
-        assert softmax(logits)[0] > 0.9
+        assert np.exp(log_softmax(logits))[0] > 0.9
 
 
 class TestSampleActions:
@@ -527,6 +527,6 @@ class TestSampleActions:
         obs = np.tile(np.array([0.5, -0.5]), (20000, 1))
         actions, _, _ = sample_actions(net, obs, np.random.default_rng(42).random(len(obs)))
         logits, _ = forward(net, obs[0])
-        p = softmax(logits)
+        p = np.exp(log_softmax(logits))
         freq = np.bincount(actions, minlength=3) / len(actions)
         assert np.abs(freq - p).max() < 0.02

@@ -382,6 +382,70 @@ class TestRayCast:
             assert distance[w, 0, fi] == pytest.approx((d - cfg.point_radius) / cfg.ray_length, abs=1e-10)
 
 
+    def test_ray_along_an_axis(self):
+        # heading 0 makes the middle ray's y component exactly 0.0, so the y slab divides by zero
+        cfg = WorldConfig(predator_present=False)
+        x0, y0, x1, y1 = cfg.barrier_layout[1]
+        fi = cfg.n_rays // 2
+        # strictly inside the barrier's y band: blocked at its near face; level with a face: grazes past it
+        for y, hit_at in ((0.0, x0), (y1 - 0.01, x0), (y1, cfg.half_side), (y0, cfg.half_side), (y1 + 0.01, cfg.half_side)):
+            onehot, distance = rays(make_state(cfg, prey_specs=[((0.0, y), 0.0)]), 0)
+            assert onehot[fi, HIT_WALL] == 1.0
+            assert distance[fi] == hit_at / cfg.ray_length
+
+    def test_ray_origin_on_inflated_barrier_face(self):
+        # a body stops on the barrier inflated by its radius, one radius from the barrier
+        cfg = WorldConfig(predator_present=False)
+        x0, y0, x1, y1 = cfg.barrier_layout[1]
+        r, fi = cfg.prey_radius, cfg.n_rays // 2
+        cases = [
+            (((x0 - r, 0.0), 0.0), x0 - (x0 - r)),  # left face, looking +x
+            (((x1 + r, 0.0), 180.0), (x1 + r) - x1),  # right face, looking -x
+            ((((x0 + x1) / 2.0, y1 + r), 270.0), (y1 + r) - y1),  # top face, looking -y
+        ]
+        for spec, t in cases:
+            onehot, distance = rays(make_state(cfg, prey_specs=[spec]), 0)
+            assert onehot[fi, HIT_WALL] == 1.0
+            assert distance[fi] == t / cfg.ray_length
+        # along the inflated top face, looking +x: the ray passes one radius above the barrier
+        onehot, distance = rays(make_state(cfg, prey_specs=[((0.0, y1 + r), 0.0)]), 0)
+        assert distance[fi] == cfg.half_side / cfg.ray_length
+
+    def test_prey_inside_a_point_sees_it_at_distance_zero(self):
+        cfg = WorldConfig(predator_present=False, barrier_layout=())
+        for polarity, kind in (("positive", HIT_POSITIVE), ("negative", HIT_NEGATIVE)):
+            points = [((3.0, 3.0), "negative"), ((1.1, 1.05), polarity)]  # the second holds the prey's center
+            onehot, distance = rays(make_state(cfg, prey_specs=[((1.0, 1.0), 30.0)], points=points), 0)
+            assert np.all(onehot[:, kind] == 1.0)
+            assert np.all(distance == 0.0)
+
+    def test_states_of_different_configs_keep_their_own_constants(self):
+        # point counts, predator presence, n_rays and barriers all differ; each state casts with its own
+        cfg_a = WorldConfig(barrier_layout=())
+        cfg_b = WorldConfig(
+            predator_present=False, n_rays=5, ray_fov_degrees=90.0, barrier_layout=((1.0, -1.0, 2.0, 1.0),)
+        )
+        a = make_state(
+            cfg_a,
+            prey_specs=[((-4.0, 0.0), 0.0)],
+            predator_spec=((-1.0, 0.0), 90.0),
+            points=[((-4.0, 2.0), "positive"), ((3.0, 3.0), "negative")],
+        )
+        b = make_state(cfg_b, prey_specs=[((-4.0, 0.0), 0.0), ((-4.0, -3.0), 90.0)], points=[((-4.0, -1.0), "positive")])
+        first_a = observe_all(a)
+        obs_b = observe_all(b)
+        assert np.array_equal(observe_all(a), first_a)
+        assert first_a.shape == (1, 1, cfg_a.obs_dim) and obs_b.shape == (1, 2, cfg_b.obs_dim)
+        onehot, distance = rays(a, 0)
+        assert onehot[cfg_a.n_rays // 2, HIT_PREDATOR] == 1.0
+        assert distance[cfg_a.n_rays // 2] == pytest.approx((3.0 - cfg_a.predator_radius) / cfg_a.ray_length, abs=1e-12)
+        onehot, distance = rays(b, 0)
+        assert onehot[2, HIT_WALL] == 1.0 and distance[2] == 5.0 / cfg_b.ray_length
+        onehot, distance = rays(b, 1)
+        assert onehot[2, HIT_POSITIVE] == 1.0
+        assert distance[2] == pytest.approx((2.0 - cfg_b.point_radius) / cfg_b.ray_length, abs=1e-12)
+
+
 class TestPredatorVision:
     def test_prey_dead_ahead_inside_cone(self):
         cfg = WorldConfig(barrier_layout=())
