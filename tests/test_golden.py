@@ -1,4 +1,4 @@
-"""Pinned determinism: sha256 digests of a scripted world, tiny training runs and a tiny eval.
+"""Pinned determinism: sha256 digests of a scripted world, tiny training runs, a tiny eval and its analysis.
 
 The expected digests live in golden_digests.json. A change that alters any of
 them changes the program's deterministic output and must say so. To print the
@@ -77,6 +77,30 @@ def eval_digests(out_dir: Path) -> dict[str, str]:
     }
 
 
+# The arena's walls, as an explicit heatmap extent.
+ARENA_EXTENT = ["-5.11", "5.11", "-5.11", "5.11"]
+
+
+def analysis_digests(result: Path) -> dict[str, str]:
+    """Heatmaps and a replay window of the tiny eval's trajectory, through the CLI.
+
+    The prey heatmap takes Scott's bandwidth and the default extent, the predator
+    heatmap an explicit one; the replay window holds point rows and a tick with two events.
+    """
+    traj = str(result / "trajectory.csv")
+    prey, predator, replay = (result.parent / name for name in ("heatmap-prey", "heatmap-predator", "replay"))
+    assert main(["heatmap", "--trajectory", traj, "-o", str(prey)]) == 0
+    argv = ["heatmap", "--trajectory", traj, "--entity-kind", "predator", "--extent", *ARENA_EXTENT, "-o", str(predator)]
+    assert main(argv) == 0
+    assert main(["replay-export", "--trajectory", traj, "--run", "0", "--ticks", "20", "30", "-o", str(replay)]) == 0
+    return {
+        "heatmap_prey_occupancy_txt": file_sha256(prey / "occupancy.txt"),
+        "heatmap_prey_occupancy_pgm": file_sha256(prey / "occupancy.pgm"),
+        "heatmap_predator_occupancy_txt": file_sha256(predator / "occupancy.txt"),
+        "replay_run0_20_30_txt": file_sha256(replay / "replay_run0_20_30.txt"),
+    }
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN_PATH.read_text())
@@ -105,6 +129,15 @@ def test_tiny_eval_outputs(golden, tmp_path):
     assert got == {k: golden[k] for k in got}
 
 
+def test_tiny_eval_analysis_outputs(golden, tmp_path):
+    eval_digests(tmp_path)
+    got = analysis_digests(tmp_path / "result")
+    replay = (tmp_path / "replay" / "replay_run0_20_30.txt").read_text()
+    for needle in ("point_positive", "point_negative", "event positive_collected prey=3", "event prey_caught prey=3"):
+        assert needle in replay, needle
+    assert got == {k: golden[k] for k in got}
+
+
 if __name__ == "__main__":
     import contextlib
     import tempfile
@@ -114,4 +147,5 @@ if __name__ == "__main__":
         digests.update(train_digests(Path(tmp) / "train"))
         digests.update(train_digests(Path(tmp) / "train2", "train_2_worlds", **TWO_WORLDS))
         digests.update(eval_digests(Path(tmp) / "eval"))
+        digests.update(analysis_digests(Path(tmp) / "eval" / "result"))
     print(json.dumps(digests, indent=2))
