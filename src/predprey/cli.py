@@ -19,6 +19,7 @@ import numpy as np
 
 from .configio import parse_bool, parse_eval_config, parse_scenario_config, write_resolved
 from .errors import CheckpointError, ConfigError, NumericsError, PredpreyError
+from .net import atomic_open
 from .stats import (
     evaluate_condition,
     kde_occupancy,
@@ -192,7 +193,8 @@ def _cmd_replay_export(args) -> int:
     out = _prepare_out_dir(args, "replay")
     _snapshot_args(args, out, ("trajectory", "run", "ticks"))
     path = out / f"replay_run{args.run}_{args.ticks[0]}_{args.ticks[1]}.txt"
-    path.write_text(text)
+    with atomic_open(path, "w") as fh:
+        fh.write(text)
     print(f"wrote {path}")
     return 0
 

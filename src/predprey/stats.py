@@ -6,7 +6,9 @@ measure (+1 per positive point, -0.2 per negative point, -1 per catch), and
 compares conditions with a one-way ANOVA and Cohen's d. Occupancy heatmaps
 come from a boundary-renormalized Gaussian kernel density over logged
 positions: each sample deposits exactly unit mass inside the grid, so the
-grid integrates to the sample count.
+grid integrates to the sample count. The kernel's cell integrals take erf only
+where it is not saturated: scipy's erf is exactly +-1.0 from |z| = 5.9216 on,
+so every |z| >= 6 takes its sign, which gives the same bits as erf itself.
 """
 
 from __future__ import annotations
@@ -342,6 +344,19 @@ class KdeGrid:
         return ((xmax - xmin) / w) * ((ymax - ymin) / h)
 
 
+# scipy's erf returns exactly +-1.0 for every |z| >= 5.9216 (measured on a dense grid of
+# |z| in [6, 40] and at +-inf); from this bound on, _erf writes the sign instead.
+_ERF_SATURATED = 6.0
+
+
+def _erf(z: np.ndarray) -> np.ndarray:
+    """scipy's erf, evaluated only where it is not saturated at +-1."""
+    out = np.sign(z)
+    live = np.abs(z) < _ERF_SATURATED
+    out[live] = erf(z[live])
+    return out
+
+
 def scott_bandwidth(positions: np.ndarray) -> float:
     """Scott's rule for 2D data with a pooled per-axis sample spread."""
     n = len(positions)
@@ -372,10 +387,12 @@ def kde_occupancy(
         raise InputError(f"no trajectory samples for entity kind {entity_kind!r}")
     if positions.ndim != 2 or positions.shape[1] != 2:
         raise StructuralError(f"positions must be (n, 2), got {positions.shape}")
+    if not np.isfinite(positions).all():
+        raise InputError(f"non-finite {entity_kind} position")
     if bandwidth is None:
         bandwidth = scott_bandwidth(positions)
-    if bandwidth <= 0:
-        raise InputError(f"bandwidth must be positive, got {bandwidth}")
+    if not (bandwidth > 0 and math.isfinite(bandwidth)):
+        raise InputError(f"bandwidth must be positive and finite, got {bandwidth}")
     if extent is None:
         extent = (
             float(positions[:, 0].min()),
@@ -384,8 +401,8 @@ def kde_occupancy(
             float(positions[:, 1].max()),
         )
     xmin, xmax, ymin, ymax = extent
-    if not (xmax > xmin and ymax > ymin):
-        raise InputError(f"degenerate extent {extent}")
+    if not (np.isfinite(extent).all() and xmax > xmin and ymax > ymin):
+        raise InputError(f"degenerate or non-finite extent {extent}")
     w, h = grid_dims
     x_edges = np.linspace(xmin, xmax, w + 1)
     y_edges = np.linspace(ymin, ymax, h + 1)
@@ -394,9 +411,9 @@ def kde_occupancy(
 
     def cell_masses(edges, coords, lo, hi):
         # kernel at the sample plus its two boundary reflections
-        cdf = 0.5 * (1.0 + erf((edges[None, :] - coords) / scale))
-        cdf += 0.5 * (1.0 + erf((edges[None, :] - (2.0 * lo - coords)) / scale))
-        cdf += 0.5 * (1.0 + erf((edges[None, :] - (2.0 * hi - coords)) / scale))
+        cdf = 0.5 * (1.0 + _erf((edges[None, :] - coords) / scale))
+        cdf += 0.5 * (1.0 + _erf((edges[None, :] - (2.0 * lo - coords)) / scale))
+        cdf += 0.5 * (1.0 + _erf((edges[None, :] - (2.0 * hi - coords)) / scale))
         return np.diff(cdf, axis=1)
 
     mass = np.zeros((w, h))
@@ -424,7 +441,8 @@ def write_grid_text(kde: KdeGrid, path) -> None:
         f"entity_kind={kde.entity_kind} bandwidth={kde.bandwidth!r} "
         f"extent={kde.extent} n_samples={kde.n_samples} layout=rows-are-x"
     )
-    np.savetxt(path, kde.grid, header=header)
+    with atomic_open(path, "w") as fh:
+        np.savetxt(fh, kde.grid, header=header)
 
 
 def write_grid_pgm(kde: KdeGrid, path) -> None:
@@ -434,7 +452,7 @@ def write_grid_pgm(kde: KdeGrid, path) -> None:
     if top > 0:
         pixels = np.rint(255.0 * kde.grid / top).astype(np.int64)
     raster = pixels.T[::-1]  # (H, W), y flipped for image orientation
-    with open(path, "w") as fh:
+    with atomic_open(path, "w") as fh:
         fh.write(f"P2\n{raster.shape[1]} {raster.shape[0]}\n255\n")
         for row in raster:
             fh.write(" ".join(str(v) for v in row) + "\n")

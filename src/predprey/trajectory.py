@@ -5,11 +5,20 @@ Schema (one row per entity per tick):
 entity_kind is one of prey, predator, point_positive, point_negative. The
 event column is empty except on prey rows whose prey emitted events that
 tick; multiple events are joined with ';'.
+
+The reader takes the file in bulk with numpy's C parser: one pass over the six
+numeric columns and one per string column, each landing in a contiguous
+array. Fields are unquoted, as the writer writes them, and lines may end in
+CRLF or LF; blank lines are skipped. A file whose first line is not the exact
+header, a row without exactly eight fields, an id or tick that is not an
+integer, and a non-finite x, y or heading are refused with InputError naming
+the file.
 """
 
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +29,14 @@ from .world import Event, WorldState
 CSV_HEADER = ["run_id", "tick", "entity_kind", "entity_id", "x", "y", "heading", "event"]
 
 ALL_KINDS = ("prey", "predator", "points")
+
+# The reader's one pass over the numeric columns fills this record type.
+_NUMERIC_DTYPE = np.dtype(
+    [(name, np.int64) for name in ("run_id", "tick", "entity_id")]
+    + [(name, np.float64) for name in ("x", "y", "heading")]
+)
+_NUMERIC_COLUMNS = tuple(CSV_HEADER.index(name) for name in _NUMERIC_DTYPE.names)
+_STRING_COLUMNS = tuple(CSV_HEADER.index(name) for name in ("entity_kind", "event"))
 
 
 class TrajectoryWriter:
@@ -78,25 +95,34 @@ class TrajectoryTable:
 
     @classmethod
     def from_csv(cls, path) -> "TrajectoryTable":
-        cols: list[list] = [[] for _ in CSV_HEADER]
+        """Read a trajectory CSV in bulk; the module docstring says what it refuses."""
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
+            header = next(csv.reader(fh), None)
             if header != CSV_HEADER:
                 raise InputError(f"{path}: expected trajectory header {CSV_HEADER}, got {header}")
-            for row in reader:
-                for col, value in zip(cols, row):
-                    col.append(value)
-        return cls(
-            run_id=np.array(cols[0], dtype=np.int64),
-            tick=np.array(cols[1], dtype=np.int64),
-            entity_kind=np.array(cols[2], dtype=str),
-            entity_id=np.array(cols[3], dtype=np.int64),
-            x=np.array(cols[4], dtype=np.float64),
-            y=np.array(cols[5], dtype=np.float64),
-            heading=np.array(cols[6], dtype=np.float64),
-            event=np.array(cols[7], dtype=str),
-        )
+            n_commas = fh.read().count(",")
+        columns = {}
+        # numpy warns on a file without data rows and on blank lines; both are fine here
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            try:
+                for i in _STRING_COLUMNS:
+                    columns[CSV_HEADER[i]] = _load(path, dtype=str, usecols=i)
+                numeric = _load(path, dtype=_NUMERIC_DTYPE, usecols=_NUMERIC_COLUMNS)
+            except ValueError as exc:
+                raise InputError(f"{path}: malformed trajectory row: {exc}") from None
+        # every row has at least eight fields, or the event pass failed; so seven commas
+        # per row means that every row has exactly eight
+        if n_commas != (len(CSV_HEADER) - 1) * len(numeric):
+            with open(path, newline="") as fh:
+                line = next(n for n, row in enumerate(fh, start=1) if row.count(",") >= len(CSV_HEADER))
+            raise InputError(f"{path}: line {line} has more than {len(CSV_HEADER)} fields")
+        for name in _NUMERIC_DTYPE.names:
+            columns[name] = np.ascontiguousarray(numeric[name])
+        finite = np.isfinite(columns["x"]) & np.isfinite(columns["y"]) & np.isfinite(columns["heading"])
+        if not finite.all():
+            raise InputError(f"{path}: non-finite x, y or heading in data row {int(np.argmin(finite))} (from 0)")
+        return cls(**columns)
 
     def positions(self, entity_kind: str) -> np.ndarray:
         """(n, 2) positions of all rows of one entity kind, across every run."""
@@ -105,6 +131,11 @@ class TrajectoryTable:
 
     def runs(self) -> np.ndarray:
         return np.unique(self.run_id)
+
+
+def _load(path, dtype, usecols) -> np.ndarray:
+    """The data rows' `usecols` columns in one pass of numpy's C reader."""
+    return np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, skiprows=1, usecols=usecols, ndmin=1)
 
 
 def replay_export(table: TrajectoryTable, run_id: int, tick_range: tuple[int, int]) -> str:

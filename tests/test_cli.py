@@ -191,6 +191,66 @@ class TestBadNumericInput:
             parse_bool("ture")
 
 
+TRAJECTORY_HEAD = (
+    "run_id,tick,entity_kind,entity_id,x,y,heading,event\r\n"
+    "0,0,prey,0,1.0,2.0,90.0,\r\n0,0,predator,0,-1.0,-2.0,45.0,\r\n"
+    "0,1,prey,0,1.5,2.5,91.0,positive_collected\r\n0,1,predator,0,-1.5,-2.5,46.0,\r\n"
+)
+ANALYSIS_COMMANDS = {
+    "heatmap": ["heatmap", "--extent", "-5", "5", "-5", "5"],
+    "replay-export": ["replay-export", "--run", "0", "--ticks", "0", "1"],
+}
+
+
+class TestBadTrajectoryInput:
+    @pytest.mark.parametrize("subcommand", sorted(ANALYSIS_COMMANDS))
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "0,2,prey,0,1.0,2.0,90.0",  # seven fields
+            "0,2,prey,0,1.0,2.0,90.0,,extra",  # nine fields
+            "0,2,prey,0,abc,2.0,90.0,",
+            "0,2.5,prey,0,1.0,2.0,90.0,",
+            "0,2,prey,x,1.0,2.0,90.0,",
+            "0,2,prey,0,nan,2.0,90.0,",
+            "0,2,prey,0,1.0,inf,90.0,",
+            "0,2,prey,0,1.0,2.0,nan,",
+        ],
+    )
+    def test_malformed_row_exits_2_without_traceback(self, tmp_path, subcommand, row):
+        traj = tmp_path / "traj.csv"
+        traj.write_text(TRAJECTORY_HEAD + row + "\r\n", newline="")
+        argv = [*ANALYSIS_COMMANDS[subcommand], "--trajectory", str(traj), "-o", str(tmp_path / "out")]
+        proc = run_cli(argv, tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert str(traj) in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("subcommand", sorted(ANALYSIS_COMMANDS))
+    def test_well_formed_head_is_accepted(self, tmp_path, subcommand):
+        traj = tmp_path / "traj.csv"
+        traj.write_text(TRAJECTORY_HEAD, newline="")
+        assert main([*ANALYSIS_COMMANDS[subcommand], "--trajectory", str(traj), "-o", str(tmp_path / "out")]) == 0
+
+    def test_failed_replay_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        import predprey.net as net_module
+        from tests_support import HalfWrite
+
+        traj = tmp_path / "traj.csv"
+        traj.write_text(TRAJECTORY_HEAD, newline="")
+        out = tmp_path / "out"
+        argv = ["replay-export", "--trajectory", str(traj), "--run", "0", "--ticks", "0", "1", "-o", str(out)]
+        assert main(argv) == 0
+        before = (out / "replay_run0_0_1.txt").read_bytes()
+        traj.write_text(TRAJECTORY_HEAD.replace("1.5,2.5", "1.75,2.5"), newline="")
+        monkeypatch.setattr(net_module, "open", HalfWrite, raising=False)
+        assert main(argv) == 4
+        monkeypatch.undo()
+        assert (out / "replay_run0_0_1.txt").read_bytes() == before
+        assert sorted(p.name for p in out.iterdir()) == ["build.txt", "replay_run0_0_1.txt", "resolved_config.txt"]
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """Train a tiny model once and reuse it for the downstream subcommands."""

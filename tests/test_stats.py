@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 
-from predprey.errors import InputError, StructuralError
+import predprey.stats as stats_module
+from predprey.errors import InputError, NumericsError, StructuralError
 from predprey.net import init_net
 from predprey.stats import (
     RunRecord,
@@ -24,7 +26,7 @@ from predprey.stats import (
 )
 from predprey.trajectory import TrajectoryTable
 from predprey.world import WorldConfig
-from tests_support import HalfWrite
+from tests_support import HalfWrite, full_erf_kde_grid
 
 
 def group_with_moments(mean, sd, n=50):
@@ -293,6 +295,110 @@ class TestAtomicCsv:
         monkeypatch.undo()
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def grid_kde(k):
+    """A small KDE grid whose values depend on k."""
+    rng = np.random.default_rng(35)
+    return kde_occupancy(rng.uniform(-1, 1, size=(50, 2)), "prey", bandwidth=0.1 * k, grid_dims=(8, 6), extent=(-1, 1, -1, 1))
+
+
+GRID_WRITERS = {
+    "grid_text": lambda path, k: write_grid_text(grid_kde(k), path),
+    "grid_pgm": lambda path, k: write_grid_pgm(grid_kde(k), path),
+}
+
+
+class TestAtomicGrids:
+    @pytest.mark.parametrize("kind", sorted(GRID_WRITERS))
+    def test_failed_write_keeps_previous_file(self, kind, tmp_path, monkeypatch):
+        import predprey.net as net_module
+
+        path = tmp_path / "grid.out"
+        GRID_WRITERS[kind](path, 1.0)
+        before = path.read_bytes()
+        monkeypatch.setattr(net_module, "open", HalfWrite, raising=False)
+        with pytest.raises(OSError):
+            GRID_WRITERS[kind](path, 2.0)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["grid.out"]
+
+
+class TestErfSaturation:
+    def test_scipy_erf_is_exactly_one_from_the_bound_on(self):
+        # the premise of _erf: every |z| >= _ERF_SATURATED gives exactly +-1.0
+        z = np.concatenate(
+            [np.linspace(stats_module._ERF_SATURATED, 40.0, 2_000_001), np.geomspace(40.0, 1e308, 1001), [np.inf]]
+        )
+        assert np.all(scipy.special.erf(z) == 1.0)
+        assert np.all(scipy.special.erf(-z) == -1.0)
+
+    def test_helper_matches_erf_bitwise(self):
+        rng = np.random.default_rng(36)
+        z = np.concatenate([rng.normal(0.0, 8.0, size=100_000), [0.0, -0.0, 6.0, -6.0, np.nextafter(6.0, 0.0), 1e300]])
+        z = np.concatenate([z, -z]).reshape(2, -1)
+        assert stats_module._erf(z).tobytes() == scipy.special.erf(z).tobytes()
+
+
+def kde_cases():
+    """(positions, bandwidth, extent) per case: edges, near edges, outside, tiny and huge bandwidths, chunk sizes."""
+    rng = np.random.default_rng(37)
+    extent = (-2.0, 3.0, -1.5, 1.5)
+    edges = np.array([[-2.0, -1.5], [3.0, 1.5], [-2.0, 1.5], [3.0, -1.5], [0.5, -1.5], [-2.0, 0.0]])
+    near = np.nextafter(edges, np.array([0.5, 0.0]))
+    outside = np.array([[-2.3, 0.0], [3.4, 1.0], [0.0, -1.9], [3.2, 1.7]])
+    cases = [
+        ("edges", edges, 0.3),
+        ("near_edges", near, 0.3),
+        ("outside", outside, 0.5),
+        ("edges_tiny_bandwidth", np.vstack([edges, near]), 1e-9),
+        ("huge_bandwidth", rng.uniform(-2.0, 3.0, size=(40, 2)), 1e6),
+    ]
+    for n in (1, 1023, 1024, 1025):
+        cases.append((f"n{n}", rng.uniform((-2.5, -2.0), (3.5, 2.0), size=(n, 2)), 0.4))
+    return [pytest.param(pos, bw, extent, id=label) for label, pos, bw in cases]
+
+
+class TestKdeMatchesFullErfOracle:
+    @pytest.mark.parametrize("positions, bandwidth, extent", kde_cases())
+    def test_grid_bits(self, positions, bandwidth, extent):
+        kde = kde_occupancy(positions, "prey", bandwidth=bandwidth, grid_dims=(24, 16), extent=extent)
+        assert kde.grid.tobytes() == full_erf_kde_grid(positions, bandwidth, (24, 16), extent).tobytes()
+
+    def test_default_bandwidth_and_extent(self):
+        pos = np.random.default_rng(38).normal(size=(700, 2))
+        kde = kde_occupancy(pos, "prey")
+        assert kde.grid.tobytes() == full_erf_kde_grid(pos, kde.bandwidth, (64, 64), kde.extent).tobytes()
+
+    def test_sample_without_mass_in_the_grid(self):
+        pos = np.array([[0.0, 0.0], [50.0, 0.0]])
+        with pytest.raises(ZeroDivisionError):
+            full_erf_kde_grid(pos, 0.1, (8, 8), (-1, 1, -1, 1))
+        with pytest.raises(NumericsError):
+            kde_occupancy(pos, "prey", bandwidth=0.1, grid_dims=(8, 8), extent=(-1, 1, -1, 1))
+
+
+class TestKdeRejectsNonFinite:
+    @pytest.mark.parametrize(
+        "positions, bandwidth, extent",
+        [
+            ([[0.0, 0.0], [np.nan, 0.5]], 0.5, (-1, 1, -1, 1)),
+            ([[0.0, 0.0], [0.5, np.inf]], 0.5, (-1, 1, -1, 1)),
+            ([[0.0, 0.0], [0.5, 0.5]], np.nan, (-1, 1, -1, 1)),
+            ([[0.0, 0.0], [0.5, 0.5]], np.inf, (-1, 1, -1, 1)),
+            ([[0.0, 0.0], [0.5, 0.5]], 0.5, (-np.inf, 1, -1, 1)),
+            ([[0.0, 0.0], [0.5, 0.5]], 0.5, (-1, 1, -1, np.nan)),
+            ([[np.nan, 0.0], [0.5, 0.5]], None, None),
+        ],
+    )
+    def test_input_error_before_any_erf(self, monkeypatch, positions, bandwidth, extent):
+        def no_erf(z):
+            raise AssertionError("erf ran on a rejected input")
+
+        monkeypatch.setattr(stats_module, "erf", no_erf)
+        with pytest.raises(InputError):
+            kde_occupancy(np.array(positions), "prey", bandwidth=bandwidth, grid_dims=(8, 8), extent=extent)
 
 
 class TestKde:

@@ -1,11 +1,15 @@
-"""Shared helpers: hand-placed world states, world stacking, the independent vision oracle and a failing file."""
+"""Shared helpers: hand-placed world states, world stacking, the independent vision, trajectory-reader
+and KDE oracles, and a failing file."""
 
 import copy
+import csv
 import math
 from dataclasses import fields
 
 import numpy as np
+from scipy.special import erf
 
+from predprey.trajectory import CSV_HEADER, TrajectoryTable
 from predprey.world import PredatorState, WorldConfig, WorldState
 
 
@@ -130,3 +134,51 @@ class HalfWrite:
     def write(self, data):
         self.fh.write(data[: len(data) // 2])
         raise OSError("no space left on device")
+
+
+def csv_reader_table(path) -> TrajectoryTable:
+    """Reader oracle: one csv.reader pass appending every field to a Python list per column."""
+    cols: list[list] = [[] for _ in CSV_HEADER]
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        assert next(reader, None) == CSV_HEADER
+        for row in reader:
+            for col, value in zip(cols, row):
+                col.append(value)
+    return TrajectoryTable(
+        run_id=np.array(cols[0], dtype=np.int64),
+        tick=np.array(cols[1], dtype=np.int64),
+        entity_kind=np.array(cols[2], dtype=str),
+        entity_id=np.array(cols[3], dtype=np.int64),
+        x=np.array(cols[4], dtype=np.float64),
+        y=np.array(cols[5], dtype=np.float64),
+        heading=np.array(cols[6], dtype=np.float64),
+        event=np.array(cols[7], dtype=str),
+    )
+
+
+def full_erf_kde_grid(positions, bandwidth, grid_dims, extent) -> np.ndarray:
+    """KDE oracle: the occupancy grid with erf evaluated at every edge of every sample and reflection."""
+    xmin, xmax, ymin, ymax = extent
+    w, h = grid_dims
+    x_edges = np.linspace(xmin, xmax, w + 1)
+    y_edges = np.linspace(ymin, ymax, h + 1)
+    scale = bandwidth * math.sqrt(2.0)
+
+    def cell_masses(edges, coords, lo, hi):
+        cdf = 0.5 * (1.0 + erf((edges[None, :] - coords) / scale))
+        cdf += 0.5 * (1.0 + erf((edges[None, :] - (2.0 * lo - coords)) / scale))
+        cdf += 0.5 * (1.0 + erf((edges[None, :] - (2.0 * hi - coords)) / scale))
+        return np.diff(cdf, axis=1)
+
+    mass = np.zeros((w, h))
+    for start in range(0, len(positions), 1024):
+        chunk = positions[start : start + 1024]
+        px = cell_masses(x_edges, chunk[:, 0:1], xmin, xmax)
+        py = cell_masses(y_edges, chunk[:, 1:2], ymin, ymax)
+        in_grid = px.sum(axis=1) * py.sum(axis=1)
+        if np.any(in_grid <= 0.0):
+            raise ZeroDivisionError("a sample carries no mass inside the grid extent")
+        mass += (px / in_grid[:, None]).T @ py
+    cell_area = ((xmax - xmin) / w) * ((ymax - ymin) / h)
+    return mass / cell_area
