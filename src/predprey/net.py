@@ -13,6 +13,7 @@ value head (W, b). Weight matrices are (fan_in, fan_out), applied as
 
 from __future__ import annotations
 
+import csv
 import os
 import struct
 import zlib
@@ -423,6 +424,28 @@ def atomic_open(path, mode: str = "w", **kwargs):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def read_csv_rows(path, header: list[str], types, make, error: type[Exception]) -> list:
+    """`make(*row)` for every data row of a CSV whose first row is `header`, fields converted by `types`.
+
+    Any other header raises StructuralError. A row with a field count other than the header's,
+    a field its type refuses, or values `make` refuses with `error` raises `error` naming the line.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        got = next(reader, None)
+        if got != header:
+            raise StructuralError(f"{path}: expected header {header}, got {got}")
+        rows = []
+        for raw in reader:
+            try:
+                if len(raw) != len(header):
+                    raise ValueError(f"{len(raw)} fields, not {len(header)}")
+                rows.append(make(*(convert(value) for convert, value in zip(types, raw))))
+            except (ValueError, error) as exc:
+                raise error(f"{path}: line {reader.line_num}: {exc}") from None
+    return rows
 
 
 def save_checkpoint(path, net: DenseNet, adam: AdamState, rng_seed: int, global_step: int) -> None:

@@ -15,16 +15,15 @@ from __future__ import annotations
 
 import csv
 import math
-import shutil
-import tempfile
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 from scipy.special import betainc, erf
 
 from .errors import InputError, NumericsError, StructuralError
-from .net import DenseNet, atomic_open, load_checkpoint
+from .net import DenseNet, atomic_open, load_checkpoint, read_csv_rows
 from .ppo import sample_actions
 from .seeding import derive_seed
 from .trajectory import TrajectoryTable, TrajectoryWriter
@@ -56,8 +55,8 @@ class RunRecord:
     duration_steps: int
 
     def __post_init__(self) -> None:
-        if min(self.pos_total, self.neg_total, self.caught_total) < 0:
-            raise InputError("run totals must be non-negative")
+        if not all(math.isfinite(v) and v >= 0 for v in (self.pos_total, self.neg_total, self.caught_total)):
+            raise InputError("run totals must be finite and non-negative")
 
 
 def task_efficiency(rec: RunRecord) -> float:
@@ -83,17 +82,9 @@ def write_run_records(records: list[RunRecord], path) -> None:
 
 
 def read_run_records(path) -> list[RunRecord]:
-    records = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != RUN_RECORD_HEADER:
-            raise StructuralError(f"{path}: unexpected run-record header {header}")
-        for raw in reader:
-            records.append(
-                RunRecord(int(raw[0]), float(raw[1]), float(raw[2]), float(raw[3]), int(raw[4]))
-            )
-    return records
+    """The records of a run-record CSV; a malformed row raises InputError naming its line."""
+    types = (int, float, float, float, int, float)
+    return read_csv_rows(path, RUN_RECORD_HEADER, types, lambda *row: RunRecord(*row[:-1]), InputError)
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +112,8 @@ def evaluate_condition(
     is one policy forward over (n_runs, n_prey, obs_dim) and one world step.
     Each run keeps its own world seed and its own action generator, so every
     run's outcome is the one it would have alone. When trajectory_path is set,
-    run 0 streams into the trajectory CSV and every later run's rows spool to
-    an anonymous temp file beside it; the spools are appended in run order at
-    the end, so the CSV stays run-major and memory does not grow with
-    `duration`.
+    a TrajectoryWriter records every run's rows there, run-major and written
+    atomically.
     """
     if isinstance(checkpoint, DenseNet):
         net = checkpoint
@@ -142,33 +131,21 @@ def evaluate_condition(
     obs = observe_all(state)
     kind_index = {EVENT_POSITIVE: 0, EVENT_NEGATIVE: 1, EVENT_CAUGHT: 2}
     counts = np.zeros((n_runs, len(kind_index)), dtype=np.int64)
-    files = []  # the trajectory CSV, which takes run 0's rows, then one spool per later run
-    try:
-        if trajectory_path is not None:
-            trajectory_path = Path(trajectory_path)
-            files.append(open(trajectory_path, "w", newline=""))
-            spool_dir = trajectory_path.parent
-            files.extend(tempfile.TemporaryFile("w+", newline="", dir=spool_dir) for _ in range(n_runs - 1))
-        writers = [TrajectoryWriter(fh, kinds=trajectory_kinds, header=fh is files[0]) for fh in files]
+    writer = None if trajectory_path is None else TrajectoryWriter(trajectory_path, n_runs, trajectory_kinds)
+    with writer or nullcontext():
         for tick in range(duration):
             u = None if greedy else np.stack([rng.random(world_cfg.n_prey) for rng in rngs])
             actions, _, _ = sample_actions(net, obs, u)
             _, _, obs, events = step(state, actions)
             for ev in events:
                 counts[ev.world, kind_index[ev.kind]] += 1
-            for run, writer in enumerate(writers):
-                writer.record(run, tick, state, events, world=run)
-        for spool in files[1:]:
-            spool.seek(0)
-            shutil.copyfileobj(spool, files[0])
-    finally:
-        for fh in files:
-            fh.close()
+            if writer is not None:
+                writer.record(tick, state, events)
     records = [
         RunRecord(run_id=run, pos_total=pos, neg_total=neg, caught_total=caught, duration_steps=duration)
         for run, (pos, neg, caught) in enumerate(counts.tolist())
     ]
-    return records, trajectory_path
+    return records, None if writer is None else writer.path
 
 
 # ---------------------------------------------------------------------------
@@ -211,18 +188,7 @@ def summarize_condition(condition_id: str, records: list[RunRecord]) -> Conditio
     )
 
 
-SUMMARY_HEADER = [
-    "condition_id",
-    "n_runs",
-    "pos_mean",
-    "pos_std",
-    "neg_mean",
-    "neg_std",
-    "caught_mean",
-    "caught_std",
-    "task_efficiency_mean",
-    "task_efficiency_std",
-]
+SUMMARY_HEADER = [f.name for f in fields(ConditionSummary)]
 
 
 def write_summary_csv(summaries: list[ConditionSummary], path) -> None:
@@ -230,22 +196,7 @@ def write_summary_csv(summaries: list[ConditionSummary], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_HEADER)
         for s in summaries:
-            writer.writerow(
-                [s.condition_id, s.n_runs]
-                + [
-                    repr(v)
-                    for v in (
-                        s.pos_mean,
-                        s.pos_std,
-                        s.neg_mean,
-                        s.neg_std,
-                        s.caught_mean,
-                        s.caught_std,
-                        s.task_efficiency_mean,
-                        s.task_efficiency_std,
-                    )
-                ]
-            )
+            writer.writerow([s.condition_id, s.n_runs] + [repr(v) for v in astuple(s)[2:]])
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, StructuralError
-from .net import AdamState, LrSchedule, atomic_open, init_net, load_checkpoint, lr_at, save_checkpoint
+from .net import AdamState, LrSchedule, atomic_open, init_net, load_checkpoint, lr_at, read_csv_rows, save_checkpoint
 from .ppo import ActorWorlds, PpoHyperparams, RolloutBuffer, collect_rollout, ppo_update
 from .seeding import check_seed, derive_seed
 from .world import WorldConfig, prey_action_space, reset
@@ -75,17 +75,6 @@ def scenario_defaults(scenario_id: int, seed: int = 0) -> ScenarioConfig:
     return replace(cfg, predator_in_training=predator, hyperparams=PpoHyperparams(max_steps=max_steps))
 
 
-METRICS_HEADER = [
-    "global_step",
-    "cumulative_reward_mean",
-    "policy_loss",
-    "value_loss",
-    "entropy",
-    "extrinsic_reward_mean",
-    "value_estimate_mean",
-]
-
-
 @dataclass
 class MetricsRow:
     global_step: int
@@ -97,17 +86,10 @@ class MetricsRow:
     value_estimate_mean: float
 
     def as_csv_row(self) -> list[str]:
-        return [str(self.global_step)] + [
-            repr(v)
-            for v in (
-                self.cumulative_reward_mean,
-                self.policy_loss,
-                self.value_loss,
-                self.entropy,
-                self.extrinsic_reward_mean,
-                self.value_estimate_mean,
-            )
-        ]
+        return [str(self.global_step)] + [repr(v) for v in astuple(self)[1:]]
+
+
+METRICS_HEADER = [f.name for f in fields(MetricsRow)]
 
 
 @dataclass
@@ -123,15 +105,9 @@ class TrainingMetrics:
 
     @classmethod
     def from_csv(cls, path) -> "TrainingMetrics":
-        rows = []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != METRICS_HEADER:
-                raise StructuralError(f"{path}: unexpected metrics header {header}")
-            for raw in reader:
-                rows.append(MetricsRow(int(raw[0]), *(float(v) for v in raw[1:])))
-        return cls(rows=rows)
+        """The rows of a metrics CSV; a malformed row raises StructuralError naming its line."""
+        types = (int,) + (float,) * (len(METRICS_HEADER) - 1)
+        return cls(rows=read_csv_rows(path, METRICS_HEADER, types, MetricsRow, StructuralError))
 
 
 def steps_per_cycle(cfg: ScenarioConfig) -> int:

@@ -224,7 +224,7 @@ class TestBadTrajectoryInput:
         proc = run_cli(argv, tmp_path)
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
-        assert str(traj) in proc.stderr
+        assert f"{traj}: line 6 has " in proc.stderr  # the header and four good rows come first
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("subcommand", sorted(ANALYSIS_COMMANDS))
@@ -249,6 +249,33 @@ class TestBadTrajectoryInput:
         monkeypatch.undo()
         assert (out / "replay_run0_0_1.txt").read_bytes() == before
         assert sorted(p.name for p in out.iterdir()) == ["build.txt", "replay_run0_0_1.txt", "resolved_config.txt"]
+
+
+RUN_RECORDS = "run_id,pos_total,neg_total,caught_total,duration_steps,task_efficiency\r\n"
+
+
+class TestBadRunRecordInput:
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "1,abc,1.0,0.0,10,0.8",
+            "1,3.0,1.0",  # three fields
+            "1,3.0,1.0,0.0,10,0.8,9",  # seven fields
+            "1.5,3.0,1.0,0.0,10,0.8",
+            "1,nan,1.0,0.0,10,0.8",
+            "1,3.0,inf,0.0,10,0.8",
+            "1,3.0,1.0,-1.0,10,0.8",
+        ],
+    )
+    def test_malformed_row_exits_2_naming_the_line(self, tmp_path, row):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text(RUN_RECORDS + "0,3.0,1.0,0.0,10,2.8\r\n1,4.0,1.0,0.0,10,3.8\r\n", newline="")
+        bad.write_text(RUN_RECORDS + "0,3.0,1.0,0.0,10,2.8\r\n" + row + "\r\n", newline="")
+        proc = run_cli(["stats", f"a={good}", f"b={bad}", "-o", str(tmp_path / "out")], tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"{bad}: line 3: " in proc.stderr
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture(scope="module")
@@ -311,6 +338,21 @@ def pipeline(tmp_path_factory):
 
 
 class TestCliPipeline:
+    def test_malformed_metrics_on_resume_exits_2_naming_the_line(self, pipeline, tmp_path):
+        root, train_dir, _ = pipeline
+        run_dir = tmp_path / "train"
+        run_dir.mkdir()
+        (run_dir / "checkpoint_final.ckpt").write_bytes((train_dir / "checkpoint_final.ckpt").read_bytes())
+        metrics = run_dir / "metrics.csv"
+        header = (train_dir / "metrics.csv").read_text().splitlines()[0]
+        metrics.write_text(header + "\nxx,1\n")
+        argv = ["train", "-c", str(root / "train.txt"), "--resume", str(run_dir / "checkpoint_final.ckpt"), "-o", str(run_dir)]
+        proc = run_cli(argv, tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"{metrics}: line 2: " in proc.stderr
+        assert metrics.read_text() == header + "\nxx,1\n"
+
     def test_train_artifacts(self, pipeline):
         _, train_dir, _ = pipeline
         for name in ("resolved_config.txt", "build.txt", "metrics.csv", "checkpoint_final.ckpt"):
@@ -418,12 +460,11 @@ class TestReplayExport:
         cfg = WorldConfig(n_prey=2, n_positive_points=4, n_negative_points=4)
         state = reset(cfg, 0)
         path = tmp_path / "t.csv"
-        with open(path, "w", newline="") as fh:
-            writer = TrajectoryWriter(fh)
+        with TrajectoryWriter(path, n_runs=1) as writer:
             rng = np.random.default_rng(0)
             for tick in range(n_ticks):
                 state, _, _, events = step(state, rng.integers(0, 6, size=(1, 2)))
-                writer.record(0, tick, state, events)
+                writer.record(tick, state, events)
         return TrajectoryTable.from_csv(path)
 
     def test_single_tick_range_single_frame(self, tmp_path):
@@ -453,11 +494,10 @@ class TestReplayExport:
 
         cfg, state = make_contact_state()
         path = tmp_path / "t.csv"
-        with open(path, "w", newline="") as fh:
-            writer = TrajectoryWriter(fh)
+        with TrajectoryWriter(path, n_runs=1) as writer:
             state, _, _, events = step(state, [[0]])
             assert any(e.kind == "prey_caught" for e in events)
-            writer.record(0, 0, state, events)
+            writer.record(0, state, events)
         table = TrajectoryTable.from_csv(path)
         text = replay_export(table, 0, (0, 0))
         assert "event prey_caught prey=0" in text

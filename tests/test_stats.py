@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -60,6 +61,12 @@ class TestTaskEfficiency:
     def test_negative_counts_rejected(self):
         with pytest.raises(InputError):
             RunRecord(0, -1, 0, 0, 1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_totals_rejected(self, bad):
+        for totals in ((bad, 0, 0), (0, bad, 0), (0, 0, bad)):
+            with pytest.raises(InputError, match="finite"):
+                RunRecord(0, *totals, 1)
 
 
 class TestAnova:
@@ -210,6 +217,27 @@ class TestEvaluateCondition:
         assert set(table.runs()) == {0, 1}
         # prey + predator rows, every tick of every run
         assert len(table) == 2 * 10 * (cfg.n_prey + 1)
+
+    def test_interrupted_eval_keeps_previous_trajectory(self, tmp_path, monkeypatch):
+        cfg = eval_world()
+        path = tmp_path / "trajectory.csv"
+        evaluate_condition(self.make_net(cfg), cfg, n_runs=3, duration=5, seed=4, trajectory_path=path)
+        before = path.read_bytes()
+        real_step = stats_module.step
+        ticks = []
+
+        def step_then_fail(state, actions):
+            ticks.append(len(ticks))
+            if len(ticks) > 20:
+                raise KeyboardInterrupt
+            return real_step(state, actions)
+
+        monkeypatch.setattr(stats_module, "step", step_then_fail)
+        with pytest.raises(KeyboardInterrupt):
+            evaluate_condition(self.make_net(cfg), cfg, n_runs=3, duration=50, seed=5, trajectory_path=path)
+        assert len(ticks) == 21
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["trajectory.csv"]
 
     def test_greedy_mode_runs(self):
         cfg = eval_world(predator=False)

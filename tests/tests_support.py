@@ -1,5 +1,5 @@
-"""Shared helpers: hand-placed world states, world stacking, the independent vision, trajectory-reader
-and KDE oracles, and a failing file."""
+"""Shared helpers: hand-placed world states, world stacking, the independent vision, trajectory-writer,
+trajectory-reader and KDE oracles, and a failing file."""
 
 import copy
 import csv
@@ -9,7 +9,7 @@ from dataclasses import fields
 import numpy as np
 from scipy.special import erf
 
-from predprey.trajectory import CSV_HEADER, TrajectoryTable
+from predprey.trajectory import ALL_KINDS, CSV_HEADER, TrajectoryTable
 from predprey.world import PredatorState, WorldConfig, WorldState
 
 
@@ -134,6 +134,30 @@ class HalfWrite:
     def write(self, data):
         self.fh.write(data[: len(data) // 2])
         raise OSError("no space left on device")
+
+
+def one_world_rows(run_id, tick, state, events, world, kinds=ALL_KINDS) -> str:
+    """Writer oracle: one tick of one world of `state` as rows of run `run_id`, formatted row by row."""
+    by_prey: dict[int, list[str]] = {}
+    for ev in events:
+        if ev.world == world:
+            by_prey.setdefault(ev.prey_id, []).append(ev.kind)
+    rows = []
+    if "prey" in kinds:
+        headings = state.prey_heading[world].tolist()
+        for i, (x, y) in enumerate(state.prey_pos[world].tolist()):
+            events_i = ";".join(by_prey.get(i, []))
+            rows.append(f"{run_id},{tick},prey,{i},{x:.6f},{y:.6f},{headings[i]:.4f},{events_i}\r\n")
+    if "predator" in kinds and state.predator is not None:
+        p = state.predator
+        x, y = p.position[world].tolist()
+        rows.append(f"{run_id},{tick},predator,0,{x:.6f},{y:.6f},{float(p.heading[world]):.4f},\r\n")
+    if "points" in kinds:
+        positive = state.point_positive[world].tolist()
+        for idx, (x, y) in enumerate(state.point_pos[world].tolist()):
+            kind = "point_positive" if positive[idx] else "point_negative"
+            rows.append(f"{run_id},{tick},{kind},{idx},{x:.6f},{y:.6f},0.0,\r\n")
+    return "".join(rows)
 
 
 def csv_reader_table(path) -> TrajectoryTable:
