@@ -67,14 +67,19 @@ def _prepare_out_dir(args, subcommand: str) -> Path:
         root = Path(os.environ.get("PREDPREY_OUTPUT_ROOT", "runs"))
         out = root / subcommand
     out.mkdir(parents=True, exist_ok=True)
-    (out / "build.txt").write_text(f"{build_identifier()}\n{SCHEMA_VERSIONS}\n")
     return out
+
+
+def _write_build(out: Path) -> None:
+    with atomic_open(out / "build.txt", "w") as fh:
+        fh.write(f"{build_identifier()}\n{SCHEMA_VERSIONS}\n")
 
 
 def _cmd_train(args) -> int:
     overrides = {"scenario_id": args.scenario, "seed": args.seed, "max_steps": args.max_steps}
     cfg, provenance = parse_scenario_config(args.config, overrides)
     out = _prepare_out_dir(args, f"train-scenario{cfg.scenario_id}")
+    _write_build(out)
     write_resolved(cfg, out / "resolved_config.txt", provenance)
     checkpoint, metrics = run_training(cfg, out, resume_from=args.resume)
     print(f"trained scenario {cfg.scenario_id} to step {metrics.rows[-1].global_step if metrics.rows else 0}")
@@ -97,7 +102,6 @@ def _cmd_eval(args) -> int:
     if cfg.checkpoint is None:
         raise ConfigError("eval needs a checkpoint (config key 'checkpoint' or --checkpoint)")
     out = _prepare_out_dir(args, f"eval-{cfg.condition_id}")
-    write_resolved(cfg, out / "resolved_config.txt", provenance)
     kinds = ALL_KINDS if cfg.log_points else ("prey", "predator")
     records, traj = evaluate_condition(
         cfg.checkpoint,
@@ -112,6 +116,9 @@ def _cmd_eval(args) -> int:
     write_run_records(records, out / "run_records.csv")
     summary = summarize_condition(cfg.condition_id, records)
     write_summary_csv([summary], out / "summary.csv")
+    # the config and build go last, so an eval that stops early leaves an earlier eval's files as they were
+    write_resolved(cfg, out / "resolved_config.txt", provenance)
+    _write_build(out)
     print(
         f"{cfg.condition_id}: {cfg.n_runs} runs x {cfg.duration} ticks, "
         f"task efficiency {summary.task_efficiency_mean:.3f} ({summary.task_efficiency_std:.3f})"
@@ -138,6 +145,7 @@ def _cmd_stats(args) -> int:
     if len(conditions) < 2:
         raise ConfigError("stats needs at least two run-record CSVs")
     out = _prepare_out_dir(args, "stats")
+    _write_build(out)
     _snapshot_args(args, out, ("records",))
     write_summary_csv([summarize_condition(label, recs) for label, recs in conditions], out / "summary.csv")
 
@@ -174,6 +182,7 @@ def _cmd_heatmap(args) -> int:
         extent=extent,
     )
     out = _prepare_out_dir(args, f"heatmap-{args.entity_kind}")
+    _write_build(out)
     _snapshot_args(args, out, ("trajectory", "entity_kind", "bandwidth", "grid", "extent"))
     write_grid_text(kde, out / "occupancy.txt")
     write_grid_pgm(kde, out / "occupancy.pgm")
@@ -191,6 +200,7 @@ def _cmd_replay_export(args) -> int:
         sys.stdout.write(text)
         return 0
     out = _prepare_out_dir(args, "replay")
+    _write_build(out)
     _snapshot_args(args, out, ("trajectory", "run", "ticks"))
     path = out / f"replay_run{args.run}_{args.ticks[0]}_{args.ticks[1]}.txt"
     with atomic_open(path, "w") as fh:

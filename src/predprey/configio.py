@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import get_origin, get_type_hints
 
 from .errors import ConfigError
+from .net import atomic_open
 from .seeding import check_seed
 from .train import ScenarioConfig, scenario_defaults
 from .world import WorldConfig
@@ -197,4 +198,5 @@ def write_resolved(cfg, path, provenance: dict[str, str] | None = None) -> None:
         source = provenance.get(key)
         suffix = f"  # {source}" if source else ""
         lines.append(f"{key} = {_format_value(value)}{suffix}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    with atomic_open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -227,7 +227,8 @@ def backward(
         dz = dh * (1.0 - acts[k + 1] ** 2)  # tanh'
         grads[2 * k][...] = acts[k].T @ dz
         grads[2 * k + 1][...] = dz.sum(axis=0)
-        dh = dz @ net.weights[k].T
+        if k > 0:  # the input gradient would go unused
+            dh = dz @ net.weights[k].T
     return grads
 
 

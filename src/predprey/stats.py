@@ -8,7 +8,10 @@ come from a boundary-renormalized Gaussian kernel density over logged
 positions: each sample deposits exactly unit mass inside the grid, so the
 grid integrates to the sample count. The kernel's cell integrals take erf only
 where it is not saturated: scipy's erf is exactly +-1.0 from |z| = 5.9216 on,
-so every |z| >= 6 takes its sign, which gives the same bits as erf itself.
+so every |z| >= 6 takes its sign, which gives the same bits as erf itself. A
+boundary reflection whose z is saturated at every cell edge of a sample, as for
+most samples far from that boundary, adds exactly 1 or 0 to the sample's whole
+row, so only the other samples evaluate it.
 """
 
 from __future__ import annotations
@@ -361,10 +364,15 @@ def kde_occupancy(
     scale = bandwidth * math.sqrt(2.0)
 
     def cell_masses(edges, coords, lo, hi):
-        # kernel at the sample plus its two boundary reflections
+        # kernel at the sample plus its two boundary reflections; z rises along the edges, so a
+        # reflection saturated at a row's first edge adds exactly 1.0 to the whole row, one
+        # saturated at its last edge adds exactly 0.0, and only the other rows evaluate it
         cdf = 0.5 * (1.0 + _erf((edges[None, :] - coords) / scale))
-        cdf += 0.5 * (1.0 + _erf((edges[None, :] - (2.0 * lo - coords)) / scale))
-        cdf += 0.5 * (1.0 + _erf((edges[None, :] - (2.0 * hi - coords)) / scale))
+        for mirror in (2.0 * lo - coords, 2.0 * hi - coords):
+            first, last = (edges[0] - mirror[:, 0]) / scale, (edges[-1] - mirror[:, 0]) / scale
+            cdf[first >= _ERF_SATURATED] += 1.0
+            live = (first < _ERF_SATURATED) & (last > -_ERF_SATURATED)
+            cdf[live] += 0.5 * (1.0 + _erf((edges[None, :] - mirror[live]) / scale))
         return np.diff(cdf, axis=1)
 
     mass = np.zeros((w, h))

@@ -6,14 +6,15 @@ entity_kind is one of prey, predator, point_positive, point_negative. The
 event column is empty except on prey rows whose prey emitted events that
 tick; multiple events are joined with ';'.
 
-The reader takes the file in bulk with numpy's C parser: one pass over the six
-numeric columns and one per string column, each landing in a contiguous
-array. Fields are unquoted, as the writer writes them, and lines may end in
-CRLF or LF; blank lines are skipped. A file whose first line is not the exact
-header, a row without exactly eight fields, an id or tick that is not an
-integer, and a non-finite x, y or heading are refused with InputError naming
-the file and the first bad line (counted from 1, header and blank lines
-included), which a rescan finds only after the bulk read has failed.
+The reader takes the file in one pass of numpy's C parser into a record array
+of all eight columns (the two string columns as Python objects), then gives
+each column its own contiguous array. Fields are unquoted, as the writer
+writes them, and lines may end in CRLF or LF; blank lines are skipped. A file
+whose first line is not the exact header, a row without exactly eight fields,
+an id or tick that is not an integer, and a non-finite x, y or heading are
+refused with InputError naming the file and the first bad line (counted from
+1, header and blank lines included), which a rescan finds only after the bulk
+read has failed.
 """
 
 from __future__ import annotations
@@ -36,13 +37,10 @@ CSV_HEADER = ["run_id", "tick", "entity_kind", "entity_id", "x", "y", "heading",
 
 ALL_KINDS = ("prey", "predator", "points")
 
-# The reader's one pass over the numeric columns fills this record type.
-_NUMERIC_DTYPE = np.dtype(
-    [(name, np.int64) for name in ("run_id", "tick", "entity_id")]
-    + [(name, np.float64) for name in ("x", "y", "heading")]
-)
-_NUMERIC_COLUMNS = tuple(CSV_HEADER.index(name) for name in _NUMERIC_DTYPE.names)
-_STRING_COLUMNS = tuple(CSV_HEADER.index(name) for name in ("entity_kind", "event"))
+# The reader's one pass fills this record type; without usecols, numpy refuses a row
+# that does not have exactly one field per column.
+_NUMERIC = dict.fromkeys(("run_id", "tick", "entity_id"), np.int64) | dict.fromkeys(("x", "y", "heading"), np.float64)
+_ROW_DTYPE = np.dtype([(name, _NUMERIC.get(name, object)) for name in CSV_HEADER])
 
 
 class TrajectoryWriter:
@@ -81,29 +79,37 @@ class TrajectoryWriter:
                 shutil.copyfileobj(spool, self._files[0])
 
     def record(self, tick: int, state: WorldState, events: list[Event]) -> None:
-        """One tick of every world of `state`, world w as run w: one write per run file."""
+        """One tick of every world of `state`, world w as run w: one `%` template filled and written per run."""
         if len(state.prey_pos) != self.n_runs:
             raise StructuralError(f"state has {len(state.prey_pos)} worlds, the trajectory {self.n_runs} runs")
-        by_prey: dict[tuple[int, int], list[str]] = {}
-        for ev in events:
-            by_prey.setdefault((ev.world, ev.prey_id), []).append(ev.kind)
-        rows: list[list[str]] = [[] for _ in self._files]
+        # one run's row templates for this tick, and each row set's (W, rows, fields) values
+        rows, values = [], [np.empty((self.n_runs, 0, 0), dtype=object)]
         if "prey" in self.kinds:
-            for w, (xy, headings) in enumerate(zip(state.prey_pos.tolist(), state.prey_heading.tolist())):
-                for i, ((x, y), heading) in enumerate(zip(xy, headings)):
-                    events_i = ";".join(by_prey.get((w, i), ()))
-                    rows[w].append(f"{w},{tick},prey,{i},{x:.6f},{y:.6f},{heading:.4f},{events_i}\r\n")
+            rows += [f"%d,{tick},prey,{i},%.6f,%.6f,%.4f,%s\r\n" for i in range(state.prey_pos.shape[1])]
+            values.append(_cells(state.prey_pos[..., 0], state.prey_pos[..., 1], state.prey_heading, ""))
+            for ev in events:
+                cell = values[-1][ev.world, ev.prey_id]
+                cell[-1] = f"{cell[-1]};{ev.kind}" if cell[-1] else ev.kind
         if "predator" in self.kinds and state.predator is not None:
             p = state.predator
-            for w, ((x, y), heading) in enumerate(zip(p.position.tolist(), p.heading.tolist())):
-                rows[w].append(f"{w},{tick},predator,0,{x:.6f},{y:.6f},{heading:.4f},\r\n")
+            rows.append(f"%d,{tick},predator,0,%.6f,%.6f,%.4f,\r\n")
+            values.append(_cells(p.position[:, None, 0], p.position[:, None, 1], p.heading[:, None]))
         if "points" in self.kinds:
-            for w, (xy, positive) in enumerate(zip(state.point_pos.tolist(), state.point_positive.tolist())):
-                for idx, ((x, y), is_positive) in enumerate(zip(xy, positive)):
-                    kind = "point_positive" if is_positive else "point_negative"
-                    rows[w].append(f"{w},{tick},{kind},{idx},{x:.6f},{y:.6f},0.0,\r\n")
-        for fh, run_rows in zip(self._files, rows):
-            fh.write("".join(run_rows))
+            rows += [f"%d,{tick},%s,{idx},%.6f,%.6f,0.0,\r\n" for idx in range(state.point_pos.shape[1])]
+            kinds = np.where(state.point_positive, "point_positive", "point_negative")
+            values.append(_cells(kinds, state.point_pos[..., 0], state.point_pos[..., 1]))
+        template = "".join(rows)
+        for fh, run in zip(self._files, np.concatenate([v.reshape(self.n_runs, -1) for v in values], 1).tolist()):
+            fh.write(template % tuple(run))
+
+
+def _cells(first: np.ndarray, *rest) -> np.ndarray:
+    """(W, n, 2 + len(rest)) object array: the run id, then `first` and each of `rest` broadcast to (W, n)."""
+    cells = np.empty(first.shape + (2 + len(rest),), dtype=object)
+    cells[..., 0] = np.arange(len(first))[:, None]
+    for k, column in enumerate((first, *rest), start=1):
+        cells[..., k] = column
+    return cells
 
 
 @dataclass(eq=False)
@@ -127,21 +133,15 @@ class TrajectoryTable:
         """Read a trajectory CSV in bulk; the module docstring says what it refuses."""
         with open(path, newline="") as fh:
             header = next(csv.reader(fh), None)
-            if header != CSV_HEADER:
-                raise InputError(f"{path}: expected trajectory header {CSV_HEADER}, got {header}")
-            n_commas = fh.read().count(",")
+        if header != CSV_HEADER:
+            raise InputError(f"{path}: expected trajectory header {CSV_HEADER}, got {header}")
         try:
-            columns = {CSV_HEADER[i]: _load(path, dtype=str, usecols=i) for i in _STRING_COLUMNS}
-            numeric = _load(path, dtype=_NUMERIC_DTYPE, usecols=_NUMERIC_COLUMNS)
+            rows = _load(path)
         except ValueError:
             raise InputError(f"{path}: {_first_bad_line(path)}") from None
-        for name in _NUMERIC_DTYPE.names:
-            columns[name] = np.ascontiguousarray(numeric[name])
-        # every row has at least eight fields, or the event pass failed; so seven commas
-        # per row means that every row has exactly eight
-        if n_commas != (len(CSV_HEADER) - 1) * len(numeric) or not _finite(columns).all():
+        if not _finite(rows).all():
             raise InputError(f"{path}: {_first_bad_line(path)}")
-        return cls(**columns)
+        return cls(**{name: rows[name].astype(_NUMERIC.get(name, str)) for name in CSV_HEADER})
 
     def positions(self, entity_kind: str) -> np.ndarray:
         """(n, 2) positions of all rows of one entity kind, across every run."""
@@ -152,12 +152,12 @@ class TrajectoryTable:
         return np.unique(self.run_id)
 
 
-def _load(source, dtype, usecols, skiprows: int = 1) -> np.ndarray:
-    """The data rows' `usecols` columns in one pass of numpy's C reader."""
+def _load(source, skiprows: int = 1) -> np.ndarray:
+    """The data rows as one record array, in one pass of numpy's C reader."""
     # numpy warns on input without data rows and on blank lines; both are fine here
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        return np.loadtxt(source, dtype=dtype, delimiter=",", comments=None, skiprows=skiprows, usecols=usecols, ndmin=1)
+        return np.loadtxt(source, dtype=_ROW_DTYPE, delimiter=",", comments=None, skiprows=skiprows, ndmin=1)
 
 
 def _finite(columns) -> np.ndarray:
@@ -174,7 +174,7 @@ def _first_bad_line(path) -> str:
         for n, line in enumerate(fh, start=2):
             n_fields = line.count(",") + 1
             try:
-                row = _load([line], dtype=_NUMERIC_DTYPE, usecols=_NUMERIC_COLUMNS, skiprows=0)
+                row = _load([line], skiprows=0)
             except ValueError:
                 row = None
             if row is not None and len(row) == 0:  # a blank line

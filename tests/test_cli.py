@@ -360,6 +360,30 @@ class TestCliPipeline:
         build = (train_dir / "build.txt").read_text()
         assert "predprey" in build and "checkpoint=1" in build
 
+    def test_interrupted_eval_leaves_the_previous_eval_as_it_was(self, pipeline, tmp_path, monkeypatch):
+        import predprey.stats as stats_module
+
+        root, train_dir, _ = pipeline
+        out = tmp_path / "eval"
+        checkpoint = str(train_dir / "checkpoint_final.ckpt")
+        argv = ["eval", "-c", str(root / "eval.txt"), "--checkpoint", checkpoint, "-o", str(out)]
+        assert main(argv) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        real_step = stats_module.step
+        ticks = []
+
+        def step_then_fail(state, actions):
+            ticks.append(len(ticks))
+            if len(ticks) > 10:
+                raise KeyboardInterrupt
+            return real_step(state, actions)
+
+        monkeypatch.setattr(stats_module, "step", step_then_fail)
+        with pytest.raises(KeyboardInterrupt):
+            main([*argv, "--seed", "6", "--condition", "other"])
+        assert len(ticks) == 11
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_eval_artifacts(self, pipeline):
         _, _, eval_dir = pipeline
         for name in ("resolved_config.txt", "run_records.csv", "summary.csv", "trajectory.csv"):

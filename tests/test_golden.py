@@ -1,7 +1,9 @@
 """Pinned determinism: sha256 digests of a scripted world, tiny training runs, a tiny eval and its analysis.
 
 The expected digests live in golden_digests.json. A change that alters any of
-them changes the program's deterministic output and must say so. To print the
+them changes the program's deterministic output and must say so. The analysis
+digests are taken in a child process with one BLAS thread, because the KDE's
+matrix product gives other bits under other thread counts. To print the
 digests the current code produces:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -9,12 +11,15 @@ digests the current code produces:
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import predprey
 from predprey.cli import main
 from predprey.net import AdamState, init_net, save_checkpoint
 from predprey.train import run_training
@@ -81,7 +86,23 @@ def eval_digests(out_dir: Path) -> dict[str, str]:
 ARENA_EXTENT = ["-5.11", "5.11", "-5.11", "5.11"]
 
 
+# The thread variables benchmarks/run.py pins.
+ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
 def analysis_digests(result: Path) -> dict[str, str]:
+    """`cli_analysis_digests` of the tiny eval's result, run in a child process with one BLAS thread."""
+    paths = [str(Path(predprey.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)]
+    python_path = os.pathsep.join(filter(None, [*paths, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, **ONE_BLAS_THREAD, "PYTHONPATH": python_path}
+    child = subprocess.run(
+        [sys.executable, __file__, "--analysis", str(result)], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout)
+
+
+def cli_analysis_digests(result: Path) -> dict[str, str]:
     """Heatmaps and a replay window of the tiny eval's trajectory, through the CLI.
 
     The prey heatmap takes Scott's bandwidth and the default extent, the predator
@@ -142,6 +163,11 @@ if __name__ == "__main__":
     import contextlib
     import tempfile
 
+    if sys.argv[1:2] == ["--analysis"]:
+        with contextlib.redirect_stdout(sys.stderr):
+            digests = cli_analysis_digests(Path(sys.argv[2]))
+        print(json.dumps(digests))
+        sys.exit(0)
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(sys.stderr):
         digests = {"world_state_1000_ticks": scripted_world_digest()}
         digests.update(train_digests(Path(tmp) / "train"))

@@ -382,6 +382,9 @@ def kde_cases():
         ("outside", outside, 0.5),
         ("edges_tiny_bandwidth", np.vstack([edges, near]), 1e-9),
         ("huge_bandwidth", rng.uniform(-2.0, 3.0, size=(40, 2)), 1e6),
+        ("outside_tiny_bandwidth", outside, 1e-3),
+        # one chunk holds rows whose reflections saturate at the first edge, at the last edge, or neither
+        ("rows_saturated_at_either_end", rng.uniform((-2.5, -2.0), (3.5, 2.0), size=(1500, 2)), 0.05),
     ]
     for n in (1, 1023, 1024, 1025):
         cases.append((f"n{n}", rng.uniform((-2.5, -2.0), (3.5, 2.0), size=(n, 2)), 0.4))

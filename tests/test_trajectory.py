@@ -1,9 +1,12 @@
 """The one-pass trajectory writer against the per-world oracle, the bulk reader against the
-csv.reader oracle, and the reader's refusals of malformed files."""
+csv.reader oracle on the golden eval's file and on any file the writer can produce, and the
+reader's refusals of malformed files."""
 
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from predprey.errors import InputError, StructuralError
 from predprey.trajectory import ALL_KINDS, CSV_HEADER, TrajectoryTable, TrajectoryWriter
@@ -126,6 +129,52 @@ class TestMatchesCsvReaderOracle:
         assert len(table) == 4
         assert_same_table(table, csv_reader_table(path))
         assert len(recwarn) == 0
+
+
+def writer_row(run_id, tick, kind, entity_id, x, y, heading, events) -> str:
+    """One row as TrajectoryWriter formats it: events only on prey rows, heading 0.0 on point rows."""
+    if kind == "prey":
+        return f"{run_id},{tick},prey,{entity_id},{x:.6f},{y:.6f},{heading:.4f},{';'.join(events)}"
+    heading = f"{heading:.4f}" if kind == "predator" else "0.0"
+    return f"{run_id},{tick},{kind},{entity_id},{x:.6f},{y:.6f},{heading},"
+
+
+WRITER_ROWS = st.builds(
+    writer_row,
+    *[st.integers(0, 2**63 - 1)] * 2,
+    st.sampled_from(["prey", "predator", "point_positive", "point_negative"]),
+    st.integers(0, 2**63 - 1),
+    *[st.floats(allow_nan=False, allow_infinity=False)] * 3,
+    st.lists(st.sampled_from([EVENT_POSITIVE, EVENT_NEGATIVE, EVENT_CAUGHT]), max_size=3),
+)
+# data rows and blank lines, each ending in CRLF or LF; the header ends as the writer ends it
+WRITER_LINES = st.lists(st.tuples(st.one_of(WRITER_ROWS, st.just("")), st.sampled_from(["\r\n", "\n"])), max_size=25)
+file_settings = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def write_lines(path, lines) -> None:
+    path.write_bytes((HEADER_LINE + "".join(text + end for text, end in lines)).encode())
+
+
+@file_settings
+@given(lines=WRITER_LINES)
+def test_any_writer_file_matches_csv_reader_oracle(tmp_path, lines):
+    path = tmp_path / "t.csv"
+    write_lines(path, lines)
+    assert_same_table(TrajectoryTable.from_csv(path), csv_reader_table(path))
+
+
+@file_settings
+@given(lines=WRITER_LINES, data=st.data())
+def test_row_with_seven_or_nine_fields_is_named_by_its_line(tmp_path, lines, data):
+    at = data.draw(st.integers(0, len(lines)))
+    row = data.draw(WRITER_ROWS)
+    n_fields = data.draw(st.sampled_from([7, 9]))
+    bad = row.rsplit(",", 1)[0] if n_fields == 7 else row + ","
+    path = tmp_path / "t.csv"
+    write_lines(path, lines[:at] + [(bad, data.draw(st.sampled_from(["\r\n", "\n"])))] + lines[at:])
+    with pytest.raises(InputError, match=f"t.csv: line {at + 2} has {n_fields} fields, not 8"):
+        TrajectoryTable.from_csv(path)
 
 
 class TestRefusals:
