@@ -131,7 +131,8 @@ def _snapshot_args(args, out: Path, keys: tuple[str, ...]) -> None:
     lines = ["# resolved invocation"]
     for key in keys:
         lines.append(f"{key} = {getattr(args, key)}")
-    (out / "resolved_config.txt").write_text("\n".join(lines) + "\n")
+    with atomic_open(out / "resolved_config.txt", "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _cmd_stats(args) -> int:

@@ -7,8 +7,8 @@ flattened in, is a key, parsed by its annotated type. Resolution order is
 defaults, then file, then command-line flags; the winning source for every
 key is recorded and echoed back as a comment when the resolved config is
 written next to a run's outputs. Training defaults come from
-train.scenario_defaults, so a scenario id pins (max_steps,
-predator_in_training) unless a file or flag overrides them explicitly.
+train.scenario_defaults, so a scenario id pins max_steps and
+predator_present unless a file or flag overrides them explicitly.
 """
 
 from __future__ import annotations

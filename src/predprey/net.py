@@ -7,8 +7,10 @@ for identical inputs within a process.
 
 Parameter order everywhere (gradients, Adam moments, checkpoints) is:
 trunk layer 0 (W, b), trunk layer 1 (W, b), ..., policy head (W, b),
-value head (W, b). Weight matrices are (fan_in, fan_out), applied as
-``h @ W + b``.
+value head (W, b). The net keeps them as one C-contiguous float64 vector in
+that order, and every weight matrix and bias vector is a view into it, so a
+fresh net and a loaded one have the same memory layout and give the same
+bits. Weight matrices are (fan_in, fan_out), applied as ``h @ W + b``.
 """
 
 from __future__ import annotations
@@ -33,18 +35,52 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-@dataclass
+def _weight_shapes(layer_sizes: list[int]) -> list[tuple[int, int]]:
+    """(fan_in, fan_out) per layer: hidden chain, then the two heads off the last trunk width."""
+    trunk = layer_sizes[:-2]
+    return list(zip(trunk[:-1], trunk[1:])) + [(trunk[-1], layer_sizes[-2]), (trunk[-1], 1)]
+
+
+def param_count(layer_sizes: list[int]) -> int:
+    """Length of the parameter vector of a net with these layer sizes; StructuralError if none can have them."""
+    if len(layer_sizes) < 3 or layer_sizes[-1] != 1 or any(s <= 0 for s in layer_sizes):
+        raise StructuralError(
+            f"layer_sizes must be at least (input, policy, value) positive widths with value width 1, "
+            f"got {list(layer_sizes)}"
+        )
+    return sum(rows * cols + cols for rows, cols in _weight_shapes(layer_sizes))
+
+
+def _layer_views(flat: np.ndarray, layer_sizes: list[int]) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """(weights, biases): per-layer views into a vector laid out in canonical parameter order."""
+    weights, biases, i = [], [], 0
+    for rows, cols in _weight_shapes(layer_sizes):
+        weights.append(flat[i : i + rows * cols].reshape(rows, cols))
+        i += rows * cols
+        biases.append(flat[i : i + cols])
+        i += cols
+    return tuple(weights), tuple(biases)
+
+
 class DenseNet:
     """Shared-trunk actor-critic parameters.
 
     layer_sizes lists every dimension in order: input, each hidden width,
     the policy head width, and finally 1 for the value head. A net with no
     hidden layers (len == 3) applies both heads directly to the input.
+    The net owns a copy of `flat`; write parameters through `flat[...]`,
+    `weights[k][...]` or `biases[k][...]`, which all share its memory.
     """
 
-    layer_sizes: list[int]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    def __init__(self, layer_sizes: list[int], flat: np.ndarray) -> None:
+        self.layer_sizes = [int(s) for s in layer_sizes]
+        n = param_count(self.layer_sizes)
+        self.flat = np.array(flat, dtype=np.float64)
+        if self.flat.shape != (n,):
+            raise StructuralError(
+                f"parameter vector has shape {self.flat.shape}, layer sizes {self.layer_sizes} need ({n},)"
+            )
+        self.weights, self.biases = _layer_views(self.flat, self.layer_sizes)
 
     @property
     def input_dim(self) -> int:
@@ -58,62 +94,20 @@ class DenseNet:
     def n_hidden(self) -> int:
         return len(self.layer_sizes) - 3
 
-    def parameters(self) -> list[np.ndarray]:
-        """Live views of all parameter arrays in canonical order."""
-        out: list[np.ndarray] = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
-
-    def num_params(self) -> int:
-        return sum(p.size for p in self.parameters())
-
     def get_flat(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self.parameters()])
+        return self.flat.copy()
 
     def set_flat(self, flat: np.ndarray) -> None:
-        if flat.size != self.num_params():
-            raise StructuralError(
-                f"flat vector has {flat.size} entries, net has {self.num_params()} parameters"
-            )
-        i = 0
-        for p in self.parameters():
-            p[...] = flat[i : i + p.size].reshape(p.shape)
-            i += p.size
+        if np.shape(flat) != self.flat.shape:
+            raise StructuralError(f"flat vector has shape {np.shape(flat)}, net has {self.flat.size} parameters")
+        self.flat[...] = flat
 
     def copy(self) -> "DenseNet":
-        return DenseNet(
-            layer_sizes=list(self.layer_sizes),
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
+        return DenseNet(self.layer_sizes, self.flat)
 
     def validate(self) -> None:
-        sizes = self.layer_sizes
-        if len(sizes) < 3:
-            raise StructuralError("layer_sizes needs at least (input, policy, value) entries")
-        if sizes[-1] != 1:
-            raise StructuralError(f"value head width must be 1, got {sizes[-1]}")
-        if any(s <= 0 for s in sizes):
-            raise StructuralError(f"layer_sizes must be positive: {sizes}")
-        expected = _layer_shapes(sizes)
-        got = [(w.shape, b.shape) for w, b in zip(self.weights, self.biases)]
-        if got != expected:
-            raise StructuralError(f"parameter shapes {got} do not chain as {expected}")
-        for p in self.parameters():
-            if not np.all(np.isfinite(p)):
-                raise NumericsError("network parameters contain non-finite values")
-
-
-def _layer_shapes(layer_sizes: list[int]) -> list[tuple[tuple[int, int], tuple[int]]]:
-    """(W, b) shapes per layer: hidden chain, then the two heads off the last trunk width."""
-    trunk = layer_sizes[: len(layer_sizes) - 2]
-    shapes = [((trunk[i], trunk[i + 1]), (trunk[i + 1],)) for i in range(len(trunk) - 1)]
-    last = trunk[-1]
-    shapes.append(((last, layer_sizes[-2]), (layer_sizes[-2],)))
-    shapes.append(((last, 1), (1,)))
-    return shapes
+        if not np.all(np.isfinite(self.flat)):
+            raise NumericsError("network parameters contain non-finite values")
 
 
 def _orthogonal(rng: np.random.Generator, rows: int, cols: int, gain: float) -> np.ndarray:
@@ -133,22 +127,14 @@ def init_net(
     num_layers: int = 2,
     seed: int | None = 0,
 ) -> DenseNet:
-    """Seeded orthogonal init: gain sqrt(2) on the trunk, 0.01 policy head, 1.0 value head."""
+    """Seeded orthogonal init: gain sqrt(2) on the trunk, 0.01 policy head, 1.0 value head; zero biases."""
     rng = np.random.default_rng(seed)
     layer_sizes = [obs_dim] + [hidden_units] * num_layers + [policy_dim, 1]
-    weights: list[np.ndarray] = []
-    biases: list[np.ndarray] = []
+    net = DenseNet(layer_sizes, np.zeros(param_count(layer_sizes)))
     gains = [np.sqrt(2.0)] * num_layers + [0.01, 1.0]
-    for (wshape, bshape), gain in zip(_layer_shapes(layer_sizes), gains):
-        weights.append(_orthogonal(rng, *wshape, gain))
-        biases.append(np.zeros(bshape))
-    net = DenseNet(layer_sizes=layer_sizes, weights=weights, biases=biases)
-    net.validate()
+    for w, gain in zip(net.weights, gains):
+        w[...] = _orthogonal(rng, *w.shape, gain)
     return net
-
-
-def zeros_like_params(net: DenseNet) -> list[np.ndarray]:
-    return [np.zeros_like(p) for p in net.parameters()]
 
 
 # ---------------------------------------------------------------------------
@@ -198,12 +184,12 @@ def backward(
     acts: list[np.ndarray],
     d_logits: np.ndarray,
     d_value: np.ndarray,
-) -> list[np.ndarray]:
-    """Exact gradients of ``d_logits . logits + d_value . value`` w.r.t. every parameter.
+) -> np.ndarray:
+    """Exact gradient of ``d_logits . logits + d_value . value`` w.r.t. every parameter.
 
     acts is what `trunk` returned for an (n, input_dim) batch; d_logits is
-    (n, policy_dim) and d_value (n,). Returns arrays in canonical parameter
-    order, summed over the batch.
+    (n, policy_dim) and d_value (n,). Returns one vector shaped like
+    `net.flat`, in canonical parameter order, summed over the batch.
     """
     d_logits = np.asarray(d_logits, dtype=np.float64)
     d_value = np.asarray(d_value, dtype=np.float64)
@@ -214,22 +200,23 @@ def backward(
             f"need {net.n_hidden + 1} and ({n}, {net.policy_dim})/({n},)"
         )
 
-    grads = zeros_like_params(net)
+    grad = np.zeros_like(net.flat)
+    d_weights, d_biases = _layer_views(grad, net.layer_sizes)
     last = acts[-1]
     # Head gradients.
-    grads[-4][...] = last.T @ d_logits          # policy W
-    grads[-3][...] = d_logits.sum(axis=0)       # policy b
-    grads[-2][...] = last.T @ d_value[:, None]  # value W
-    grads[-1][...] = d_value.sum(axis=0, keepdims=True)
+    d_weights[-2][...] = last.T @ d_logits
+    d_biases[-2][...] = d_logits.sum(axis=0)
+    d_weights[-1][...] = last.T @ d_value[:, None]
+    d_biases[-1][...] = d_value.sum(axis=0, keepdims=True)
     # Back through the trunk.
     dh = d_logits @ net.weights[-2].T + d_value[:, None] @ net.weights[-1].T
     for k in range(net.n_hidden - 1, -1, -1):
         dz = dh * (1.0 - acts[k + 1] ** 2)  # tanh'
-        grads[2 * k][...] = acts[k].T @ dz
-        grads[2 * k + 1][...] = dz.sum(axis=0)
+        d_weights[k][...] = acts[k].T @ dz
+        d_biases[k][...] = dz.sum(axis=0)
         if k > 0:  # the input gradient would go unused
             dh = dz @ net.weights[k].T
-    return grads
+    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -247,53 +234,44 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AdamState:
-    """Per-parameter first/second moments plus the shared step counter."""
+    """First/second moments, each a vector shaped like the net's `flat`, plus the shared step counter."""
 
-    first_moment: list[np.ndarray]
-    second_moment: list[np.ndarray]
+    first_moment: np.ndarray
+    second_moment: np.ndarray
     step_count: int = 0
 
     @classmethod
     def for_net(cls, net: DenseNet) -> "AdamState":
-        return cls(
-            first_moment=zeros_like_params(net),
-            second_moment=zeros_like_params(net),
-        )
+        return cls(first_moment=np.zeros_like(net.flat), second_moment=np.zeros_like(net.flat))
 
     def copy(self) -> "AdamState":
-        return AdamState(
-            first_moment=[m.copy() for m in self.first_moment],
-            second_moment=[v.copy() for v in self.second_moment],
-            step_count=self.step_count,
-        )
+        return AdamState(self.first_moment.copy(), self.second_moment.copy(), self.step_count)
 
 
 def adam_step(
     net: DenseNet,
     state: AdamState,
-    grads: list[np.ndarray],
+    grad: np.ndarray,
     rate: float,
 ) -> tuple[DenseNet, AdamState]:
-    """One bias-corrected Adam update, in place. Rejects non-finite gradients untouched."""
-    params = net.parameters()
-    if len(grads) != len(params) or any(g.shape != p.shape for g, p in zip(grads, params)):
-        raise StructuralError("gradient shapes do not match parameters")
+    """One bias-corrected Adam update, in place. Rejects a non-finite gradient untouched."""
+    if grad.shape != net.flat.shape:
+        raise StructuralError(f"gradient shape {grad.shape} does not match the {net.flat.size} parameters")
     if rate < 0:
         raise InputError(f"learning rate must be >= 0, got {rate}")
-    for g in grads:
-        if not np.all(np.isfinite(g)):
-            raise NumericsError("non-finite gradient: update rejected, parameters unchanged")
+    if not np.all(np.isfinite(grad)):
+        raise NumericsError("non-finite gradient: update rejected, parameters unchanged")
 
     state.step_count += 1
     t = state.step_count
     c1 = 1.0 - ADAM_BETA1**t
     c2 = 1.0 - ADAM_BETA2**t
-    for p, m, v, g in zip(params, state.first_moment, state.second_moment, grads):
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        p -= rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+    m, v = state.first_moment, state.second_moment
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grad * grad
+    net.flat -= rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     return net, state
 
 
@@ -326,8 +304,7 @@ def lr_at(schedule: LrSchedule, step: int) -> float:
 #   8s   tag
 #   <I   version
 #   <I   number of layer_sizes entries, then that many <I
-#   raw  every weight matrix and bias vector, row-major float64
-#   raw  Adam first moments, then second moments, same order/dtype
+#   <f8  the parameter vector, then the Adam first moments, then the second moments
 #   <Q   Adam step_count
 #   <Q   RNG seed
 #   <Q   global step
@@ -342,15 +319,15 @@ def checkpoint_to_bytes(
     global_step: int,
 ) -> bytes:
     net.validate()
-    parts = [CHECKPOINT_TAG, struct.pack("<I", CHECKPOINT_VERSION)]
-    parts.append(struct.pack("<I", len(net.layer_sizes)))
-    parts.append(struct.pack(f"<{len(net.layer_sizes)}I", *net.layer_sizes))
-    for arr in net.parameters():
-        parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    for arr in adam.first_moment + adam.second_moment:
-        parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    parts.append(struct.pack("<QQQ", adam.step_count, rng_seed, global_step))
-    body = b"".join(parts)
+    sizes = net.layer_sizes
+    body = b"".join(
+        [
+            CHECKPOINT_TAG,
+            struct.pack(f"<II{len(sizes)}I", CHECKPOINT_VERSION, len(sizes), *sizes),
+            np.concatenate([net.flat, adam.first_moment, adam.second_moment]).astype("<f8").tobytes(),
+            struct.pack("<QQQ", adam.step_count, rng_seed, global_step),
+        ]
+    )
     return body + struct.pack("<I", zlib.crc32(body))
 
 
@@ -360,51 +337,33 @@ def checkpoint_from_bytes(data: bytes) -> tuple[DenseNet, AdamState, int, int]:
         raise CheckpointError("not a network checkpoint (bad tag)")
     if zlib.crc32(data[:-4]) != struct.unpack("<I", data[-4:])[0]:
         raise CheckpointError("checkpoint checksum mismatch (truncated or corrupted)")
+    view = memoryview(data)[:-4]
     off = len(CHECKPOINT_TAG)
 
-    def take(fmt: str):
+    def take(size: int) -> memoryview:
         nonlocal off
-        size = struct.calcsize(fmt)
-        if off + size > len(data) - 4:
+        if off + size > len(view):
             raise CheckpointError("checkpoint truncated")
-        out = struct.unpack_from(fmt, data, off)
         off += size
-        return out
+        return view[off - size : off]
 
-    (version,) = take("<I")
+    (version,) = struct.unpack("<I", take(4))
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"checkpoint version {version} != supported {CHECKPOINT_VERSION}")
-    (n_sizes,) = take("<I")
-    layer_sizes = list(take(f"<{n_sizes}I"))
-
-    def take_array(shape: tuple[int, ...]) -> np.ndarray:
-        nonlocal off
-        n = int(np.prod(shape))
-        size = n * 8
-        if off + size > len(data) - 4:
-            raise CheckpointError("checkpoint truncated")
-        arr = np.frombuffer(data, dtype="<f8", count=n, offset=off).reshape(shape)
-        off += size
-        return arr.astype(np.float64)
-
-    shapes = _layer_shapes(layer_sizes)
-    flat_shapes: list[tuple[int, ...]] = []
-    for wshape, bshape in shapes:
-        flat_shapes.extend([wshape, bshape])
-    params = [take_array(s) for s in flat_shapes]
-    m1 = [take_array(s) for s in flat_shapes]
-    m2 = [take_array(s) for s in flat_shapes]
-    step_count, rng_seed, global_step = take("<QQQ")
-    if off != len(data) - 4:
+    (n_sizes,) = struct.unpack("<I", take(4))
+    layer_sizes = list(struct.unpack(f"<{n_sizes}I", take(4 * n_sizes)))
+    try:
+        n = param_count(layer_sizes)
+    except StructuralError as exc:
+        raise CheckpointError(f"checkpoint header: {exc}") from None
+    params, m1, m2 = np.frombuffer(take(3 * 8 * n), dtype="<f8").reshape(3, n)
+    step_count, rng_seed, global_step = struct.unpack("<QQQ", take(24))
+    if off != len(view):
         raise CheckpointError("checkpoint has trailing bytes")
 
-    net = DenseNet(
-        layer_sizes=layer_sizes,
-        weights=params[0::2],
-        biases=params[1::2],
-    )
+    net = DenseNet(layer_sizes, params)
     net.validate()
-    adam = AdamState(first_moment=m1, second_moment=m2, step_count=step_count)
+    adam = AdamState(m1.astype(np.float64), m2.astype(np.float64), step_count)
     return net, adam, rng_seed, global_step
 
 

@@ -290,8 +290,8 @@ def ppo_loss_and_grads(
     epsilon: float,
     beta: float,
     value_loss_coeff: float,
-) -> tuple[float, dict[str, float], list[np.ndarray]]:
-    """Total loss over one minibatch plus exact parameter gradients.
+) -> tuple[float, dict[str, float], np.ndarray]:
+    """Total loss over one minibatch plus the exact gradient, shaped like `net.flat`.
 
     loss = -mean(clipped surrogate) + value_loss_coeff * mean((returns - V)^2)
            - beta * mean(entropy)
@@ -326,14 +326,14 @@ def ppo_loss_and_grads(
     d_logits += (beta / n) * probs * (logp_all + entropy[:, None])
     d_value = (-2.0 * value_loss_coeff / n) * value_err
 
-    grads = nets.backward(net, acts, d_logits, d_value)
+    grad = nets.backward(net, acts, d_logits, d_value)
     parts = {
         "policy_loss": policy_loss,
         "value_loss": value_loss,
         "entropy": entropy_mean,
         "total": total,
     }
-    return total, parts, grads
+    return total, parts, grad
 
 
 @dataclass
@@ -371,7 +371,7 @@ def ppo_update(
     adv = data["advantages"]
     adv = (adv - adv.mean()) / (adv.std() + ADVANTAGE_NORM_EPS)
 
-    params_backup = net.get_flat()
+    params_backup = net.flat.copy()
     adam_backup = adam.copy()
     n = buffer.size
     n_batches = n // hp.batch_size
@@ -381,7 +381,7 @@ def ppo_update(
             order = rng.permutation(n)
             for b in range(n_batches):
                 idx = order[b * hp.batch_size : (b + 1) * hp.batch_size]
-                total, parts, grads = ppo_loss_and_grads(
+                total, parts, grad = ppo_loss_and_grads(
                     net,
                     data["obs"][idx],
                     data["actions"][idx],
@@ -394,13 +394,13 @@ def ppo_update(
                 )
                 if not np.isfinite(total):
                     raise NumericsError(f"non-finite loss {parts}; update aborted")
-                nets.adam_step(net, adam, grads, lr)
+                nets.adam_step(net, adam, grad, lr)
                 pol_mags.append(abs(parts["policy_loss"]))
                 val_losses.append(parts["value_loss"])
                 entropies.append(parts["entropy"])
         net.validate()  # parameters must stay finite across the whole update
     except NumericsError:
-        net.set_flat(params_backup)
+        net.flat[...] = params_backup
         adam.first_moment = adam_backup.first_moment
         adam.second_moment = adam_backup.second_moment
         adam.step_count = adam_backup.step_count

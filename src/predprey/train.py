@@ -42,9 +42,8 @@ _TAG_EPISODE = 5
 @dataclass
 class ScenarioConfig:
     scenario_id: int = 3
-    predator_in_training: bool = False
     hyperparams: PpoHyperparams = field(default_factory=PpoHyperparams)
-    world: WorldConfig = field(default_factory=WorldConfig)
+    world: WorldConfig = field(default_factory=lambda: WorldConfig(predator_present=False))  # scenario 3's world
     seed: int = 0
     hidden_units: int = 128
     num_layers: int = 2
@@ -72,7 +71,11 @@ def scenario_defaults(scenario_id: int, seed: int = 0) -> ScenarioConfig:
     """Canonical config for one scenario; only (max_steps, predator presence) vary."""
     cfg = ScenarioConfig(scenario_id=scenario_id, seed=seed)  # rejects an unknown scenario id
     max_steps, predator = SCENARIO_TABLE[scenario_id]
-    return replace(cfg, predator_in_training=predator, hyperparams=PpoHyperparams(max_steps=max_steps))
+    return replace(
+        cfg,
+        hyperparams=PpoHyperparams(max_steps=max_steps),
+        world=replace(cfg.world, predator_present=predator),
+    )
 
 
 @dataclass
@@ -133,19 +136,18 @@ def run_training(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     hp = cfg.hyperparams
-    train_world = replace(cfg.world, predator_present=cfg.predator_in_training)
     n_actions = prey_action_space().n_joint
 
     if resume_from is not None:
         net, adam, run_seed, global_step = load_checkpoint(resume_from)
-        if net.input_dim != train_world.obs_dim or net.policy_dim != n_actions:
+        if net.input_dim != cfg.world.obs_dim or net.policy_dim != n_actions:
             raise StructuralError(
                 f"checkpoint net ({net.input_dim} -> {net.policy_dim}) does not match "
-                f"world ({train_world.obs_dim} -> {n_actions})"
+                f"world ({cfg.world.obs_dim} -> {n_actions})"
             )
     else:
         net = init_net(
-            train_world.obs_dim,
+            cfg.world.obs_dim,
             n_actions,
             hidden_units=cfg.hidden_units,
             num_layers=cfg.num_layers,
@@ -162,7 +164,7 @@ def run_training(
             f"checkpoint step {global_step} is not a cycle boundary (cycle={cycle_steps})"
         )
     update_idx = global_step // cycle_steps
-    steps_per_tick = cfg.n_worlds * train_world.n_prey
+    steps_per_tick = cfg.n_worlds * cfg.world.n_prey
 
     metrics_path = out_dir / "metrics.csv"
     metrics = TrainingMetrics()
@@ -174,7 +176,7 @@ def run_training(
 
         while global_step < hp.max_steps:
             actors = ActorWorlds.from_state(
-                reset(train_world, [derive_seed(run_seed, _TAG_WORLD, update_idx, w) for w in range(cfg.n_worlds)])
+                reset(cfg.world, [derive_seed(run_seed, _TAG_WORLD, update_idx, w) for w in range(cfg.n_worlds)])
             )
             episode_counts = [0] * cfg.n_worlds
 

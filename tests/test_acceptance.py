@@ -262,9 +262,8 @@ class TestCriterion6EnvironmentInvariants:
 def desk_scenario(predator: bool, seed: int, max_steps: int = 200_000) -> ScenarioConfig:
     return ScenarioConfig(
         scenario_id=2 if predator else 3,
-        predator_in_training=predator,
         hyperparams=PpoHyperparams(max_steps=max_steps),
-        world=WorldConfig(),
+        world=WorldConfig(predator_present=predator),
         seed=seed,
         checkpoint_interval=10_000_000,
     )
@@ -335,9 +334,8 @@ class TestCriterion9Determinism:
         )
         cfg = ScenarioConfig(
             scenario_id=3,
-            predator_in_training=False,
             hyperparams=hp,
-            world=WorldConfig(n_prey=2, n_positive_points=4, n_negative_points=4),
+            world=WorldConfig(n_prey=2, n_positive_points=4, n_negative_points=4, predator_present=False),
             seed=909,
             hidden_units=16,
             num_layers=1,

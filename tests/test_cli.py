@@ -25,7 +25,7 @@ class TestParseConfig:
         path.write_text("scenario_id = 1\n")
         cfg, provenance = parse_scenario_config(path)
         assert cfg.hyperparams.max_steps == 580_000
-        assert cfg.predator_in_training is True
+        assert cfg.world.predator_present is True
         assert provenance["scenario_id"] == "file"
         assert provenance["max_steps"] == "default"
 
@@ -33,7 +33,7 @@ class TestParseConfig:
         path = tmp_path / "empty.txt"
         path.write_text("# nothing here\n")
         cfg, provenance = parse_scenario_config(path, {"scenario_id": 3})
-        assert cfg.predator_in_training is False
+        assert cfg.world.predator_present is False
         assert cfg.hyperparams.max_steps == 1_000_000
         assert provenance["scenario_id"] == "flag"
 
@@ -57,10 +57,16 @@ class TestParseConfig:
 
     def test_explicit_override_beats_scenario_table(self, tmp_path):
         path = tmp_path / "cfg.txt"
-        path.write_text("scenario_id = 1\nmax_steps = 1234\npredator_in_training = false\n")
-        cfg, _ = parse_scenario_config(path)
+        path.write_text("scenario_id = 1\nmax_steps = 1234\npredator_present = false\n")
+        cfg, provenance = parse_scenario_config(path)
         assert cfg.hyperparams.max_steps == 1234
-        assert cfg.predator_in_training is False
+        assert cfg.world.predator_present is False
+        assert provenance["predator_present"] == "file"
+
+    def test_stale_predator_in_training_key_exits_2(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("scenario_id = 1\npredator_in_training = false\n")
+        assert main(["train", "-c", str(path), "-o", str(tmp_path / "out")]) == 2
 
     def test_barrier_layout_parsing(self, tmp_path):
         path = tmp_path / "cfg.txt"
@@ -232,6 +238,24 @@ class TestBadTrajectoryInput:
         traj = tmp_path / "traj.csv"
         traj.write_text(TRAJECTORY_HEAD, newline="")
         assert main([*ANALYSIS_COMMANDS[subcommand], "--trajectory", str(traj), "-o", str(tmp_path / "out")]) == 0
+
+    def test_failed_invocation_snapshot_keeps_previous_file(self, tmp_path, monkeypatch):
+        import argparse
+
+        import predprey.net as net_module
+        from predprey.cli import _snapshot_args
+        from tests_support import HalfWrite
+
+        args = argparse.Namespace(trajectory="a.csv", run=0)
+        _snapshot_args(args, tmp_path, ("trajectory", "run"))
+        before = (tmp_path / "resolved_config.txt").read_bytes()
+        args.run = 1
+        monkeypatch.setattr(net_module, "open", HalfWrite, raising=False)
+        with pytest.raises(OSError):
+            _snapshot_args(args, tmp_path, ("trajectory", "run"))
+        monkeypatch.undo()
+        assert (tmp_path / "resolved_config.txt").read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["resolved_config.txt"]
 
     def test_failed_replay_write_keeps_previous_file(self, tmp_path, monkeypatch):
         import predprey.net as net_module

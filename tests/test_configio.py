@@ -112,7 +112,6 @@ def hyperparams(draw):
 def scenario_configs(draw):
     return ScenarioConfig(
         scenario_id=draw(st.sampled_from((1, 2, 3))),
-        predator_in_training=draw(st.booleans()),
         hyperparams=draw(hyperparams()),
         world=draw(world_configs()),
         seed=draw(seeds),

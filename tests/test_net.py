@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -18,8 +21,8 @@ from predprey.net import (
     lr_at,
     save_checkpoint,
     trunk,
-    zeros_like_params,
 )
+from predprey.cli import main
 from tests_support import HalfWrite
 
 
@@ -53,8 +56,7 @@ def naive_forward(net, obs):
 class TestForward:
     def test_zero_parameters_give_zero_outputs_and_uniform_policy(self):
         net = small_net()
-        for p in net.parameters():
-            p[...] = 0.0
+        net.flat[...] = 0.0
         logits, value = forward(net, np.ones(4))
         assert np.all(logits == 0.0)
         assert value == 0.0
@@ -62,11 +64,8 @@ class TestForward:
 
     def test_identity_single_layer_passes_observation_through(self):
         # No hidden layers: the policy head is applied straight to the input.
-        net = DenseNet(
-            layer_sizes=[3, 3, 1],
-            weights=[np.eye(3), np.zeros((3, 1))],
-            biases=[np.zeros(3), np.zeros(1)],
-        )
+        net = DenseNet([3, 3, 1], np.zeros(16))
+        net.weights[0][...] = np.eye(3)
         e1 = np.array([1.0, 0.0, 0.0])
         logits, value = forward(net, e1)
         assert np.array_equal(logits, e1)
@@ -124,20 +123,16 @@ class TestForward:
 class TestBackward:
     def test_zero_upstream_gives_zero_gradients(self):
         net = small_net()
-        grads = backward(net, trunk(net, np.ones((1, 4))), np.zeros((1, 2)), np.zeros(1))
-        assert all(np.all(g == 0.0) for g in grads)
+        grad = backward(net, trunk(net, np.ones((1, 4))), np.zeros((1, 2)), np.zeros(1))
+        assert grad.shape == net.flat.shape and np.all(grad == 0.0)
 
     def test_linear_value_gradient_is_observation(self):
         # loss = value on a headless net: d loss / d W_value[i] = obs[i] exactly.
-        net = DenseNet(
-            layer_sizes=[3, 2, 1],
-            weights=[np.zeros((3, 2)), np.zeros((3, 1))],
-            biases=[np.zeros(2), np.zeros(1)],
-        )
+        net = DenseNet([3, 2, 1], np.zeros(12))
         obs = np.array([[0.3, -1.2, 2.5]])
-        grads = backward(net, trunk(net, obs), np.zeros((1, 2)), np.ones(1))
-        assert np.array_equal(grads[-2][:, 0], obs[0])
-        assert grads[-1][0] == 1.0
+        grad = DenseNet(net.layer_sizes, backward(net, trunk(net, obs), np.zeros((1, 2)), np.ones(1)))
+        assert np.array_equal(grad.weights[-1][:, 0], obs[0])
+        assert grad.biases[-1][0] == 1.0
 
     def test_matches_central_finite_differences(self):
         net = init_net(4, 3, hidden_units=5, num_layers=2, seed=11)
@@ -152,8 +147,7 @@ class TestBackward:
             logits, value = forward(probe, obs)
             return float(dl @ logits + dv * value)
 
-        grads = backward(net, trunk(net, obs[None]), dl[None], np.array([dv]))
-        flat_grad = np.concatenate([g.ravel() for g in grads])
+        flat_grad = backward(net, trunk(net, obs[None]), dl[None], np.array([dv]))
         base = net.get_flat()
         h = 1e-5
         for k in range(len(base)):
@@ -178,7 +172,7 @@ class TestAdam:
         net = small_net()
         before = net.get_flat()
         state = AdamState.for_net(net)
-        adam_step(net, state, zeros_like_params(net), rate=0.1)
+        adam_step(net, state, np.zeros_like(net.flat), rate=0.1)
         assert np.array_equal(net.get_flat(), before)
         assert state.step_count == 1
 
@@ -186,24 +180,19 @@ class TestAdam:
         net = small_net()
         before = net.get_flat()
         state = AdamState.for_net(net)
-        grads = [np.ones_like(p) for p in net.parameters()]
-        adam_step(net, state, grads, rate=0.0)
+        adam_step(net, state, np.ones_like(net.flat), rate=0.0)
         assert np.array_equal(net.get_flat(), before)
         assert state.step_count == 1
 
     def test_single_step_matches_hand_trace(self):
         # One scalar parameter with gradient 1: bias correction makes both
         # moment ratios exactly 1, so the step is rate / (1 + eps).
-        net = DenseNet(
-            layer_sizes=[1, 1, 1],
-            weights=[np.array([[0.5]]), np.array([[0.25]])],
-            biases=[np.zeros(1), np.zeros(1)],
-        )
+        net = DenseNet([1, 1, 1], [0.5, 0.0, 0.25, 0.0])
         state = AdamState.for_net(net)
-        grads = zeros_like_params(net)
-        grads[0][...] = 1.0
+        grad = np.zeros(4)
+        grad[0] = 1.0
         rate = 0.05
-        adam_step(net, state, grads, rate)
+        adam_step(net, state, grad, rate)
         assert net.weights[0][0, 0] == 0.5 - rate / (1.0 + ADAM_EPS)
         assert net.weights[1][0, 0] == 0.25  # untouched parameter
 
@@ -211,12 +200,17 @@ class TestAdam:
         net = small_net()
         before = net.get_flat()
         state = AdamState.for_net(net)
-        grads = zeros_like_params(net)
-        grads[0][0, 0] = np.inf
+        grad = np.zeros_like(net.flat)
+        grad[0] = np.inf
         with pytest.raises(NumericsError):
-            adam_step(net, state, grads, rate=0.1)
+            adam_step(net, state, grad, rate=0.1)
         assert np.array_equal(net.get_flat(), before)
         assert state.step_count == 0
+
+    def test_gradient_of_another_length_rejected(self):
+        net = small_net()
+        with pytest.raises(StructuralError):
+            adam_step(net, AdamState.for_net(net), np.zeros(net.flat.size + 1), rate=0.1)
 
 
 class TestLrSchedule:
@@ -267,8 +261,7 @@ class TestCheckpoint:
         net = init_net(7, 6, hidden_units=4, num_layers=2, seed=seed)
         state = AdamState.for_net(net)
         rng = np.random.default_rng(seed)
-        grads = [rng.normal(size=p.shape) for p in net.parameters()]
-        adam_step(net, state, grads, rate=1e-3)
+        adam_step(net, state, rng.normal(size=net.flat.shape), rate=1e-3)
         return net, state
 
     def test_roundtrip_is_byte_identical(self):
@@ -283,11 +276,18 @@ class TestCheckpoint:
         blob = checkpoint_to_bytes(net, state, 9, 10)
         net2, state2, _, _ = checkpoint_from_bytes(blob)
         assert net2.layer_sizes == net.layer_sizes
-        for a, b in zip(net.parameters(), net2.parameters()):
-            assert np.array_equal(a, b)
-        for a, b in zip(state.first_moment, state2.first_moment):
-            assert np.array_equal(a, b)
+        assert np.array_equal(net.flat, net2.flat)
+        assert np.array_equal(state.first_moment, state2.first_moment)
+        assert np.array_equal(state.second_moment, state2.second_moment)
         assert state2.step_count == state.step_count
+
+    def test_wide_first_layer_forward_survives_the_round_trip_bitwise(self):
+        # a fresh net and its loaded copy share one memory layout, so BLAS gives them the same bits
+        net = init_net(79, 6, seed=2)
+        net2 = checkpoint_from_bytes(checkpoint_to_bytes(net, AdamState.for_net(net), 0, 0))[0]
+        obs = np.random.default_rng(2).normal(size=(1, 6, 79))
+        (logits, values), (logits2, values2) = forward(net, obs), forward(net2, obs)
+        assert np.array_equal(logits, logits2) and np.array_equal(values, values2)
 
     def test_save_at_step_zero_then_load(self, tmp_path):
         net = init_net(5, 6, seed=1)
@@ -336,13 +336,21 @@ class TestCheckpoint:
         net, state = self.make_state()
         blob = bytearray(checkpoint_to_bytes(net, state, 1, 2))
         blob[8] = 99  # version field follows the 8-byte tag
-        import zlib
-        import struct
-
         body = bytes(blob[:-4])
         blob = body + struct.pack("<I", zlib.crc32(body))
         with pytest.raises(CheckpointError):
             checkpoint_from_bytes(blob)
+
+    @pytest.mark.parametrize("sizes", [[], [5, 1], [5, 0, 1], [5, 6, 2]])
+    def test_impossible_layer_sizes_rejected(self, sizes, tmp_path):
+        body = b"PPACNET\x00" + struct.pack(f"<II{len(sizes)}I", 1, len(sizes), *sizes) + bytes(8 * 8)
+        blob = body + struct.pack("<I", zlib.crc32(body))
+        with pytest.raises(CheckpointError, match="layer_sizes"):
+            checkpoint_from_bytes(blob)
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(blob)
+        argv = ["eval", "--checkpoint", str(path), "--n-runs", "2", "--duration", "1", "-o", str(tmp_path / "out")]
+        assert main(argv) == 4
 
 
 class TestInit:
@@ -356,8 +364,17 @@ class TestInit:
         assert np.abs(net.weights[-2]).max() < 0.05  # policy head near zero
         assert np.abs(net.weights[-1]).max() > 0.05  # value head at unit scale
 
-    def test_validate_rejects_broken_chain(self):
+    def test_construction_rejects_a_vector_of_another_length(self):
         net = small_net()
-        net.weights[0] = np.zeros((2, 2))
-        with pytest.raises(StructuralError):
-            net.validate()
+        for flat in (np.zeros(net.flat.size + 1), np.zeros(net.flat.size - 1), np.zeros((1, net.flat.size))):
+            with pytest.raises(StructuralError):
+                DenseNet(net.layer_sizes, flat)
+
+    def test_layers_are_fixed_views_of_the_vector(self):
+        net = init_net(79, 6, seed=0)
+        for p in net.weights + net.biases:
+            assert p.flags.c_contiguous and np.shares_memory(p, net.flat)
+        with pytest.raises(TypeError):
+            net.weights[0] = np.zeros((79, 128))
+        net.flat[0] = 7.0
+        assert net.weights[0][0, 0] == 7.0

@@ -27,3 +27,26 @@ def test_tracer_wraps_and_restores_every_target():
         assert predprey.net.forward is not original
         assert predprey.net.forward.__wrapped__ is original
     assert predprey.net.forward is original
+
+
+def test_traced_cli_train_and_eval_reach_every_benchmark_span(tmp_path):
+    # the observers read call arguments and results, so a changed signature fails here too
+    tracing = load_tracing()
+    train_dir = tmp_path / "train"
+    train = ["train", "--scenario", "3", "--seed", "1", "--max-steps", "1", "-o", str(train_dir)]  # one cycle
+    checkpoint = str(train_dir / "checkpoint_final.ckpt")
+    evaluate = ["eval", "--checkpoint", checkpoint, "--n-runs", "2", "--duration", "5", "-o", str(tmp_path / "eval")]
+    with tracing.Tracer() as tracer:
+        assert predprey.cli.main(train) == 0
+        assert predprey.cli.main(evaluate) == 0
+    metrics = tracing.layer_metrics(tracer)
+    spans = (
+        "world.step",
+        "net.forward",
+        "net.backward",
+        "net.adam_step",
+        "net.save_checkpoint",
+        "net.load_checkpoint",
+        "ppo.RolloutBuffer.append_chunk",
+    )
+    assert {name: metrics[f"{name}.calls"] > 0 for name in spans} == dict.fromkeys(spans, True)

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import pytest
 
+import predprey.world as world_module
+from predprey.configio import parse_scenario_config
 from predprey.errors import CheckpointError, ConfigError, StructuralError
 from predprey.net import AdamState, init_net, load_checkpoint, save_checkpoint
 from predprey.ppo import PpoHyperparams
@@ -27,7 +29,6 @@ def tiny_config(seed=0, predator=False, max_steps=1024, **kwargs):
     world = WorldConfig(n_prey=2, n_positive_points=4, n_negative_points=4)
     defaults = dict(
         scenario_id=3,
-        predator_in_training=predator,
         hyperparams=hp,
         world=world,
         seed=seed,
@@ -36,6 +37,7 @@ def tiny_config(seed=0, predator=False, max_steps=1024, **kwargs):
         checkpoint_interval=512,
     )
     defaults.update(kwargs)
+    defaults["world"] = replace(defaults["world"], predator_present=predator)  # `predator` decides, whatever world
     return ScenarioConfig(**defaults)
 
 
@@ -43,16 +45,18 @@ class TestScenarios:
     def test_table(self):
         assert SCENARIO_TABLE == {1: (580_000, True), 2: (1_000_000, True), 3: (1_000_000, False)}
         one = scenario_defaults(1)
-        assert one.max_steps == 580_000 and one.predator_in_training
+        assert one.max_steps == 580_000 and one.world.predator_present
         three = scenario_defaults(3)
-        assert three.max_steps == 1_000_000 and not three.predator_in_training
+        assert three.max_steps == 1_000_000 and not three.world.predator_present
+        assert three == ScenarioConfig()
 
     def test_scenarios_differ_only_in_steps_and_predator(self):
         cfgs = {i: scenario_defaults(i) for i in (1, 2, 3)}
         for a in (1, 2, 3):
             for b in (1, 2, 3):
                 ca, cb = cfgs[a], cfgs[b]
-                assert ca.world == cb.world
+                assert ca.world.predator_present == SCENARIO_TABLE[a][1]
+                assert replace(ca.world, predator_present=False) == replace(cb.world, predator_present=False)
                 assert ca.seed == cb.seed
                 assert (ca.hidden_units, ca.num_layers) == (cb.hidden_units, cb.num_layers)
                 assert replace(ca.hyperparams, max_steps=1) == replace(cb.hyperparams, max_steps=1)
@@ -104,12 +108,28 @@ class TestRunTraining:
         _, metrics = run_training(cfg, tmp_path)
         assert metrics.rows  # ran and logged
 
+    def test_config_file_can_train_scenario_one_without_predator(self, tmp_path, monkeypatch):
+        path = tmp_path / "cfg.txt"
+        path.write_text(
+            "scenario_id = 1\npredator_present = false\nn_prey = 2\nn_positive_points = 4\n"
+            "n_negative_points = 4\nbatch_size = 64\nbuffer_size = 256\ntime_horizon = 16\n"
+            "max_steps = 256\nhidden_units = 8\nnum_layers = 1\n"
+        )
+        cfg, _ = parse_scenario_config(path)
+
+        def no_predator_step(state):
+            raise AssertionError("predator_step called in a world without a predator")
+
+        monkeypatch.setattr(world_module, "predator_step", no_predator_step)
+        run_training(cfg, tmp_path / "out")
+
 
 class TestResume:
-    def test_resume_equals_straight_run(self, tmp_path):
+    @pytest.mark.parametrize("hidden_units", [16, 96])  # below and above the observation width
+    def test_resume_equals_straight_run(self, tmp_path, hidden_units):
         # interrupt-and-resume means continuing the SAME config from one of
         # its own interval checkpoints; the remainder must replay exactly
-        cfg = tiny_config(seed=9, max_steps=2048, checkpoint_interval=1024)
+        cfg = tiny_config(seed=9, max_steps=2048, checkpoint_interval=1024, hidden_units=hidden_units)
         _, straight = run_training(cfg, tmp_path / "full")
         mid = tmp_path / "full" / "checkpoint_0000001024.ckpt"
         assert mid.exists()
@@ -173,7 +193,6 @@ class TestLearningSmoke:
         )
         cfg = ScenarioConfig(
             scenario_id=3,
-            predator_in_training=False,
             hyperparams=hp,
             world=world,
             seed=11,
