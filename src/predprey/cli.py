@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: train, eval, stats, heatmap, replay-export. Every run writes a
-resolved-config snapshot and a build identifier beside its outputs. Exit
+resolved-config snapshot and a build identifier beside its outputs, all but
+train after its data files: a run that stops early leaves earlier outputs whole. Exit
 codes: 0 success, 2 configuration error, 3 numeric failure, 4 I/O failure.
 The default output root is $PREDPREY_OUTPUT_ROOT (falling back to ./runs).
 """
@@ -116,7 +117,6 @@ def _cmd_eval(args) -> int:
     write_run_records(records, out / "run_records.csv")
     summary = summarize_condition(cfg.condition_id, records)
     write_summary_csv([summary], out / "summary.csv")
-    # the config and build go last, so an eval that stops early leaves an earlier eval's files as they were
     write_resolved(cfg, out / "resolved_config.txt", provenance)
     _write_build(out)
     print(
@@ -146,8 +146,6 @@ def _cmd_stats(args) -> int:
     if len(conditions) < 2:
         raise ConfigError("stats needs at least two run-record CSVs")
     out = _prepare_out_dir(args, "stats")
-    _write_build(out)
-    _snapshot_args(args, out, ("records",))
     write_summary_csv([summarize_condition(label, recs) for label, recs in conditions], out / "summary.csv")
 
     variables = {
@@ -165,6 +163,8 @@ def _cmd_stats(args) -> int:
                 g2 = np.array([getter(r) for r in ri[1]])
                 rows.append((f"{li[0]}_vs_{ri[0]}:{var}", g1, g2))
     write_stats_csv(rows, out / "stats.csv")
+    _snapshot_args(args, out, ("records",))
+    _write_build(out)
     for label, g1, g2 in rows:
         res = one_way_anova([g1, g2])
         print(f"{label}: F={res.f_score:.3f} p={res.p_value:.3g}")
@@ -183,10 +183,10 @@ def _cmd_heatmap(args) -> int:
         extent=extent,
     )
     out = _prepare_out_dir(args, f"heatmap-{args.entity_kind}")
-    _write_build(out)
-    _snapshot_args(args, out, ("trajectory", "entity_kind", "bandwidth", "grid", "extent"))
     write_grid_text(kde, out / "occupancy.txt")
     write_grid_pgm(kde, out / "occupancy.pgm")
+    _snapshot_args(args, out, ("trajectory", "entity_kind", "bandwidth", "grid", "extent"))
+    _write_build(out)
     print(
         f"{kde.n_samples} samples, bandwidth {kde.bandwidth:.4f}, "
         f"grid {kde.grid.shape[0]}x{kde.grid.shape[1]} -> {out}"
@@ -201,11 +201,11 @@ def _cmd_replay_export(args) -> int:
         sys.stdout.write(text)
         return 0
     out = _prepare_out_dir(args, "replay")
-    _write_build(out)
-    _snapshot_args(args, out, ("trajectory", "run", "ticks"))
     path = out / f"replay_run{args.run}_{args.ticks[0]}_{args.ticks[1]}.txt"
     with atomic_open(path, "w") as fh:
         fh.write(text)
+    _snapshot_args(args, out, ("trajectory", "run", "ticks"))
+    _write_build(out)
     print(f"wrote {path}")
     return 0
 

@@ -94,17 +94,6 @@ class DenseNet:
     def n_hidden(self) -> int:
         return len(self.layer_sizes) - 3
 
-    def get_flat(self) -> np.ndarray:
-        return self.flat.copy()
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        if np.shape(flat) != self.flat.shape:
-            raise StructuralError(f"flat vector has shape {np.shape(flat)}, net has {self.flat.size} parameters")
-        self.flat[...] = flat
-
-    def copy(self) -> "DenseNet":
-        return DenseNet(self.layer_sizes, self.flat)
-
     def validate(self) -> None:
         if not np.all(np.isfinite(self.flat)):
             raise NumericsError("network parameters contain non-finite values")
@@ -386,11 +375,12 @@ def atomic_open(path, mode: str = "w", **kwargs):
         raise
 
 
-def read_csv_rows(path, header: list[str], types, make, error: type[Exception]) -> list:
+def read_csv_rows(path, header: list[str], types, make, error: type[Exception], last_key: float = np.inf) -> list:
     """`make(*row)` for every data row of a CSV whose first row is `header`, fields converted by `types`.
 
     Any other header raises StructuralError. A row with a field count other than the header's,
     a field its type refuses, or values `make` refuses with `error` raises `error` naming the line.
+    Reading stops, unparsed, at the first row whose first field is an integer above `last_key`.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -399,6 +389,8 @@ def read_csv_rows(path, header: list[str], types, make, error: type[Exception]) 
             raise StructuralError(f"{path}: expected header {header}, got {got}")
         rows = []
         for raw in reader:
+            if raw[0].isdigit() and int(raw[0]) > last_key:
+                break
             try:
                 if len(raw) != len(header):
                     raise ValueError(f"{len(raw)} fields, not {len(header)}")

@@ -107,10 +107,13 @@ class TrainingMetrics:
                 writer.writerow(row.as_csv_row())
 
     @classmethod
-    def from_csv(cls, path) -> "TrainingMetrics":
-        """The rows of a metrics CSV; a malformed row raises StructuralError naming its line."""
+    def from_csv(cls, path, last_step: float = math.inf) -> "TrainingMetrics":
+        """The rows up to `last_step` of a metrics CSV; a malformed one raises StructuralError naming its line.
+
+        A row past `last_step` is never parsed, such as one a kill during an append cut short.
+        """
         types = (int,) + (float,) * (len(METRICS_HEADER) - 1)
-        return cls(rows=read_csv_rows(path, METRICS_HEADER, types, MetricsRow, StructuralError))
+        return cls(rows=read_csv_rows(path, METRICS_HEADER, types, MetricsRow, StructuralError, last_step))
 
 
 def steps_per_cycle(cfg: ScenarioConfig) -> int:
@@ -128,8 +131,8 @@ def run_training(
 ) -> tuple[Path, TrainingMetrics]:
     """Train until global step reaches max_steps; returns (final checkpoint, metrics.csv rows).
 
-    Writes metrics.csv incrementally and a checkpoint whenever the global
-    step crosses a checkpoint_interval boundary, plus a final one. Resuming
+    Rewrites metrics.csv atomically every cycle and writes a checkpoint whenever
+    the global step crosses a checkpoint_interval boundary, plus a final one. Resuming
     from any written checkpoint reproduces the uninterrupted run exactly; a
     resume into out_dir keeps the metrics.csv rows up to the checkpoint's step.
     """
@@ -169,61 +172,58 @@ def run_training(
     metrics_path = out_dir / "metrics.csv"
     metrics = TrainingMetrics()
     if resume_from is not None and metrics_path.exists():
-        metrics.rows = [r for r in TrainingMetrics.from_csv(metrics_path).rows if r.global_step <= global_step]
+        metrics.rows = TrainingMetrics.from_csv(metrics_path, global_step).rows
     metrics.to_csv(metrics_path)
-    with open(metrics_path, "a", newline="") as metrics_fh:
-        writer = csv.writer(metrics_fh)
 
-        while global_step < hp.max_steps:
-            actors = ActorWorlds.from_state(
-                reset(cfg.world, [derive_seed(run_seed, _TAG_WORLD, update_idx, w) for w in range(cfg.n_worlds)])
+    while global_step < hp.max_steps:
+        actors = ActorWorlds.from_state(
+            reset(cfg.world, [derive_seed(run_seed, _TAG_WORLD, update_idx, w) for w in range(cfg.n_worlds)])
+        )
+        episode_counts = [0] * cfg.n_worlds
+
+        def episode_seed(idx: int) -> int:
+            episode_counts[idx] += 1
+            return derive_seed(run_seed, _TAG_EPISODE, update_idx, idx, episode_counts[idx])
+
+        action_rng = np.random.default_rng(derive_seed(run_seed, _TAG_ACTIONS, update_idx))
+        buffer = RolloutBuffer(hp.buffer_size)
+        while not buffer.is_full():
+            collect_rollout(
+                net, actors, hp.time_horizon, hp, action_rng, buffer, episode_seed
             )
-            episode_counts = [0] * cfg.n_worlds
+            global_step += steps_per_tick * hp.time_horizon
+        for w in range(cfg.n_worlds):
+            actors.finish_episode(w)
+        episode_returns = [r for returns in actors.completed_episode_returns for r in returns]
 
-            def episode_seed(idx: int) -> int:
-                episode_counts[idx] += 1
-                return derive_seed(run_seed, _TAG_EPISODE, update_idx, idx, episode_counts[idx])
+        lr = lr_at(schedule, min(global_step, hp.max_steps))
+        shuffle_rng = np.random.default_rng(derive_seed(run_seed, _TAG_SHUFFLE, update_idx))
+        stats = ppo_update(net, adam, buffer, hp, lr, shuffle_rng)
+        update_idx += 1
 
-            action_rng = np.random.default_rng(derive_seed(run_seed, _TAG_ACTIONS, update_idx))
-            buffer = RolloutBuffer(hp.buffer_size)
-            while not buffer.is_full():
-                collect_rollout(
-                    net, actors, hp.time_horizon, hp, action_rng, buffer, episode_seed
-                )
-                global_step += steps_per_tick * hp.time_horizon
-            for w in range(cfg.n_worlds):
-                actors.finish_episode(w)
-            episode_returns = [r for returns in actors.completed_episode_returns for r in returns]
+        reward_mean = float(np.mean(episode_returns))
+        prev_step = global_step - cycle_steps
+        for boundary in range(
+            (prev_step // hp.summary_freq + 1) * hp.summary_freq,
+            global_step + 1,
+            hp.summary_freq,
+        ):
+            row = MetricsRow(
+                global_step=boundary,
+                cumulative_reward_mean=reward_mean,
+                policy_loss=stats.policy_loss,
+                value_loss=stats.value_loss,
+                entropy=stats.entropy,
+                extrinsic_reward_mean=reward_mean,
+                value_estimate_mean=stats.value_estimate_mean,
+            )
+            metrics.rows.append(row)
+        metrics.to_csv(metrics_path)
 
-            lr = lr_at(schedule, min(global_step, hp.max_steps))
-            shuffle_rng = np.random.default_rng(derive_seed(run_seed, _TAG_SHUFFLE, update_idx))
-            stats = ppo_update(net, adam, buffer, hp, lr, shuffle_rng)
-            update_idx += 1
-
-            reward_mean = float(np.mean(episode_returns))
-            prev_step = global_step - cycle_steps
-            for boundary in range(
-                (prev_step // hp.summary_freq + 1) * hp.summary_freq,
-                global_step + 1,
-                hp.summary_freq,
-            ):
-                row = MetricsRow(
-                    global_step=boundary,
-                    cumulative_reward_mean=reward_mean,
-                    policy_loss=stats.policy_loss,
-                    value_loss=stats.value_loss,
-                    entropy=stats.entropy,
-                    extrinsic_reward_mean=reward_mean,
-                    value_estimate_mean=stats.value_estimate_mean,
-                )
-                metrics.rows.append(row)
-                writer.writerow(row.as_csv_row())
-            metrics_fh.flush()
-
-            if prev_step // cfg.checkpoint_interval != global_step // cfg.checkpoint_interval:
-                save_checkpoint(
-                    out_dir / f"checkpoint_{global_step:010d}.ckpt", net, adam, run_seed, global_step
-                )
+        if prev_step // cfg.checkpoint_interval != global_step // cfg.checkpoint_interval:
+            save_checkpoint(
+                out_dir / f"checkpoint_{global_step:010d}.ckpt", net, adam, run_seed, global_step
+            )
 
     final_path = out_dir / "checkpoint_final.ckpt"
     save_checkpoint(final_path, net, adam, run_seed, global_step)

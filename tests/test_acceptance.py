@@ -10,6 +10,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 import scipy.stats
 
 from predprey.net import forward, init_net, log_softmax
@@ -17,7 +18,7 @@ from predprey.ppo import PpoHyperparams, clipped_surrogate, compute_gae, ppo_los
 from predprey.stats import RunRecord, cohens_d, evaluate_condition, one_way_anova, task_efficiency
 from predprey.train import ScenarioConfig, TrainingMetrics, run_training
 from predprey.world import WorldConfig, reset, step
-from tests_support import brute_force_can_see, make_state
+from tests_support import brute_force_can_see, copy_net, get_flat, make_state, set_flat
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -153,9 +154,9 @@ class TestCriterion5LossGradient:
         t0 = time.time()
         rng = np.random.default_rng(5555)
         net = init_net(6, 6, hidden_units=8, num_layers=1, seed=55)
-        behaviour = net.copy()
-        flat = behaviour.get_flat()
-        behaviour.set_flat(flat + 0.05 * rng.normal(size=flat.shape))
+        behaviour = copy_net(net)
+        flat = get_flat(behaviour)
+        set_flat(behaviour, flat + 0.05 * rng.normal(size=flat.shape))
         n = 64
         obs = rng.normal(size=(n, 6))
         logits, values = forward(behaviour, obs)
@@ -173,17 +174,17 @@ class TestCriterion5LossGradient:
         )
         _, _, grads = ppo_loss_and_grads(net, *args)
         flat_grad = np.concatenate([g.ravel() for g in grads])
-        base = net.get_flat()
+        base = get_flat(net)
         h = 1e-6
         rel = np.zeros(len(base))
         for k in range(len(base)):
             up, down = base.copy(), base.copy()
             up[k] += h
             down[k] -= h
-            probe = net.copy()
-            probe.set_flat(up)
+            probe = copy_net(net)
+            set_flat(probe, up)
             lu, _, _ = ppo_loss_and_grads(probe, *args)
-            probe.set_flat(down)
+            set_flat(probe, down)
             ld, _, _ = ppo_loss_and_grads(probe, *args)
             fd = (lu - ld) / (2 * h)
             rel[k] = abs(fd - flat_grad[k]) / max(abs(fd), abs(flat_grad[k]), 1e-8)
@@ -196,6 +197,7 @@ class TestCriterion5LossGradient:
         )
 
 
+@pytest.mark.slow
 class TestCriterion6EnvironmentInvariants:
     def test_hundred_thousand_random_steps(self):
         t0 = time.time()
@@ -269,6 +271,7 @@ def desk_scenario(predator: bool, seed: int, max_steps: int = 200_000) -> Scenar
     )
 
 
+@pytest.mark.slow
 class TestCriterion7LearningSignal:
     def test_reward_rises_and_entropy_falls_across_seeds(self, tmp_path):
         t0 = time.time()
@@ -293,6 +296,7 @@ class TestCriterion7LearningSignal:
         report("200k-step no-predator training: reward rises, entropy falls (>=4 of 5 seeds)", ok, detail)
 
 
+@pytest.mark.slow
 class TestCriterion8ConditionOrdering:
     def test_predator_conditions_order_as_reported(self, tmp_path):
         t0 = time.time()

@@ -377,6 +377,38 @@ class TestCliPipeline:
         assert f"{metrics}: line 2: " in proc.stderr
         assert metrics.read_text() == header + "\nxx,1\n"
 
+    def test_resume_past_a_torn_metrics_row_ends_as_the_straight_run(self, pipeline, tmp_path):
+        root, _, _ = pipeline
+        cfg = root / "torn.txt"
+        cfg.write_text((root / "train.txt").read_text().replace("max_steps = 512", "max_steps = 1024"))
+        straight, run_dir = tmp_path / "straight", tmp_path / "torn"
+        assert main(["train", "-c", str(cfg), "-o", str(straight)]) == 0
+        assert main(["train", "-c", str(cfg), "-o", str(run_dir)]) == 0
+        metrics = run_dir / "metrics.csv"
+        data = metrics.read_bytes()
+        assert data.count(b"\n") == 5  # the header, then rows at steps 256 to 1024
+        metrics.write_bytes(data[:-40])  # a kill during an append leaves the last row cut short
+        argv = ["train", "-c", str(cfg), "--resume", str(run_dir / "checkpoint_0000000512.ckpt"), "-o", str(run_dir)]
+        proc = run_cli(argv, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        for name in ("metrics.csv", "checkpoint_final.ckpt"):
+            assert (run_dir / name).read_bytes() == (straight / name).read_bytes(), name
+
+    def test_torn_metrics_row_at_the_checkpoint_exits_2_naming_the_line(self, pipeline, tmp_path):
+        root, train_dir, _ = pipeline
+        run_dir = tmp_path / "train"
+        run_dir.mkdir()
+        (run_dir / "checkpoint_final.ckpt").write_bytes((train_dir / "checkpoint_final.ckpt").read_bytes())
+        torn = (train_dir / "metrics.csv").read_bytes()[:-40]  # the last row is the checkpoint's, step 512
+        metrics = run_dir / "metrics.csv"
+        metrics.write_bytes(torn)
+        argv = ["train", "-c", str(root / "train.txt"), "--resume", str(run_dir / "checkpoint_final.ckpt"), "-o", str(run_dir)]
+        proc = run_cli(argv, tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"{metrics}: line 3: " in proc.stderr
+        assert metrics.read_bytes() == torn
+
     def test_train_artifacts(self, pipeline):
         _, train_dir, _ = pipeline
         for name in ("resolved_config.txt", "build.txt", "metrics.csv", "checkpoint_final.ckpt"):
@@ -406,6 +438,37 @@ class TestCliPipeline:
         with pytest.raises(KeyboardInterrupt):
             main([*argv, "--seed", "6", "--condition", "other"])
         assert len(ticks) == 11
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("command", ["stats", "heatmap", "replay-export"])
+    def test_interrupted_analysis_leaves_the_previous_outputs_as_they_were(self, pipeline, tmp_path, monkeypatch, command):
+        import predprey.cli as cli_module
+
+        _, _, eval_dir = pipeline
+        out = tmp_path / command
+        records, trajectory = str(eval_dir / "run_records.csv"), str(eval_dir / "trajectory.csv")
+        replay = ["replay-export", "--run", "0", "--ticks", "0", "4", "-o", str(out), "--trajectory"]
+        first, second, interrupt = {
+            "stats": (["stats", f"a={records}", f"b={records}"], ["stats", f"c={records}", f"d={records}"], "write_summary_csv"),
+            "heatmap": (["heatmap", "--trajectory", trajectory], ["heatmap", "--trajectory", trajectory, "--grid", "8", "8"], "write_grid_text"),
+            "replay-export": ([*replay, trajectory], [*replay, str(tmp_path / "copy.csv")], "atomic_open"),
+        }[command]
+        (tmp_path / "copy.csv").write_bytes((eval_dir / "trajectory.csv").read_bytes())
+        assert main([*first, "-o", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        real = getattr(cli_module, interrupt)
+        stopped = []
+
+        def stop_at_data_file(*args, **kwargs):
+            if interrupt == "atomic_open" and not Path(args[0]).name.startswith("replay_"):
+                return real(*args, **kwargs)
+            stopped.append(args)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli_module, interrupt, stop_at_data_file)
+        with pytest.raises(KeyboardInterrupt):
+            main([*second, "-o", str(out)])
+        assert len(stopped) == 1
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_eval_artifacts(self, pipeline):

@@ -23,8 +23,9 @@ import predprey
 from predprey.cli import main
 from predprey.net import AdamState, init_net, save_checkpoint
 from predprey.train import run_training
-from predprey.world import WorldConfig, reset, state_digest, step
+from predprey.world import WorldConfig, reset, step
 from test_train import tiny_config
+from tests_support import state_digest
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden_digests.json"
 

@@ -23,7 +23,7 @@ from predprey.net import (
     trunk,
 )
 from predprey.cli import main
-from tests_support import HalfWrite
+from tests_support import HalfWrite, copy_net, get_flat, set_flat
 
 
 def small_net(seed=7, obs=4, hidden=3, actions=2):
@@ -142,13 +142,13 @@ class TestBackward:
         dv = rng.normal()
 
         def loss(flat):
-            probe = net.copy()
-            probe.set_flat(flat)
+            probe = copy_net(net)
+            set_flat(probe, flat)
             logits, value = forward(probe, obs)
             return float(dl @ logits + dv * value)
 
         flat_grad = backward(net, trunk(net, obs[None]), dl[None], np.array([dv]))
-        base = net.get_flat()
+        base = get_flat(net)
         h = 1e-5
         for k in range(len(base)):
             up, down = base.copy(), base.copy()
@@ -170,18 +170,18 @@ class TestBackward:
 class TestAdam:
     def test_zero_gradients_leave_parameters_and_bump_step(self):
         net = small_net()
-        before = net.get_flat()
+        before = get_flat(net)
         state = AdamState.for_net(net)
         adam_step(net, state, np.zeros_like(net.flat), rate=0.1)
-        assert np.array_equal(net.get_flat(), before)
+        assert np.array_equal(get_flat(net), before)
         assert state.step_count == 1
 
     def test_zero_rate_leaves_parameters(self):
         net = small_net()
-        before = net.get_flat()
+        before = get_flat(net)
         state = AdamState.for_net(net)
         adam_step(net, state, np.ones_like(net.flat), rate=0.0)
-        assert np.array_equal(net.get_flat(), before)
+        assert np.array_equal(get_flat(net), before)
         assert state.step_count == 1
 
     def test_single_step_matches_hand_trace(self):
@@ -198,13 +198,13 @@ class TestAdam:
 
     def test_non_finite_gradient_rejected_without_mutation(self):
         net = small_net()
-        before = net.get_flat()
+        before = get_flat(net)
         state = AdamState.for_net(net)
         grad = np.zeros_like(net.flat)
         grad[0] = np.inf
         with pytest.raises(NumericsError):
             adam_step(net, state, grad, rate=0.1)
-        assert np.array_equal(net.get_flat(), before)
+        assert np.array_equal(get_flat(net), before)
         assert state.step_count == 0
 
     def test_gradient_of_another_length_rejected(self):
@@ -296,7 +296,7 @@ class TestCheckpoint:
         save_checkpoint(path, net, state, rng_seed=1, global_step=0)
         net2, _, _, step = load_checkpoint(path)
         assert step == 0
-        assert np.array_equal(net.get_flat(), net2.get_flat())
+        assert np.array_equal(get_flat(net), get_flat(net2))
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         import predprey.net as net_module
@@ -357,7 +357,7 @@ class TestInit:
     def test_seeded_init_is_reproducible(self):
         a = init_net(10, 6, seed=42)
         b = init_net(10, 6, seed=42)
-        assert np.array_equal(a.get_flat(), b.get_flat())
+        assert np.array_equal(get_flat(a), get_flat(b))
 
     def test_head_scales(self):
         net = init_net(30, 6, seed=0)

@@ -15,6 +15,7 @@ from predprey.ppo import (
     sample_actions,
 )
 from predprey.world import WorldConfig, observe_all, reset, reset_world, step
+from tests_support import copy_net, get_flat, set_flat
 
 
 def brute_gae(rewards, values, boundaries, bootstrap, gamma, lam):
@@ -360,10 +361,10 @@ def reference_sweep(net, actors, T, hp, rng, episode_seed):
 
 def synthetic_buffer(net, n, obs_dim, rng, adv_scale=1.0, perturb=0.0):
     """Buffer of random transitions; log_prob_old from a perturbed copy of net."""
-    behaviour = net.copy()
+    behaviour = copy_net(net)
     if perturb:
-        flat = behaviour.get_flat()
-        behaviour.set_flat(flat + perturb * rng.normal(size=flat.shape))
+        flat = get_flat(behaviour)
+        set_flat(behaviour, flat + perturb * rng.normal(size=flat.shape))
     obs = rng.normal(size=(n, obs_dim))
     logits, values = forward(behaviour, obs)
     logp = log_softmax(logits)
@@ -390,9 +391,9 @@ class TestPpoUpdate:
         hp = PpoHyperparams(
             batch_size=16, buffer_size=32, beta=0.0, value_loss_coeff=0.0, time_horizon=32
         )
-        before = net.get_flat()
+        before = get_flat(net)
         ppo_update(net, adam, buf, hp, lr=1e-2, rng=np.random.default_rng(0))
-        assert np.array_equal(net.get_flat(), before)
+        assert np.array_equal(get_flat(net), before)
 
     def test_minibatch_step_count(self):
         rng = np.random.default_rng(8)
@@ -421,10 +422,10 @@ class TestPpoUpdate:
         data_chunk = buf._chunks["advantages"][0]
         data_chunk[3] = np.inf
         hp = PpoHyperparams(batch_size=32, buffer_size=32)
-        before = net.get_flat()
+        before = get_flat(net)
         with pytest.raises(NumericsError):
             ppo_update(net, adam, buf, hp, lr=1e-3, rng=np.random.default_rng(0))
-        assert np.array_equal(net.get_flat(), before)
+        assert np.array_equal(get_flat(net), before)
         assert adam.step_count == 0
 
     def test_advantage_normalization_moments(self):
@@ -451,17 +452,17 @@ class TestPpoUpdate:
         )
         _, _, grads = ppo_loss_and_grads(net, *args)
         flat_grad = np.concatenate([g.ravel() for g in grads])
-        base = net.get_flat()
+        base = get_flat(net)
         h = 1e-6
         bad = 0
         for k in range(len(base)):
             up, down = base.copy(), base.copy()
             up[k] += h
             down[k] -= h
-            probe = net.copy()
-            probe.set_flat(up)
+            probe = copy_net(net)
+            set_flat(probe, up)
             lu, _, _ = ppo_loss_and_grads(probe, *args)
-            probe.set_flat(down)
+            set_flat(probe, down)
             ld, _, _ = ppo_loss_and_grads(probe, *args)
             fd = (lu - ld) / (2 * h)
             denom = max(abs(fd), abs(flat_grad[k]), 1e-8)

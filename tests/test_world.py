@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from predprey.errors import ConfigError, ContractViolation, InputError
-from tests_support import bodies, brute_force_can_see, make_state, stack_worlds
+from tests_support import bodies, branch_sizes, brute_force_can_see, make_state, stack_worlds, state_digest
 
 from predprey.world import (
     EVENT_CAUGHT,
@@ -24,7 +24,6 @@ from predprey.world import (
     prey_action_space,
     reset,
     reset_world,
-    state_digest,
     step,
     visible_prey,
 )
@@ -72,7 +71,7 @@ class TestConfig:
 
 class TestActionSpace:
     def test_branch_sizes(self):
-        assert prey_action_space().branch_sizes == (2, 3)
+        assert branch_sizes(prey_action_space()) == (2, 3)
 
     def test_forward_left_joint_index(self):
         assert prey_action_space().encode(1, 1) == 4

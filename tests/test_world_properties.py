@@ -1,11 +1,17 @@
-"""Property tests: world invariants under random barrier layouts, seeds and actions."""
+"""Property tests: world invariants under random barrier layouts, seeds and actions, and the fast paths of
+the ray-vs-circle pass and of body sliding against their plain forms."""
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from tests_support import bodies, brute_force_can_see
+from tests_support import bodies, brute_force_can_see, slide_per_body
 
+import predprey.world as world
 from predprey.world import (
+    PredatorState,
+    WorldState,
     EVENT_CAUGHT,
     EVENT_NEGATIVE,
     EVENT_POSITIVE,
@@ -76,3 +82,113 @@ def test_world_invariants(layout, seed, predator):
             if predator:
                 for i in range(cfg.n_prey):
                     assert seen[w, i] == brute_force_can_see(state, i, world=w), (tick, w, i)
+
+
+@st.composite
+def ray_scenes(draw):
+    """W >= 1 worlds in odd fans, with circles placed where a culled ray pass could go wrong.
+
+    Each point is random, holds a prey's center, is tangent to one of a prey's rays (to
+    rounding), or straddles a prey's outermost ray; headings include 0 and just under 360.
+    """
+    cfg = WorldConfig(
+        barrier_layout=(),
+        n_rays=draw(st.sampled_from([1, 2, 3, 11, 24])),
+        ray_fov_degrees=draw(st.one_of(st.sampled_from([0.0, 140.0, 180.0, 250.0, 360.0, -140.0]), st.floats(-400, 720))),
+        n_prey=draw(st.integers(1, 6)),
+        n_positive_points=draw(st.integers(1, 8)),
+        n_negative_points=draw(st.integers(1, 8)),
+        predator_present=draw(st.booleans()),
+    )
+    n_worlds, rng = draw(st.integers(1, 5)), np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_points = cfg.n_positive_points + cfg.n_negative_points
+    lim = cfg.half_side - cfg.prey_radius
+    prey = rng.uniform(-lim, lim, size=(n_worlds, cfg.n_prey, 2))
+    headings = rng.uniform(0.0, 360.0, size=(n_worlds, cfg.n_prey))
+    odd = rng.random(headings.shape) < 0.3
+    headings[odd] = rng.choice([0.0, 1e-12, 359.9999999, np.nextafter(360.0, 0.0)], size=int(odd.sum()))
+    offsets = np.linspace(-cfg.ray_fov_degrees / 2.0, cfg.ray_fov_degrees / 2.0, cfg.n_rays)
+    points = rng.uniform(-6.0, 6.0, size=(n_worlds, n_points, 2))
+    r = cfg.point_radius
+    for w in range(n_worlds):
+        for j in range(n_points):
+            i, case = rng.integers(cfg.n_prey), rng.integers(4)
+            theta = np.deg2rad(headings[w, i] + offsets[rng.integers(cfg.n_rays) if case == 2 else -(rng.integers(2))])
+            d = rng.uniform(0.3, 9.0)
+            along, across = np.array([np.cos(theta), np.sin(theta)]), np.array([-np.sin(theta), np.cos(theta)])
+            if case == 1:  # the prey's center inside the point
+                points[w, j] = prey[w, i] + rng.uniform(-0.7, 0.7, size=2) * r
+            elif case == 2:  # tangent to one of the prey's rays
+                points[w, j] = prey[w, i] + d * along + rng.choice([-1.0, 1.0]) * r * across
+            elif case == 3:  # straddling the prey's outermost ray
+                points[w, j] = prey[w, i] + d * along + rng.uniform(-1.0, 1.0) * r * across
+    predator = None
+    if cfg.predator_present:
+        predator = PredatorState(
+            position=rng.uniform(-lim, lim, size=(n_worlds, 2)),
+            heading=np.zeros(n_worlds),
+            chasing=np.zeros(n_worlds, dtype=bool),
+            target_prey_id=np.full(n_worlds, -1),
+            patrol_waypoint=np.zeros((n_worlds, 2)),
+            ticks_since_waypoint=np.zeros(n_worlds, dtype=np.int64),
+        )
+    return WorldState(
+        config=cfg,
+        tick=np.zeros(n_worlds, dtype=np.int64),
+        prey_pos=prey,
+        prey_heading=headings,
+        prey_speed=np.zeros((n_worlds, cfg.n_prey)),
+        predator=predator,
+        point_pos=points,
+        point_positive=np.arange(n_points) < np.full((n_worlds, 1), cfg.n_positive_points),
+        rngs=[np.random.default_rng(w) for w in range(n_worlds)],
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(state=ray_scenes())
+def test_culled_ray_pass_matches_dense_pass_bit_for_bit(state):
+    rad = np.deg2rad(state.prey_heading[..., None] + state.ray_offsets)
+    results = []
+    for limit in (np.inf, 0):  # every triple, then only the triples in each circle's angular window
+        # a near-zero fan leaves direction components that overflow the slab divisions to inf, as a zero one does
+        with mock.patch.object(world, "_DENSE_TRIPLES", limit), np.errstate(invalid="ignore", over="ignore"):
+            results.append((world._nearest_circles(state, np.cos(rad), np.sin(rad)), world._raycast_rows(state)))
+    ((t_dense, kind_dense), (onehot_dense, dist_dense)), ((t_culled, kind_culled), (onehot_culled, dist_culled)) = results
+    assert t_culled.tobytes() == t_dense.tobytes()
+    hit = np.isfinite(t_dense)  # a ray that misses every circle has no kind
+    assert np.array_equal(kind_culled[hit], kind_dense[hit])
+    assert np.array_equal(onehot_culled, onehot_dense)
+    assert dist_culled.tobytes() == dist_dense.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    layout=barrier_layouts(),
+    n_bodies=st.integers(1, 300),
+    radius=st.sampled_from([0.25, 0.4]),
+    reach=st.sampled_from([0.0, 0.1, 1.0, 4.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_slide_matches_the_per_body_loop_bit_for_bit(layout, n_bodies, radius, reach, seed):
+    cfg = WorldConfig(barrier_layout=layout)
+    rng = np.random.default_rng(seed)
+    limit = cfg.half_side - radius
+    pos = rng.uniform(-limit, limit, size=(n_bodies, 2))
+    for k in range(n_bodies):  # snap most origins onto an inflated barrier face or a wall
+        case = rng.integers(4)
+        axis = rng.integers(2)
+        if case < 2 and layout:
+            x0, y0, x1, y1 = layout[rng.integers(len(layout))]
+            lo, hi = ((x0, x1), (y0, y1))[axis]
+            across_lo, across_hi = ((y0, y1), (x0, x1))[axis]
+            pos[k, axis] = (lo - radius, hi + radius)[rng.integers(2)]
+            pos[k, 1 - axis] = rng.uniform(across_lo - radius, across_hi + radius) if case == 0 else (across_lo - radius)
+        elif case == 2:
+            pos[k, axis] = (-limit, limit)[rng.integers(2)]
+    dx, dy = rng.uniform(-reach, reach, size=(2, n_bodies))
+    dx[rng.random(n_bodies) < 0.2] = 0.0
+    want = slide_per_body(pos, dx, dy, radius, cfg)
+    for fewest in (world._SLIDE_NOMINATE_BODIES, 0):  # the path the body count selects, then nomination at every count
+        with mock.patch.object(world, "_SLIDE_NOMINATE_BODIES", fewest):
+            assert world._slide(pos, dx, dy, radius, cfg).tobytes() == want.tobytes()

@@ -1,16 +1,65 @@
-"""Shared helpers: hand-placed world states, world stacking, the independent vision, trajectory-writer,
-trajectory-reader and KDE oracles, and a failing file."""
+"""Shared helpers: hand-placed world states, world stacking, world digests, flat net parameters, the
+independent vision, body-sliding, trajectory-writer, trajectory-reader and KDE oracles, and a failing file."""
 
 import copy
 import csv
+import hashlib
+import json
 import math
 from dataclasses import fields
 
 import numpy as np
 from scipy.special import erf
 
+from predprey.errors import StructuralError
+from predprey.net import DenseNet
 from predprey.trajectory import ALL_KINDS, CSV_HEADER, TrajectoryTable
-from predprey.world import PredatorState, WorldConfig, WorldState
+from predprey.world import ActionSpace, PredatorState, WorldConfig, WorldState
+
+
+def state_digest(state: WorldState, world: int = 0) -> str:
+    """Canonical hash of one world, including its generator; equal digests => equal worlds."""
+    w = world
+    h = hashlib.sha256()
+    h.update(str(int(state.tick[w])).encode())
+    for i, (pos, heading) in enumerate(zip(state.prey_pos[w], state.prey_heading[w])):
+        h.update(pos.tobytes())
+        h.update(heading.tobytes())
+        h.update(str(i).encode())
+    if state.predator is not None:
+        p = state.predator
+        h.update(p.position[w].tobytes())
+        h.update(np.float64(p.heading[w]).tobytes())
+        h.update(b"chase" if p.chasing[w] else b"patrol")
+        h.update(str(int(p.target_prey_id[w]) if p.chasing[w] else None).encode())
+        h.update(p.patrol_waypoint[w].tobytes())
+        h.update(str(int(p.ticks_since_waypoint[w])).encode())
+    for pos, positive in zip(state.point_pos[w], state.point_positive[w]):
+        h.update(pos.tobytes())
+        h.update(b"positive" if positive else b"negative")
+    h.update(state.prey_speed[w].tobytes())
+    h.update(json.dumps(state.rngs[w].bit_generator.state, sort_keys=True, default=int).encode())
+    return h.hexdigest()
+
+
+def branch_sizes(space: ActionSpace) -> tuple[int, int]:
+    return (len(space.move_labels), len(space.turn_labels))
+
+
+def get_flat(net: DenseNet) -> np.ndarray:
+    """A copy of the net's parameter vector."""
+    return net.flat.copy()
+
+
+def set_flat(net: DenseNet, flat: np.ndarray) -> None:
+    if np.shape(flat) != net.flat.shape:
+        raise StructuralError(f"flat vector has shape {np.shape(flat)}, net has {net.flat.size} parameters")
+    net.flat[...] = flat
+
+
+def copy_net(net: DenseNet) -> DenseNet:
+    """A net with its own copy of the parameters."""
+    return DenseNet(net.layer_sizes, net.flat)
 
 
 def make_state(cfg: WorldConfig, prey_specs, predator_spec=None, points=(), seed=0) -> WorldState:
@@ -69,6 +118,39 @@ def bodies(state, world=0):
     if state.predator is not None:
         out.append((state.predator.position[world], cfg.predator_radius))
     out.extend((pos, cfg.point_radius) for pos in state.point_pos[world])
+    return out
+
+
+def slide_per_body(pos: np.ndarray, dx: np.ndarray, dy: np.ndarray, radius: float, cfg: WorldConfig) -> np.ndarray:
+    """Body-sliding oracle: every body clamped and swept through every barrier in its own Python loop."""
+    limit = cfg.half_side - radius
+    out = np.empty_like(pos)
+    for k, ((x, y), dx_k, dy_k) in enumerate(zip(pos.tolist(), dx.tolist(), dy.tolist())):
+        # X sweep.
+        tx = min(limit, max(-limit, x + dx_k))
+        for x0, y0, x1, y1 in cfg.barrier_layout:
+            if not (y0 - radius < y < y1 + radius):
+                continue
+            lo, hi = x0 - radius, x1 + radius
+            if x <= lo < tx:
+                tx = lo
+            elif x >= hi > tx:
+                tx = hi
+            elif lo < x < hi:  # started inside the inflated band: push to nearest face
+                tx = lo if (x - lo) <= (hi - x) else hi
+        # Y sweep.
+        ty = min(limit, max(-limit, y + dy_k))
+        for x0, y0, x1, y1 in cfg.barrier_layout:
+            if not (x0 - radius < tx < x1 + radius):
+                continue
+            lo, hi = y0 - radius, y1 + radius
+            if y <= lo < ty:
+                ty = lo
+            elif y >= hi > ty:
+                ty = hi
+            elif lo < y < hi:
+                ty = lo if (y - lo) <= (hi - y) else hi
+        out[k] = tx, ty
     return out
 
 
