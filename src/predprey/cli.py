@@ -10,6 +10,7 @@ The default output root is $PREDPREY_OUTPUT_ROOT (falling back to ./runs).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from .configio import parse_bool, parse_eval_config, parse_scenario_config, writ
 from .errors import CheckpointError, ConfigError, NumericsError, PredpreyError
 from .net import atomic_open
 from .stats import (
+    check_grid_dims,
     evaluate_condition,
     kde_occupancy,
     one_way_anova,
@@ -35,12 +37,14 @@ from .stats import (
     write_summary_csv,
 )
 from .train import run_training
-from .trajectory import ALL_KINDS, TrajectoryTable, replay_export
+from .trajectory import ALL_KINDS, read_positions, read_run, replay_export
 
 SCHEMA_VERSIONS = "checkpoint=1 trajectory_csv=1 metrics_csv=1 run_records_csv=1"
 
 
+@functools.cache
 def build_identifier() -> str:
+    """Package version and `git describe` of the source tree, looked up once per process."""
     try:
         pkg_version = version("predprey")
     except PackageNotFoundError:
@@ -173,10 +177,11 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_heatmap(args) -> int:
-    table = TrajectoryTable.from_csv(args.trajectory)
+    check_grid_dims(args.grid)
+    positions = read_positions(args.trajectory, args.entity_kind)
     extent = tuple(args.extent) if args.extent else None
     kde = kde_occupancy(
-        table,
+        positions,
         args.entity_kind,
         bandwidth=args.bandwidth,
         grid_dims=(args.grid[0], args.grid[1]),
@@ -195,8 +200,7 @@ def _cmd_heatmap(args) -> int:
 
 
 def _cmd_replay_export(args) -> int:
-    table = TrajectoryTable.from_csv(args.trajectory)
-    text = replay_export(table, args.run, (args.ticks[0], args.ticks[1]))
+    text = replay_export(read_run(args.trajectory, args.run), args.run, (args.ticks[0], args.ticks[1]))
     if args.stdout:
         sys.stdout.write(text)
         return 0

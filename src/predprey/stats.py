@@ -299,16 +299,20 @@ class KdeGrid:
 
 
 # scipy's erf returns exactly +-1.0 for every |z| >= 5.9216 (measured on a dense grid of
-# |z| in [6, 40] and at +-inf); from this bound on, _erf writes the sign instead.
+# |z| in [6, 40] and at +-inf); from this bound on, _half_cdf writes 0.5 * (1.0 +- 1.0) instead.
 _ERF_SATURATED = 6.0
 
 
-def _erf(z: np.ndarray) -> np.ndarray:
-    """scipy's erf, evaluated only where it is not saturated at +-1."""
-    out = np.sign(z)
+def _half_cdf(z: np.ndarray) -> np.ndarray:
+    """0.5 * (1.0 + erf(z)) in place in z, with scipy's erf evaluated only where it is not saturated at +-1."""
     live = np.abs(z) < _ERF_SATURATED
-    out[live] = erf(z[live])
-    return out
+    values = z[live]
+    np.greater(z, 0.0, out=z)  # 0.5 * (1.0 + sign(z)) where saturated
+    erf(values, out=values)  # not erf(z, where=live): scipy 1.17.1 corrupts the heap with where=
+    values += 1.0
+    values *= 0.5
+    z[live] = values
+    return z
 
 
 def scott_bandwidth(positions: np.ndarray) -> float:
@@ -316,6 +320,12 @@ def scott_bandwidth(positions: np.ndarray) -> float:
     n = len(positions)
     spread = math.sqrt((positions[:, 0].var(ddof=1) + positions[:, 1].var(ddof=1)) / 2.0)
     return spread * n ** (-1.0 / 6.0)
+
+
+def check_grid_dims(grid_dims: tuple[int, int]) -> None:
+    """Refuse a grid narrower or lower than one cell."""
+    if min(grid_dims) < 1:
+        raise InputError(f"grid needs W and H of at least 1, got {grid_dims[0]} {grid_dims[1]}")
 
 
 def kde_occupancy(
@@ -333,6 +343,7 @@ def kde_occupancy(
     density), renormalized per sample to the mass falling inside the grid,
     so sum(grid) * cell_area equals the number of samples.
     """
+    check_grid_dims(grid_dims)
     if isinstance(trajectories, TrajectoryTable):
         positions = trajectories.positions(entity_kind)
     else:
@@ -363,16 +374,22 @@ def kde_occupancy(
 
     scale = bandwidth * math.sqrt(2.0)
 
+    def half_cdf(edges, coords):
+        # 0.5 * (1.0 + erf((edges - coords) / scale)), each step in place in one array
+        z = edges[None, :] - coords
+        z /= scale
+        return _half_cdf(z)
+
     def cell_masses(edges, coords, lo, hi):
         # kernel at the sample plus its two boundary reflections; z rises along the edges, so a
         # reflection saturated at a row's first edge adds exactly 1.0 to the whole row, one
         # saturated at its last edge adds exactly 0.0, and only the other rows evaluate it
-        cdf = 0.5 * (1.0 + _erf((edges[None, :] - coords) / scale))
+        cdf = half_cdf(edges, coords)
         for mirror in (2.0 * lo - coords, 2.0 * hi - coords):
             first, last = (edges[0] - mirror[:, 0]) / scale, (edges[-1] - mirror[:, 0]) / scale
-            cdf[first >= _ERF_SATURATED] += 1.0
+            np.add(cdf, 1.0, out=cdf, where=(first >= _ERF_SATURATED)[:, None])
             live = (first < _ERF_SATURATED) & (last > -_ERF_SATURATED)
-            cdf[live] += 0.5 * (1.0 + _erf((edges[None, :] - mirror[live]) / scale))
+            cdf[live] += half_cdf(edges, mirror[live])
         return np.diff(cdf, axis=1)
 
     mass = np.zeros((w, h))
@@ -383,7 +400,8 @@ def kde_occupancy(
         in_grid = px.sum(axis=1) * py.sum(axis=1)
         if np.any(in_grid <= 0.0):
             raise NumericsError("a sample carries no mass inside the grid extent")
-        mass += (px / in_grid[:, None]).T @ py
+        px /= in_grid[:, None]
+        mass += px.T @ py
 
     cell_area = ((xmax - xmin) / w) * ((ymax - ymin) / h)
     return KdeGrid(

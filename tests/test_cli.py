@@ -239,6 +239,16 @@ class TestBadTrajectoryInput:
         traj.write_text(TRAJECTORY_HEAD, newline="")
         assert main([*ANALYSIS_COMMANDS[subcommand], "--trajectory", str(traj), "-o", str(tmp_path / "out")]) == 0
 
+    @pytest.mark.parametrize("grid", [("-1", "5"), ("0", "0"), ("4", "0")])
+    def test_grid_below_one_cell_exits_2_before_the_trajectory_is_read(self, tmp_path, grid):
+        # the trajectory does not exist: reading it would exit 4
+        argv = ["heatmap", "--trajectory", str(tmp_path / "absent.csv"), "--grid", *grid, "-o", str(tmp_path / "out")]
+        proc = run_cli(argv, tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"grid needs W and H of at least 1, got {grid[0]} {grid[1]}" in proc.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_failed_invocation_snapshot_keeps_previous_file(self, tmp_path, monkeypatch):
         import argparse
 
@@ -408,6 +418,24 @@ class TestCliPipeline:
         assert "Traceback" not in proc.stderr
         assert f"{metrics}: line 3: " in proc.stderr
         assert metrics.read_bytes() == torn
+
+    def test_build_identifier_is_looked_up_once_per_process(self, tmp_path, monkeypatch):
+        import predprey.cli as cli_module
+
+        calls = []
+        real_run = subprocess.run
+
+        def counting_run(*args, **kwargs):
+            calls.append(args)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(cli_module.subprocess, "run", counting_run)
+        cli_module.build_identifier.cache_clear()
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            cli_module._write_build(tmp_path / name)
+        assert len(calls) == 1
+        assert (tmp_path / "a" / "build.txt").read_bytes() == (tmp_path / "b" / "build.txt").read_bytes()
 
     def test_train_artifacts(self, pipeline):
         _, train_dir, _ = pipeline

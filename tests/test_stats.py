@@ -355,7 +355,7 @@ class TestAtomicGrids:
 
 class TestErfSaturation:
     def test_scipy_erf_is_exactly_one_from_the_bound_on(self):
-        # the premise of _erf: every |z| >= _ERF_SATURATED gives exactly +-1.0
+        # the premise of _half_cdf: every |z| >= _ERF_SATURATED gives exactly +-1.0
         z = np.concatenate(
             [np.linspace(stats_module._ERF_SATURATED, 40.0, 2_000_001), np.geomspace(40.0, 1e308, 1001), [np.inf]]
         )
@@ -366,7 +366,7 @@ class TestErfSaturation:
         rng = np.random.default_rng(36)
         z = np.concatenate([rng.normal(0.0, 8.0, size=100_000), [0.0, -0.0, 6.0, -6.0, np.nextafter(6.0, 0.0), 1e300]])
         z = np.concatenate([z, -z]).reshape(2, -1)
-        assert stats_module._erf(z).tobytes() == scipy.special.erf(z).tobytes()
+        assert stats_module._half_cdf(z.copy()).tobytes() == (0.5 * (1.0 + scipy.special.erf(z))).tobytes()
 
 
 def kde_cases():
@@ -465,6 +465,11 @@ class TestKde:
         pos = rng.uniform(-5, 5, size=(20000, 2))
         kde = kde_occupancy(pos, "prey", bandwidth=2.0, grid_dims=(32, 32), extent=(-5, 5, -5, 5))
         assert kde.grid.max() / kde.grid.min() < 2.0
+
+    @pytest.mark.parametrize("grid_dims", [(0, 4), (4, 0), (-1, 5)])
+    def test_grid_below_one_cell_rejected(self, grid_dims):
+        with pytest.raises(InputError, match="grid needs W and H of at least 1"):
+            kde_occupancy(np.zeros((3, 2)), "prey", bandwidth=0.5, grid_dims=grid_dims, extent=(-1, 1, -1, 1))
 
     def test_empty_rejected(self):
         with pytest.raises(InputError):

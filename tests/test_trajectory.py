@@ -1,21 +1,39 @@
-"""The one-pass trajectory writer against the per-world oracle, the bulk reader against the
-csv.reader oracle on the golden eval's file and on any file the writer can produce, and the
-reader's refusals of malformed files."""
+"""The one-pass trajectory writer against the per-world oracle, the block reader against the
+csv.reader oracle on the golden eval's file and on any file the writer can produce, at the default
+block size and at blocks of a few rows, and the reader's refusals of malformed files."""
 
 import os
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import predprey.cli as cli_module
+import predprey.trajectory as trajectory_module
+from predprey.cli import main
 from predprey.errors import InputError, StructuralError
-from predprey.trajectory import ALL_KINDS, CSV_HEADER, TrajectoryTable, TrajectoryWriter
+from predprey.trajectory import (
+    ALL_KINDS,
+    CSV_HEADER,
+    TrajectoryTable,
+    TrajectoryWriter,
+    read_positions,
+    read_run,
+    replay_export,
+)
 from predprey.world import EVENT_CAUGHT, EVENT_NEGATIVE, EVENT_POSITIVE, Event, WorldConfig
 from test_golden import eval_digests
 from tests_support import csv_reader_table, make_state, one_world_rows, stack_worlds
 
 HEADER_LINE = ",".join(CSV_HEADER) + "\r\n"
 GOOD_ROWS = "0,0,prey,0,1.0,2.0,90.0,\r\n0,0,predator,0,-1.0,-2.0,45.0,\r\n"
+# rows a block holds: a few, so that small files span several blocks, and the default
+BLOCK_SIZES = (1, 2, 3, trajectory_module._BLOCK_ROWS)
+
+
+def block_rows(n: int):
+    return mock.patch.object(trajectory_module, "_BLOCK_ROWS", n)
 
 
 def assert_same_table(got: TrajectoryTable, want: TrajectoryTable) -> None:
@@ -161,7 +179,10 @@ def write_lines(path, lines) -> None:
 def test_any_writer_file_matches_csv_reader_oracle(tmp_path, lines):
     path = tmp_path / "t.csv"
     write_lines(path, lines)
-    assert_same_table(TrajectoryTable.from_csv(path), csv_reader_table(path))
+    want = csv_reader_table(path)
+    for n in BLOCK_SIZES:
+        with block_rows(n):
+            assert_same_table(TrajectoryTable.from_csv(path), want)
 
 
 @file_settings
@@ -173,8 +194,9 @@ def test_row_with_seven_or_nine_fields_is_named_by_its_line(tmp_path, lines, dat
     bad = row.rsplit(",", 1)[0] if n_fields == 7 else row + ","
     path = tmp_path / "t.csv"
     write_lines(path, lines[:at] + [(bad, data.draw(st.sampled_from(["\r\n", "\n"])))] + lines[at:])
-    with pytest.raises(InputError, match=f"t.csv: line {at + 2} has {n_fields} fields, not 8"):
-        TrajectoryTable.from_csv(path)
+    for n in BLOCK_SIZES:
+        with block_rows(n), pytest.raises(InputError, match=f"t.csv: line {at + 2} has {n_fields} fields, not 8"):
+            TrajectoryTable.from_csv(path)
 
 
 class TestRefusals:
@@ -214,11 +236,14 @@ class TestRefusals:
         ],
     )
     def test_line_numbers_count_header_and_blank_lines(self, tmp_path, row, reason):
-        # numpy's own messages call this row 4 or 5 (data rows from 0 or from 1, blank lines not counted)
+        # numpy's own messages call this row 4 or 5 (data rows from 0 or from 1, blank lines not counted);
+        # with blocks of 1-3 rows the bad row lies in a later block than the first
         path = tmp_path / "bad.csv"
-        path.write_text(HEADER_LINE + GOOD_ROWS + "\r\n" + GOOD_ROWS + "\n" + row + "\r\n", newline="")
-        with pytest.raises(InputError, match=f"bad.csv: line 8 has .*{reason}"):
-            TrajectoryTable.from_csv(path)
+        lf_rows = GOOD_ROWS.replace("\r\n", "\n")
+        path.write_text(HEADER_LINE + GOOD_ROWS + "\r\n" + lf_rows + "\n" + row + "\r\n" + GOOD_ROWS, newline="")
+        for n in BLOCK_SIZES:
+            with block_rows(n), pytest.raises(InputError, match=f"bad.csv: line 8 has .*{reason}"):
+                TrajectoryTable.from_csv(path)
 
     @pytest.mark.parametrize(
         "text", ["", GOOD_ROWS, "run_id,tick\r\n" + GOOD_ROWS, HEADER_LINE.replace("event", "events") + GOOD_ROWS]
@@ -228,3 +253,79 @@ class TestRefusals:
         path.write_text(text, newline="")
         with pytest.raises(InputError, match="expected trajectory header"):
             TrajectoryTable.from_csv(path)
+
+
+def run_rows(run: int) -> list[str]:
+    """Three ticks of one prey and the predator, as the writer formats them."""
+    rows = []
+    for tick in range(3):
+        event = "positive_collected" if tick == 1 else ""
+        rows.append(f"{run},{tick},prey,0,{run + tick / 8:.6f},{tick / 4:.6f},{10.0 * tick:.4f},{event}")
+        rows.append(f"{run},{tick},predator,0,{-run - tick / 8:.6f},{tick / 2:.6f},{20.0 * tick:.4f},")
+    return rows
+
+
+class TestBlockReader:
+    def test_heatmap_positions_equal_the_table_positions(self, eval_trajectory, tmp_path, monkeypatch):
+        table = TrajectoryTable.from_csv(eval_trajectory)
+        seen = []
+
+        def keep_positions(positions, *args, **kwargs):
+            seen.append(positions)
+            raise KeyboardInterrupt  # nothing after the read matters here
+
+        monkeypatch.setattr(cli_module, "kde_occupancy", keep_positions)
+        for kind in ("prey", "predator", "point_positive", "point_negative"):
+            want = table.positions(kind)
+            for n in BLOCK_SIZES + (7,):
+                with block_rows(n), pytest.raises(KeyboardInterrupt):
+                    main(["heatmap", "--trajectory", str(eval_trajectory), "--entity-kind", kind, "-o", str(tmp_path)])
+                got = seen.pop()
+                assert got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                assert got.flags.c_contiguous
+        assert read_positions(eval_trajectory, "no_such_kind").shape == (0, 2)
+
+    def test_one_run_equals_that_run_of_the_table(self, eval_trajectory):
+        table = TrajectoryTable.from_csv(eval_trajectory)
+        for run in [*table.runs().tolist(), 99]:
+            mask = table.run_id == run
+            want = TrajectoryTable(**{name: getattr(table, name)[mask] for name in CSV_HEADER})
+            for n in BLOCK_SIZES + (7,):
+                with block_rows(n):
+                    got = read_run(eval_trajectory, run)
+                assert_same_table(got, want)
+                if len(want):
+                    assert replay_export(got, run, (0, 3)) == replay_export(table, run, (0, 3))
+
+    @pytest.mark.parametrize("bad", ["{run},1,prey,0,1.0,2.0,90.0", "{run},1,prey,0,nan,2.0,90.0,"])
+    @pytest.mark.parametrize(
+        "at, run_of_bad, refused",
+        [
+            (3, 0, True),  # among run 0's rows, before the run exported
+            (12, 1, True),  # among run 1's rows
+            (14, 2, True),  # just after run 1's rows, before run 2's first well-formed row
+            (16, 2, False),  # after run 2's first well-formed row, which ends the read
+        ],
+    )
+    def test_replay_is_the_same_at_every_block_size(self, tmp_path, capsys, bad, at, run_of_bad, refused):
+        # run 0 is lines 0-5 of the body, run 1 lines 7-9 and 11-13, run 2 from line 15; lines 6, 10 and 14 are blank
+        one = run_rows(1)
+        lines = run_rows(0) + [""] + one[:3] + [""] + one[3:] + [""] + run_rows(2)
+        clean, path = tmp_path / "clean.csv", tmp_path / "t.csv"
+        clean.write_text(HEADER_LINE + "".join(r + "\r\n" for r in lines), newline="")
+        lines.insert(at, bad.format(run=run_of_bad))
+        path.write_text(HEADER_LINE + "".join(r + "\r\n" for r in lines), newline="")
+        argv = ["replay-export", "--run", "1", "--ticks", "0", "2", "--stdout", "--trajectory"]
+        assert main([*argv, str(clean)]) == 0
+        want = capsys.readouterr()
+        outcomes = set()
+        for n in BLOCK_SIZES + (4, 5, 6):
+            with block_rows(n):
+                code = main([*argv, str(path)])
+            outcomes.add((code, *capsys.readouterr()))
+        assert len(outcomes) == 1
+        [(code, out, err)] = outcomes
+        if refused:
+            assert code == 2 and out == "" and f"t.csv: line {at + 2} has " in err
+        else:
+            assert (code, out, err) == (0, want.out, want.err)

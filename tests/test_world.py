@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import predprey.world as world_module
 from predprey.errors import ConfigError, ContractViolation, InputError
 from tests_support import bodies, branch_sizes, brute_force_can_see, make_state, stack_worlds, state_digest
 
@@ -18,6 +19,7 @@ from predprey.world import (
     HIT_WALL,
     N_HIT_KINDS,
     WorldConfig,
+    _circles,
     _raycast_rows,
     observe_all,
     predator_step,
@@ -618,9 +620,20 @@ class TestBatchedWorlds:
     """One step of W worlds must equal W one-world steps bit for bit."""
 
     def test_batched_step_matches_single_world_steps(self):
+        self.check_batched_steps(n_worlds=4, seed=2718)
+
+    def test_batched_step_of_six_worlds_crosses_the_culled_ray_pass(self):
+        # one default world casts at most _DENSE_TRIPLES (prey, ray, circle) triples and six cast more, so the
+        # batch takes the culled ray pass and each single world the dense one
+        batch = reset(WorldConfig(), list(range(6)))
+        one_world = batch.prey_pos.shape[1] * len(batch.ray_offsets) * _circles(batch, 0).shape[0]
+        assert one_world <= world_module._DENSE_TRIPLES < 6 * one_world
+        self.check_batched_steps(n_worlds=6, seed=3141)
+
+    @staticmethod
+    def check_batched_steps(n_worlds, seed):
         cfg = WorldConfig()
-        rng = np.random.default_rng(2718)
-        n_worlds = 4
+        rng = np.random.default_rng(seed)
         seen_kinds = set()
         for trial in range(200):
             singles = [random_world(cfg, rng, seed=trial * n_worlds + w) for w in range(n_worlds)]
