@@ -47,6 +47,7 @@ TASK_WEIGHT_CAUGHT = -1.0
 
 _TAG_EVAL_WORLD = 11
 _TAG_EVAL_ACTIONS = 12
+_DRAW_TICKS = 64  # ticks of uniforms a run draws at once; 50 runs x 64 ticks x 6 prey hold 150 KB
 
 
 @dataclass
@@ -114,7 +115,9 @@ def evaluate_condition(
     The runs execute in lockstep as the worlds of one batched state: each tick
     is one policy forward over (n_runs, n_prey, obs_dim) and one world step.
     Each run keeps its own world seed and its own action generator, so every
-    run's outcome is the one it would have alone. When trajectory_path is set,
+    run's outcome is the one it would have alone. A run's generator draws the
+    uniforms of _DRAW_TICKS ticks at a time, which is the stream of one draw a
+    tick. When trajectory_path is set,
     a TrajectoryWriter records every run's rows there, run-major and written
     atomically.
     """
@@ -137,7 +140,10 @@ def evaluate_condition(
     writer = None if trajectory_path is None else TrajectoryWriter(trajectory_path, n_runs, trajectory_kinds)
     with writer or nullcontext():
         for tick in range(duration):
-            u = None if greedy else np.stack([rng.random(world_cfg.n_prey) for rng in rngs])
+            if not greedy and tick % _DRAW_TICKS == 0:
+                ticks = min(_DRAW_TICKS, duration - tick)
+                draws = np.stack([rng.random((ticks, world_cfg.n_prey)) for rng in rngs], axis=1)
+            u = None if greedy else draws[tick % _DRAW_TICKS]
             actions, _, _ = sample_actions(net, obs, u)
             _, _, obs, events = step(state, actions)
             for ev in events:

@@ -25,6 +25,14 @@ in the order it would alone, so a world's run depends only on its (config,
 seed, action sequence), never on W or on the other worlds, and a W-world
 step equals W one-world steps bit for bit.
 
+Contacts resolve once every body has moved. A prey collects a point, and the
+predator catches a prey, when their centers lie within the summed radii. The
+squared distances of the x and y offset planes nominate the pairs, and one
+vector np.hypot confirms them. Pairs resolve in (world, prey, point) order. A
+pickup respawns its point at once, so a later pair with that point is
+confirmed again against the point's live position. A caught prey teleports,
+which moves no body of another pair, so catches need no such re-check.
+
 A WorldState computes the constants of its config and body counts once, when
 it is built. Ray casting tests every barrier and the arena in one slab pass:
 the arena is an inverted slab that holds every prey and that a ray leaves at
@@ -433,6 +441,8 @@ def step(
     actions = np.asarray(prey_actions)
     if actions.shape != shape:
         raise InputError(f"expected prey actions of shape {shape}, got {actions.shape}")
+    if not np.issubdtype(actions.dtype, np.integer):  # a cast would truncate floats and take True as 1
+        raise InputError(f"prey actions must be integer action indices, got dtype {actions.dtype}")
     actions = actions.astype(np.int64)
     bad = (actions < 0) | (actions >= space.n_joint)
     if bad.any():
@@ -455,30 +465,37 @@ def step(
     if state.predator is not None:
         predator_step(state)
 
-    # Point pickups: contact means center distance within summed radii. The
-    # distance matrix only nominates candidates; each hit is re-checked
-    # against live positions because earlier pickups respawn points.
+    # Point pickups, in (world, prey, point) order: see the module docstring.
     prey_pos, point_pos = state.prey_pos, state.point_pos
+    ticks = state.tick.tolist()
     reach = cfg.prey_radius + cfg.point_radius
-    near = ((prey_pos[:, :, None, :] - point_pos[:, None, :, :]) ** 2).sum(axis=-1) <= reach * reach
-    for w, i, j in zip(*np.nonzero(near)):  # world by world, each in its own (prey, point) order
-        if np.hypot(*(prey_pos[w, i] - point_pos[w, j])) > reach:
+    dx = prey_pos[:, :, None, 0] - point_pos[:, None, :, 0]  # (W, n_prey, P)
+    dy = prey_pos[:, :, None, 1] - point_pos[:, None, :, 1]
+    pairs = np.nonzero(dx * dx + dy * dy <= reach * reach)
+    touched = np.hypot(dx[pairs], dy[pairs]) <= reach
+    respawned = set()  # (world, point) moved by an earlier pickup of this tick
+    for w, i, j, touch in zip(*(a.tolist() for a in pairs), touched.tolist()):
+        if (w, j) in respawned:
+            touch = np.hypot(*(prey_pos[w, i] - point_pos[w, j])) <= reach
+        if not touch:
             continue
         positive = state.point_positive[w, j]
         rewards[w, i] += REWARD_POSITIVE if positive else REWARD_NEGATIVE
-        events[w].append(Event(int(state.tick[w]), EVENT_POSITIVE if positive else EVENT_NEGATIVE, int(i), int(w)))
+        events[w].append(Event(ticks[w], EVENT_POSITIVE if positive else EVENT_NEGATIVE, i, w))
         point_pos[w, j] = _respawn_position(state, w, cfg.point_radius, skip_point=j)
+        respawned.add((w, j))
 
     # Predator contact: penalty plus teleport to a free spot; the run continues.
     if state.predator is not None:
         pred_pos = state.predator.position
         contact = cfg.prey_radius + cfg.predator_radius
-        touching = ((prey_pos - pred_pos[:, None, :]) ** 2).sum(axis=-1) <= contact**2
-        for w, i in zip(*np.nonzero(touching)):
-            if np.hypot(*(prey_pos[w, i] - pred_pos[w])) > contact:
-                continue
+        dx = prey_pos[..., 0] - pred_pos[:, None, 0]  # (W, n_prey)
+        dy = prey_pos[..., 1] - pred_pos[:, None, 1]
+        pairs = np.nonzero(dx * dx + dy * dy <= contact**2)
+        caught = np.hypot(dx[pairs], dy[pairs]) <= contact
+        for w, i in zip(*(a[caught].tolist() for a in pairs)):
             rewards[w, i] += REWARD_CAUGHT
-            events[w].append(Event(int(state.tick[w]), EVENT_CAUGHT, int(i), int(w)))
+            events[w].append(Event(ticks[w], EVENT_CAUGHT, i, w))
             prey_pos[w, i] = _respawn_position(state, w, cfg.prey_radius)
 
     state.tick += 1

@@ -10,11 +10,13 @@ from predprey.net import (
     AdamState,
     DenseNet,
     LrSchedule,
+    _layer_views,
     adam_step,
     backward,
     checkpoint_from_bytes,
     checkpoint_to_bytes,
     forward,
+    heads,
     init_net,
     load_checkpoint,
     log_softmax,
@@ -378,3 +380,30 @@ class TestInit:
             net.weights[0] = np.zeros((79, 128))
         net.flat[0] = 7.0
         assert net.weights[0][0, 0] == 7.0
+
+
+class TestAlignment:
+    def test_parameter_vector_starts_on_a_cache_line(self, tmp_path):
+        net = init_net(79, 6, seed=0)
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, net, AdamState.for_net(net), rng_seed=0, global_step=0)
+        for built in (net, load_checkpoint(path)[0], copy_net(net)):
+            assert built.flat.ctypes.data % 64 == 0
+
+    @pytest.mark.parametrize("lead", [(6,), (50, 6), (1024,)])
+    def test_outputs_do_not_depend_on_where_the_vector_starts(self, lead):
+        net = init_net(79, 6, seed=5)
+        obs = np.random.default_rng(len(lead)).normal(size=(*lead, 79))
+        acts = trunk(net, obs)
+        want = acts + list(heads(net, acts[-1]))
+        buffer = np.empty(net.flat.size + 16)
+        line = -buffer.ctypes.data % 64 // 8
+        for offset in range(8):  # 0 to 56 bytes past a cache line
+            moved = copy_net(net)
+            moved.flat = buffer[line + offset : line + offset + net.flat.size]
+            moved.flat[...] = net.flat
+            moved.weights, moved.biases = _layer_views(moved.flat, net.layer_sizes)
+            assert moved.flat.ctypes.data % 64 == 8 * offset
+            acts = trunk(moved, obs)
+            got = acts + list(heads(moved, acts[-1]))
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), offset

@@ -25,9 +25,11 @@ from predprey.stats import (
     write_stats_csv,
     write_summary_csv,
 )
-from predprey.trajectory import TrajectoryTable
-from predprey.world import WorldConfig
-from tests_support import HalfWrite, full_erf_kde_grid
+from predprey.ppo import sample_actions
+from predprey.seeding import derive_seed
+from predprey.trajectory import CSV_HEADER, TrajectoryTable
+from predprey.world import EVENT_CAUGHT, EVENT_NEGATIVE, EVENT_POSITIVE, WorldConfig, observe_all, reset, step
+from tests_support import HalfWrite, full_erf_kde_grid, one_world_rows
 
 
 def group_with_moments(mean, sd, n=50):
@@ -252,6 +254,43 @@ class TestEvaluateCondition:
         path = tmp_path / "records.csv"
         write_run_records(records, path)
         assert read_run_records(path) == records
+
+
+def one_run_oracle(net, cfg, seed, run, duration, greedy) -> tuple[RunRecord, str]:
+    """A run alone: one world reset from the run's derived seed, its uniforms drawn one tick at a time.
+
+    Returns the run's record and its trajectory rows.
+    """
+    state = reset(cfg, derive_seed(seed, stats_module._TAG_EVAL_WORLD, run))
+    rng = np.random.default_rng(derive_seed(seed, stats_module._TAG_EVAL_ACTIONS, run))
+    obs = observe_all(state)
+    counts = {EVENT_POSITIVE: 0, EVENT_NEGATIVE: 0, EVENT_CAUGHT: 0}
+    rows = []
+    for tick in range(duration):
+        u = None if greedy else rng.random(cfg.n_prey)[None]
+        actions, _, _ = sample_actions(net, obs, u)
+        state, _, obs, events = step(state, actions)
+        for ev in events:
+            counts[ev.kind] += 1
+        rows.append(one_world_rows(run, tick, state, events, world=0, kinds=("prey", "predator")))
+    record = RunRecord(run, counts[EVENT_POSITIVE], counts[EVENT_NEGATIVE], counts[EVENT_CAUGHT], duration)
+    return record, "".join(rows)
+
+
+class TestLockstepEval:
+    # uniforms are drawn 64 ticks at a time: durations within one draw, exactly one, one and a tick, and into a third
+    @pytest.mark.parametrize("greedy", [False, True])
+    @pytest.mark.parametrize("duration", [1, 64, 65, 130])
+    def test_each_run_is_the_run_it_would_be_alone(self, duration, greedy, tmp_path):
+        # a small arena without barriers, so that pickups and catches happen within a few ticks
+        cfg = WorldConfig(arena_side=6.0, barrier_layout=(), n_prey=2, n_positive_points=5, n_negative_points=5)
+        net = init_net(cfg.obs_dim, 6, hidden_units=16, num_layers=1, seed=8)
+        path = tmp_path / "trajectory.csv"
+        records, _ = evaluate_condition(net, cfg, n_runs=3, duration=duration, greedy=greedy, seed=9, trajectory_path=path)
+        oracle = [one_run_oracle(net, cfg, 9, run, duration, greedy) for run in range(3)]
+        assert records == [record for record, _ in oracle]
+        header = ",".join(CSV_HEADER) + "\r\n"
+        assert path.read_bytes() == (header + "".join(rows for _, rows in oracle)).encode()
 
 
 class TestRunRecordConsistency:

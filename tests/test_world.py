@@ -219,6 +219,43 @@ class TestStep:
         with pytest.raises(InputError, match="prey 1"):
             step(state, [[0, 17]])
 
+    @pytest.mark.parametrize("actions", [[[0.5] * 6], [[5.9] * 6], [[True] * 6], [["1"] * 6]])
+    def test_non_integer_actions_refused_before_anything_moves(self, actions):
+        state = reset(WorldConfig(), 0)
+        before = state_digest(state)
+        with pytest.raises(InputError, match="integer action indices"):
+            step(state, actions)
+        assert state_digest(state) == before
+
+    def test_integer_lists_and_arrays_accepted(self):
+        state = reset(WorldConfig(), 0)
+        step(state, [[0, 1, 2, 3, 4, 5]])
+        step(state, np.random.default_rng(0).integers(0, 6, size=(1, 6)))
+        assert state.tick[0] == 2
+
+    def test_two_prey_on_one_point_collect_it_once(self, monkeypatch):
+        # both pairs are nominated; the first pickup respawns the point, and only the re-check of the second
+        # pair against the point's live position keeps prey 1 from collecting it at its new spot as well
+        cfg = WorldConfig(predator_present=False)
+        state = make_state(
+            cfg,
+            prey_specs=[((0.0, 0.0), 0.0), ((0.3, 0.0), 180.0)],
+            points=[((0.15, 0.0), "positive")],
+        )
+        respawns = []
+        respawn = world_module._respawn_position
+
+        def counted_respawn(*args, **kwargs):
+            respawns.append(args[1:])
+            return respawn(*args, **kwargs)
+
+        monkeypatch.setattr(world_module, "_respawn_position", counted_respawn)
+        state, rewards, _, events = step(state, [[0, 0]])
+        assert [(e.kind, e.prey_id) for e in events] == [(EVENT_POSITIVE, 0)]
+        assert len(respawns) == 1
+        assert rewards.tolist() == [[1.0, 0.0]]
+        assert not np.array_equal(state.point_pos[0, 0], [0.15, 0.0])
+
     def test_wrong_action_count(self):
         state = reset(WorldConfig(), 0)
         with pytest.raises(InputError):
