@@ -30,7 +30,7 @@ from .stats import (
     one_way_anova,
     task_efficiency,
 )
-from .train import ScenarioConfig, TrainingMetrics, run_training, scenario_defaults
+from .train import ScenarioConfig, run_training, scenario_defaults
 from .world import (
     Event,
     PredatorState,

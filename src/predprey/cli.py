@@ -21,25 +21,23 @@ import numpy as np
 
 from .configio import parse_bool, parse_eval_config, parse_scenario_config, write_resolved
 from .errors import CheckpointError, ConfigError, NumericsError, PredpreyError
-from .net import atomic_open
+from .net import atomic_open, read_rows, write_rows
 from .stats import (
+    ConditionSummary,
+    RunRecord,
+    StatsRow,
     check_grid_dims,
+    compare,
     evaluate_condition,
     kde_occupancy,
-    one_way_anova,
-    read_run_records,
     summarize_condition,
-    task_efficiency,
     write_grid_pgm,
     write_grid_text,
-    write_run_records,
-    write_stats_csv,
-    write_summary_csv,
 )
 from .train import run_training
 from .trajectory import ALL_KINDS, read_positions, read_run, replay_export
 
-SCHEMA_VERSIONS = "checkpoint=1 trajectory_csv=1 metrics_csv=1 run_records_csv=1"
+SCHEMA_VERSIONS = "checkpoint=1 trajectory_csv=1 metrics_csv=1 run_records_csv=1 summary_csv=1 stats_csv=1"
 
 
 @functools.cache
@@ -87,7 +85,7 @@ def _cmd_train(args) -> int:
     _write_build(out)
     write_resolved(cfg, out / "resolved_config.txt", provenance)
     checkpoint, metrics = run_training(cfg, out, resume_from=args.resume)
-    print(f"trained scenario {cfg.scenario_id} to step {metrics.rows[-1].global_step if metrics.rows else 0}")
+    print(f"trained scenario {cfg.scenario_id} to step {metrics[-1].global_step if metrics else 0}")
     print(f"final checkpoint: {checkpoint}")
     print(f"metrics: {out / 'metrics.csv'}")
     return 0
@@ -118,9 +116,9 @@ def _cmd_eval(args) -> int:
         trajectory_path=out / "trajectory.csv",
         trajectory_kinds=kinds,
     )
-    write_run_records(records, out / "run_records.csv")
+    write_rows(out / "run_records.csv", RunRecord, records)
     summary = summarize_condition(cfg.condition_id, records)
-    write_summary_csv([summary], out / "summary.csv")
+    write_rows(out / "summary.csv", ConditionSummary, [summary])
     write_resolved(cfg, out / "resolved_config.txt", provenance)
     _write_build(out)
     print(
@@ -146,32 +144,24 @@ def _cmd_stats(args) -> int:
             label, path = spec_arg.split("=", 1)
         else:
             label, path = Path(spec_arg).stem, spec_arg
-        conditions.append((label, read_run_records(path)))
+        conditions.append((label, read_rows(path, RunRecord)))
     if len(conditions) < 2:
         raise ConfigError("stats needs at least two run-record CSVs")
-    out = _prepare_out_dir(args, "stats")
-    write_summary_csv([summarize_condition(label, recs) for label, recs in conditions], out / "summary.csv")
-
-    variables = {
-        "task_efficiency": lambda r: task_efficiency(r),
-        "pos_total": lambda r: r.pos_total,
-        "neg_total": lambda r: r.neg_total,
-        "caught_total": lambda r: r.caught_total,
-    }
+    summaries = [summarize_condition(label, records) for label, records in conditions]
     rows = []
-    for i in range(len(conditions)):
-        for j in range(i + 1, len(conditions)):
-            li, ri = conditions[i], conditions[j]
-            for var, getter in variables.items():
-                g1 = np.array([getter(r) for r in li[1]])
-                g2 = np.array([getter(r) for r in ri[1]])
-                rows.append((f"{li[0]}_vs_{ri[0]}:{var}", g1, g2))
-    write_stats_csv(rows, out / "stats.csv")
+    for i, (label_1, records_1) in enumerate(conditions):
+        for label_2, records_2 in conditions[i + 1 :]:
+            for var in ("task_efficiency", "pos_total", "neg_total", "caught_total"):
+                g1 = np.array([getattr(r, var) for r in records_1])
+                g2 = np.array([getattr(r, var) for r in records_2])
+                rows.append(compare(f"{label_1}_vs_{label_2}:{var}", g1, g2))
+    out = _prepare_out_dir(args, "stats")
+    write_rows(out / "summary.csv", ConditionSummary, summaries)
+    write_rows(out / "stats.csv", StatsRow, rows)
     _snapshot_args(args, out, ("records",))
     _write_build(out)
-    for label, g1, g2 in rows:
-        res = one_way_anova([g1, g2])
-        print(f"{label}: F={res.f_score:.3f} p={res.p_value:.3g}")
+    for row in rows:
+        print(f"{row.pairing}: F={row.f_score:.3f} p={row.p_value:.3g}")
     print(f"wrote {out / 'summary.csv'} and {out / 'stats.csv'}")
     return 0
 

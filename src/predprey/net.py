@@ -26,12 +26,14 @@ the row count.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import struct
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -391,28 +393,46 @@ def atomic_open(path, mode: str = "w", **kwargs):
         raise
 
 
-def read_csv_rows(path, header: list[str], types, make, error: type[Exception], last_key: float = np.inf) -> list:
-    """`make(*row)` for every data row of a CSV whose first row is `header`, fields converted by `types`.
+def write_rows(path, cls, rows) -> None:
+    """Write `rows`, instances of the dataclass `cls`, as a CSV through `atomic_open`.
 
-    Any other header raises StructuralError. A row with a field count other than the header's,
-    a field its type refuses, or values `make` refuses with `error` raises `error` naming the line.
-    Reading stops, unparsed, at the first row whose first field is an integer above `last_key`.
+    The header is the field names and each row its field values, as csv.writer writes them: a float,
+    numpy's float64 too, as its shortest repr, and an int as digits.
     """
-    with open(path, newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f.name for f in fields(cls)])
+        writer.writerows(astuple(row) for row in rows)
+
+
+def read_rows(path, cls, last_key: float = math.inf) -> list:
+    """The rows of a CSV that `write_rows` wrote for the dataclass `cls`, each field parsed by its annotated type.
+
+    A header other than the field names, a row with another field count, a field its type refuses
+    (a byte the file's encoding cannot decode reaches it as a lone surrogate), or values `cls`
+    refuses with InputError raises InputError naming the file and line. A field declared
+    init=False is parsed, then left for `cls` to derive. Reading stops, unparsed, at the first
+    row whose first field is an integer above `last_key`.
+    """
+    hints = get_type_hints(cls)
+    columns = fields(cls)
+    header = [f.name for f in columns]
+    with open(path, newline="", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         got = next(reader, None)
         if got != header:
-            raise StructuralError(f"{path}: expected header {header}, got {got}")
+            raise InputError(f"{path}: line 1: expected header {header}, got {got}")
         rows = []
         for raw in reader:
-            if raw[0].isdigit() and int(raw[0]) > last_key:
-                break
             try:
+                if raw and raw[0].isdecimal() and int(raw[0]) > last_key:
+                    break
                 if len(raw) != len(header):
                     raise ValueError(f"{len(raw)} fields, not {len(header)}")
-                rows.append(make(*(convert(value) for convert, value in zip(types, raw))))
-            except (ValueError, error) as exc:
-                raise error(f"{path}: line {reader.line_num}: {exc}") from None
+                values = [hints[f.name](value) for f, value in zip(columns, raw)]
+                rows.append(cls(*(v for f, v in zip(columns, values) if f.init)))
+            except (ValueError, InputError) as exc:
+                raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
     return rows
 
 

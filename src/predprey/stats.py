@@ -3,10 +3,13 @@
 Runs a trained policy for a batch of independent seeded episodes, reduces
 each run's event log to totals, scores runs with the weighted task-efficiency
 measure (+1 per positive point, -0.2 per negative point, -1 per catch), and
-compares conditions with a one-way ANOVA and Cohen's d. Occupancy heatmaps
-come from a boundary-renormalized Gaussian kernel density over logged
-positions: each sample deposits exactly unit mass inside the grid, so the
-grid integrates to the sample count. The kernel's cell integrals take erf only
+compares conditions with a one-way ANOVA and Cohen's d. `RunRecord`,
+`ConditionSummary` and `StatsRow` are the rows of run_records.csv, summary.csv
+and stats.csv: `net.write_rows` and `net.read_rows` take each file's columns
+and value types from its dataclass. Occupancy heatmaps come from a
+boundary-renormalized Gaussian kernel density over logged positions: each
+sample deposits exactly unit mass inside the grid, so the grid integrates to
+the sample count. The kernel's cell integrals take erf only
 where it is not saturated: scipy's erf is exactly +-1.0 from |z| = 5.9216 on,
 so every |z| >= 6 takes its sign, which gives the same bits as erf itself. A
 boundary reflection whose z is saturated at every cell edge of a sample, as for
@@ -16,20 +19,19 @@ row, so only the other samples evaluate it.
 
 from __future__ import annotations
 
-import csv
 import math
 from contextlib import nullcontext
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 from scipy.special import betainc, erf
 
 from .errors import InputError, NumericsError, StructuralError
-from .net import DenseNet, atomic_open, load_checkpoint, read_csv_rows
+from .net import DenseNet, atomic_open, load_checkpoint
 from .ppo import sample_actions
 from .seeding import derive_seed
-from .trajectory import TrajectoryTable, TrajectoryWriter
+from .trajectory import TrajectoryWriter
 from .world import (
     EVENT_CAUGHT,
     EVENT_NEGATIVE,
@@ -52,15 +54,19 @@ _DRAW_TICKS = 64  # ticks of uniforms a run draws at once; 50 runs x 64 ticks x 
 
 @dataclass
 class RunRecord:
+    """One row of run_records.csv; task_efficiency is derived from the totals."""
+
     run_id: int
     pos_total: float
     neg_total: float
     caught_total: float
     duration_steps: int
+    task_efficiency: float = field(init=False)
 
     def __post_init__(self) -> None:
         if not all(math.isfinite(v) and v >= 0 for v in (self.pos_total, self.neg_total, self.caught_total)):
             raise InputError("run totals must be finite and non-negative")
+        self.task_efficiency = task_efficiency(self)
 
 
 def task_efficiency(rec: RunRecord) -> float:
@@ -70,25 +76,6 @@ def task_efficiency(rec: RunRecord) -> float:
         + rec.neg_total * TASK_WEIGHT_NEGATIVE
         + rec.caught_total * TASK_WEIGHT_CAUGHT
     )
-
-
-RUN_RECORD_HEADER = ["run_id", "pos_total", "neg_total", "caught_total", "duration_steps", "task_efficiency"]
-
-
-def write_run_records(records: list[RunRecord], path) -> None:
-    with atomic_open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RUN_RECORD_HEADER)
-        for r in records:
-            writer.writerow(
-                [r.run_id, repr(r.pos_total), repr(r.neg_total), repr(r.caught_total), r.duration_steps, repr(task_efficiency(r))]
-            )
-
-
-def read_run_records(path) -> list[RunRecord]:
-    """The records of a run-record CSV; a malformed row raises InputError naming its line."""
-    types = (int, float, float, float, int, float)
-    return read_csv_rows(path, RUN_RECORD_HEADER, types, lambda *row: RunRecord(*row[:-1]), InputError)
 
 
 # ---------------------------------------------------------------------------
@@ -197,17 +184,6 @@ def summarize_condition(condition_id: str, records: list[RunRecord]) -> Conditio
     )
 
 
-SUMMARY_HEADER = [f.name for f in fields(ConditionSummary)]
-
-
-def write_summary_csv(summaries: list[ConditionSummary], path) -> None:
-    with atomic_open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_HEADER)
-        for s in summaries:
-            writer.writerow([s.condition_id, s.n_runs] + [repr(v) for v in astuple(s)[2:]])
-
-
 # ---------------------------------------------------------------------------
 # ANOVA and effect size
 
@@ -269,20 +245,22 @@ def cohens_d(g1: np.ndarray, g2: np.ndarray) -> float:
     return float((g1.mean() - g2.mean()) / pooled)
 
 
-STATS_HEADER = ["pairing", "mean_1", "mean_2", "f_score", "p_value", "cohens_d"]
+@dataclass
+class StatsRow:
+    """One row of stats.csv: one variable compared between two conditions."""
+
+    pairing: str
+    mean_1: float
+    mean_2: float
+    f_score: float
+    p_value: float
+    cohens_d: float
 
 
-def write_stats_csv(rows: list[tuple[str, np.ndarray, np.ndarray]], path) -> None:
-    """One line per pairing: means, F, p, and d for the two groups."""
-    with atomic_open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(STATS_HEADER)
-        for label, g1, g2 in rows:
-            res = one_way_anova([g1, g2])
-            d = cohens_d(g1, g2)
-            writer.writerow(
-                [label, repr(float(np.mean(g1))), repr(float(np.mean(g2))), repr(res.f_score), repr(res.p_value), repr(d)]
-            )
+def compare(label: str, g1: np.ndarray, g2: np.ndarray) -> StatsRow:
+    """The means, one-way ANOVA and Cohen's d of two groups."""
+    res = one_way_anova([g1, g2])
+    return StatsRow(label, float(np.mean(g1)), float(np.mean(g2)), res.f_score, res.p_value, cohens_d(g1, g2))
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +313,7 @@ def check_grid_dims(grid_dims: tuple[int, int]) -> None:
 
 
 def kde_occupancy(
-    trajectories,
+    positions,
     entity_kind: str,
     bandwidth: float | None = None,
     grid_dims: tuple[int, int] = (64, 64),
@@ -343,17 +321,14 @@ def kde_occupancy(
 ) -> KdeGrid:
     """Gaussian-kernel occupancy density on a W x H grid.
 
-    `trajectories` is a TrajectoryTable (filtered to entity_kind) or an
-    (n, 2) position array. Per-cell values are exact kernel integrals over
-    the cell with reflection at the grid boundary (unbiased for flat
-    density), renormalized per sample to the mass falling inside the grid,
-    so sum(grid) * cell_area equals the number of samples.
+    `positions` is an (n, 2) array of the entity kind's logged positions.
+    Per-cell values are exact kernel integrals over the cell with reflection
+    at the grid boundary (unbiased for flat density), renormalized per sample
+    to the mass falling inside the grid, so sum(grid) * cell_area equals the
+    number of samples.
     """
     check_grid_dims(grid_dims)
-    if isinstance(trajectories, TrajectoryTable):
-        positions = trajectories.positions(entity_kind)
-    else:
-        positions = np.asarray(trajectories, dtype=np.float64)
+    positions = np.asarray(positions, dtype=np.float64)
     if positions.size == 0:
         raise InputError(f"no trajectory samples for entity kind {entity_kind!r}")
     if positions.ndim != 2 or positions.shape[1] != 2:

@@ -4,7 +4,8 @@ Every update cycle draws freshly randomized worlds and all randomness is
 keyed on (run seed, cycle index), so a checkpoint taken at a cycle boundary
 (parameters, optimizer moments, seed, global step) replays the remainder of
 the run step-for-step. Global step counts environment steps summed across
-prey streams.
+prey streams. Each cycle rewrites metrics.csv whole from its `MetricsRow`s
+through `net.write_rows`; a resume reads them back through `net.read_rows`.
 
 Scenario table: 1 trains 580k steps with the predator, 2 trains 1M steps
 with the predator, 3 trains 1M steps without it. Everything else is shared.
@@ -12,15 +13,14 @@ with the predator, 3 trains 1M steps without it. Everything else is shared.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, StructuralError
-from .net import AdamState, LrSchedule, atomic_open, init_net, load_checkpoint, lr_at, read_csv_rows, save_checkpoint
+from .net import AdamState, LrSchedule, init_net, load_checkpoint, lr_at, read_rows, save_checkpoint, write_rows
 from .ppo import ActorWorlds, PpoHyperparams, RolloutBuffer, collect_rollout, ppo_update
 from .seeding import check_seed, derive_seed
 from .world import WorldConfig, prey_action_space, reset
@@ -80,6 +80,8 @@ def scenario_defaults(scenario_id: int, seed: int = 0) -> ScenarioConfig:
 
 @dataclass
 class MetricsRow:
+    """One row of metrics.csv: the training curves at one summary_freq boundary."""
+
     global_step: int
     cumulative_reward_mean: float
     policy_loss: float
@@ -87,33 +89,6 @@ class MetricsRow:
     entropy: float
     extrinsic_reward_mean: float
     value_estimate_mean: float
-
-    def as_csv_row(self) -> list[str]:
-        return [str(self.global_step)] + [repr(v) for v in astuple(self)[1:]]
-
-
-METRICS_HEADER = [f.name for f in fields(MetricsRow)]
-
-
-@dataclass
-class TrainingMetrics:
-    rows: list[MetricsRow] = field(default_factory=list)
-
-    def to_csv(self, path) -> None:
-        with atomic_open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(METRICS_HEADER)
-            for row in self.rows:
-                writer.writerow(row.as_csv_row())
-
-    @classmethod
-    def from_csv(cls, path, last_step: float = math.inf) -> "TrainingMetrics":
-        """The rows up to `last_step` of a metrics CSV; a malformed one raises StructuralError naming its line.
-
-        A row past `last_step` is never parsed, such as one a kill during an append cut short.
-        """
-        types = (int,) + (float,) * (len(METRICS_HEADER) - 1)
-        return cls(rows=read_csv_rows(path, METRICS_HEADER, types, MetricsRow, StructuralError, last_step))
 
 
 def steps_per_cycle(cfg: ScenarioConfig) -> int:
@@ -128,13 +103,14 @@ def run_training(
     cfg: ScenarioConfig,
     out_dir,
     resume_from=None,
-) -> tuple[Path, TrainingMetrics]:
+) -> tuple[Path, list[MetricsRow]]:
     """Train until global step reaches max_steps; returns (final checkpoint, metrics.csv rows).
 
     Rewrites metrics.csv atomically every cycle and writes a checkpoint whenever
     the global step crosses a checkpoint_interval boundary, plus a final one. Resuming
     from any written checkpoint reproduces the uninterrupted run exactly; a
-    resume into out_dir keeps the metrics.csv rows up to the checkpoint's step.
+    resume into out_dir keeps the metrics.csv rows up to the checkpoint's step,
+    and never parses a row past it, such as one a kill during an older append cut short.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -170,10 +146,10 @@ def run_training(
     steps_per_tick = cfg.n_worlds * cfg.world.n_prey
 
     metrics_path = out_dir / "metrics.csv"
-    metrics = TrainingMetrics()
+    rows = []
     if resume_from is not None and metrics_path.exists():
-        metrics.rows = TrainingMetrics.from_csv(metrics_path, global_step).rows
-    metrics.to_csv(metrics_path)
+        rows = read_rows(metrics_path, MetricsRow, last_key=global_step)
+    write_rows(metrics_path, MetricsRow, rows)
 
     while global_step < hp.max_steps:
         actors = ActorWorlds.from_state(
@@ -217,8 +193,8 @@ def run_training(
                 extrinsic_reward_mean=reward_mean,
                 value_estimate_mean=stats.value_estimate_mean,
             )
-            metrics.rows.append(row)
-        metrics.to_csv(metrics_path)
+            rows.append(row)
+        write_rows(metrics_path, MetricsRow, rows)
 
         if prev_step // cfg.checkpoint_interval != global_step // cfg.checkpoint_interval:
             save_checkpoint(
@@ -227,4 +203,4 @@ def run_training(
 
     final_path = out_dir / "checkpoint_final.ckpt"
     save_checkpoint(final_path, net, adam, run_seed, global_step)
-    return final_path, metrics
+    return final_path, rows

@@ -443,11 +443,11 @@ def step(
         raise InputError(f"expected prey actions of shape {shape}, got {actions.shape}")
     if not np.issubdtype(actions.dtype, np.integer):  # a cast would truncate floats and take True as 1
         raise InputError(f"prey actions must be integer action indices, got dtype {actions.dtype}")
-    actions = actions.astype(np.int64)
-    bad = (actions < 0) | (actions >= space.n_joint)
+    bad = (actions < 0) | (actions >= space.n_joint)  # on the array as given: a cast could wrap a huge index
     if bad.any():
         w, i = np.argwhere(bad)[0]
         raise InputError(f"world {w}, prey {i}: action index {actions[w, i]} outside [0, {space.n_joint})")
+    actions = actions.astype(np.int64)
     rewards = np.zeros(shape)
     events: list[list[Event]] = [[] for _ in range(len(actions))]
     move_step = cfg.prey_move_speed * cfg.tick_dt

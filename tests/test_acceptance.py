@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from predprey.net import forward, init_net, log_softmax
+from predprey.net import forward, init_net, log_softmax, read_rows
 from predprey.ppo import PpoHyperparams, clipped_surrogate, compute_gae, ppo_loss_and_grads
 from predprey.stats import RunRecord, cohens_d, evaluate_condition, one_way_anova, task_efficiency
-from predprey.train import ScenarioConfig, TrainingMetrics, run_training
+from predprey.train import MetricsRow, ScenarioConfig, run_training
 from predprey.world import WorldConfig, reset, step
 from tests_support import brute_force_can_see, copy_net, get_flat, make_state, set_flat
 
@@ -278,7 +278,7 @@ class TestCriterion7LearningSignal:
         results = []
         for seed in range(5):
             _, metrics = run_training(desk_scenario(False, seed), tmp_path / f"s{seed}")
-            rows = metrics.rows
+            rows = metrics
             dec = max(1, len(rows) // 10)
             first_r = np.mean([r.cumulative_reward_mean for r in rows[:dec]])
             last_r = np.mean([r.cumulative_reward_mean for r in rows[-dec:]])
@@ -352,9 +352,9 @@ class TestCriterion9Determinism:
         ).read_bytes()
 
         _, tail = run_training(cfg, tmp_path / "resumed", resume_from=tmp_path / "a" / "checkpoint_0000001024.ckpt")
-        straight = TrainingMetrics.from_csv(tmp_path / "a" / "metrics.csv")
-        expected_tail = [r for r in straight.rows if r.global_step > 1024]
-        resume_equal = tail.rows == expected_tail and (
+        straight = read_rows(tmp_path / "a" / "metrics.csv", MetricsRow)
+        expected_tail = [r for r in straight if r.global_step > 1024]
+        resume_equal = tail == expected_tail and (
             tmp_path / "a" / "checkpoint_final.ckpt"
         ).read_bytes() == (tmp_path / "resumed" / "checkpoint_final.ckpt").read_bytes()
 

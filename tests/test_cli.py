@@ -15,7 +15,8 @@ from predprey.configio import (
     write_resolved,
 )
 from predprey.errors import ConfigError
-from predprey.stats import read_run_records
+from predprey.net import read_rows
+from predprey.stats import RunRecord
 from predprey.trajectory import TrajectoryTable, replay_export
 
 
@@ -299,12 +300,16 @@ class TestBadRunRecordInput:
             "1,nan,1.0,0.0,10,0.8",
             "1,3.0,inf,0.0,10,0.8",
             "1,3.0,1.0,-1.0,10,0.8",
+            "1,3.0,1.0,0.0,10,abc",  # the derived column is parsed too
+            "",  # a blank line
+            "\u00b2,4.0,1.0,0.0,10,3.8",  # a superscript two: str.isdigit, but not int
+            "1,\udcff4.0,1.0,0.0,10,3.8",  # the byte 0xff, which UTF-8 cannot decode
         ],
     )
     def test_malformed_row_exits_2_naming_the_line(self, tmp_path, row):
         good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
         good.write_text(RUN_RECORDS + "0,3.0,1.0,0.0,10,2.8\r\n1,4.0,1.0,0.0,10,3.8\r\n", newline="")
-        bad.write_text(RUN_RECORDS + "0,3.0,1.0,0.0,10,2.8\r\n" + row + "\r\n", newline="")
+        bad.write_text(RUN_RECORDS + "0,3.0,1.0,0.0,10,2.8\r\n" + row + "\r\n1,4.0,1.0,0.0,10,3.8\r\n", newline="", encoding="utf-8", errors="surrogateescape")
         proc = run_cli(["stats", f"a={good}", f"b={bad}", "-o", str(tmp_path / "out")], tmp_path)
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
@@ -386,6 +391,22 @@ class TestCliPipeline:
         assert "Traceback" not in proc.stderr
         assert f"{metrics}: line 2: " in proc.stderr
         assert metrics.read_text() == header + "\nxx,1\n"
+
+    def test_blank_metrics_row_on_resume_exits_2_naming_the_line(self, pipeline, tmp_path):
+        root, train_dir, _ = pipeline
+        run_dir = tmp_path / "train"
+        run_dir.mkdir()
+        (run_dir / "checkpoint_final.ckpt").write_bytes((train_dir / "checkpoint_final.ckpt").read_bytes())
+        header, first, *rest = (train_dir / "metrics.csv").read_bytes().splitlines(keepends=True)
+        blank = b"".join([header, first, b"\r\n", *rest])  # a blank line before the checkpoint's row
+        metrics = run_dir / "metrics.csv"
+        metrics.write_bytes(blank)
+        argv = ["train", "-c", str(root / "train.txt"), "--resume", str(run_dir / "checkpoint_final.ckpt"), "-o", str(run_dir)]
+        proc = run_cli(argv, tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"{metrics}: line 3: 0 fields, not 7" in proc.stderr
+        assert metrics.read_bytes() == blank
 
     def test_resume_past_a_torn_metrics_row_ends_as_the_straight_run(self, pipeline, tmp_path):
         root, _, _ = pipeline
@@ -477,7 +498,7 @@ class TestCliPipeline:
         records, trajectory = str(eval_dir / "run_records.csv"), str(eval_dir / "trajectory.csv")
         replay = ["replay-export", "--run", "0", "--ticks", "0", "4", "-o", str(out), "--trajectory"]
         first, second, interrupt = {
-            "stats": (["stats", f"a={records}", f"b={records}"], ["stats", f"c={records}", f"d={records}"], "write_summary_csv"),
+            "stats": (["stats", f"a={records}", f"b={records}"], ["stats", f"c={records}", f"d={records}"], "write_rows"),
             "heatmap": (["heatmap", "--trajectory", trajectory], ["heatmap", "--trajectory", trajectory, "--grid", "8", "8"], "write_grid_text"),
             "replay-export": ([*replay, trajectory], [*replay, str(tmp_path / "copy.csv")], "atomic_open"),
         }[command]
@@ -503,8 +524,18 @@ class TestCliPipeline:
         _, _, eval_dir = pipeline
         for name in ("resolved_config.txt", "run_records.csv", "summary.csv", "trajectory.csv"):
             assert (eval_dir / name).exists(), name
-        records = read_run_records(eval_dir / "run_records.csv")
+        records = read_rows(eval_dir / "run_records.csv", RunRecord)
         assert len(records) == 3
+
+    def test_build_names_the_schema_of_every_csv_beside_it(self, pipeline, tmp_path):
+        _, _, eval_dir = pipeline
+        records = str(eval_dir / "run_records.csv")
+        stats_dir = tmp_path / "stats"
+        assert main(["stats", f"a={records}", f"b={records}", "-o", str(stats_dir)]) == 0
+        for out in (eval_dir, stats_dir):
+            schemas = dict(entry.split("=") for entry in (out / "build.txt").read_text().splitlines()[1].split())
+            csvs = sorted(p.name for p in out.glob("*.csv"))
+            assert csvs and all(schemas.get(name.replace(".", "_"), "").isdecimal() for name in csvs), (csvs, schemas)
 
     def test_stats_subcommand(self, pipeline, tmp_path):
         root, _, eval_dir = pipeline

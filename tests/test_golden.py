@@ -79,8 +79,31 @@ def eval_digests(out_dir: Path) -> dict[str, str]:
     assert main(["eval", "-c", str(cfg), "--checkpoint", str(ckpt), "-o", str(result)]) == 0
     return {
         "eval_run_records_csv": file_sha256(result / "run_records.csv"),
+        "eval_summary_csv": file_sha256(result / "summary.csv"),
         "eval_trajectory_csv": file_sha256(result / "trajectory.csv"),
     }
+
+
+# Four runs whose pos_total mean equals the tiny eval's (6.0) and whose other totals are constant: stats.csv
+# holds F = 0 and d = 0.0 for pos_total against the eval, and F = 0 with an undefined d (nan) for the constant
+# totals of the file against itself.
+FIXED_RUN_RECORDS = """\
+run_id,pos_total,neg_total,caught_total,duration_steps,task_efficiency\r
+0,5.0,2.0,20.0,200,-15.4\r
+1,6.0,2.0,20.0,200,-14.4\r
+2,7.0,2.0,20.0,200,-13.4\r
+3,6,2,20,200,-14.4\r
+"""
+
+
+def stats_digests(result: Path) -> dict[str, str]:
+    """stats.csv of the tiny eval's run records against a fixed run-record file and that file again."""
+    fixed = result.parent / "fixed_run_records.csv"
+    fixed.write_bytes(FIXED_RUN_RECORDS.encode())
+    out = result.parent / "stats"
+    argv = ["stats", f"golden={result / 'run_records.csv'}", f"fixed={fixed}", f"again={fixed}", "-o", str(out)]
+    assert main(argv) == 0
+    return {"stats_csv": file_sha256(out / "stats.csv")}
 
 
 # The arena's walls, as an explicit heatmap extent.
@@ -144,6 +167,7 @@ def test_tiny_training_two_worlds_outputs(golden, tmp_path):
 
 def test_tiny_eval_outputs(golden, tmp_path):
     got = eval_digests(tmp_path)
+    got.update(stats_digests(tmp_path / "result"))
     # the fixture must exercise point rows and every event kind
     text = (tmp_path / "result" / "trajectory.csv").read_text()
     for needle in ("point_positive", "point_negative", "positive_collected", "negative_collected", "prey_caught"):
@@ -174,5 +198,6 @@ if __name__ == "__main__":
         digests.update(train_digests(Path(tmp) / "train"))
         digests.update(train_digests(Path(tmp) / "train2", "train_2_worlds", **TWO_WORLDS))
         digests.update(eval_digests(Path(tmp) / "eval"))
+        digests.update(stats_digests(Path(tmp) / "eval" / "result"))
         digests.update(analysis_digests(Path(tmp) / "eval" / "result"))
     print(json.dumps(digests, indent=2))

@@ -1,8 +1,11 @@
 import struct
 import zlib
+from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from predprey.errors import CheckpointError, InputError, NumericsError, StructuralError
 from predprey.net import (
@@ -21,11 +24,24 @@ from predprey.net import (
     load_checkpoint,
     log_softmax,
     lr_at,
+    read_rows,
     save_checkpoint,
     trunk,
+    write_rows,
 )
 from predprey.cli import main
-from tests_support import HalfWrite, copy_net, get_flat, set_flat
+from predprey.stats import ConditionSummary, RunRecord, StatsRow, compare
+from predprey.train import MetricsRow
+from tests_support import (
+    HalfWrite,
+    copy_net,
+    get_flat,
+    set_flat,
+    write_metrics_csv,
+    write_run_records,
+    write_stats_csv,
+    write_summary_csv,
+)
 
 
 def small_net(seed=7, obs=4, hidden=3, actions=2):
@@ -407,3 +423,60 @@ class TestAlignment:
             acts = trunk(moved, obs)
             got = acts + list(heads(moved, acts[-1]))
             assert all(np.array_equal(a, b) for a, b in zip(got, want)), offset
+
+
+# ---------------------------------------------------------------------------
+# row CSVs: write_rows against the hand-written writers of tests_support, and read_rows back
+
+FLOATS = st.floats()  # nan and +-inf included
+TOTALS = st.one_of(st.integers(0, 10**9), st.floats(0.0, allow_infinity=False))  # eval writes ints, a file reads floats
+LABELS = st.text(st.characters(blacklist_categories=["Cs"]), max_size=12)
+# groups without spread give F = inf or 0 and an undefined d
+SMALL = st.sampled_from([0.0, 1.0, 2.5])
+GROUPS = st.one_of(
+    st.builds(lambda value, n: [value] * n, SMALL, st.integers(2, 6)),
+    st.lists(st.one_of(SMALL, st.floats(-1e6, 1e6)), min_size=2, max_size=6),
+)
+
+ROW_FILES = {
+    "metrics": (MetricsRow, st.builds(MetricsRow, st.integers(0, 2**63 - 1), *[FLOATS] * 6), write_metrics_csv),
+    "run_records": (
+        RunRecord,
+        st.builds(RunRecord, st.integers(0, 10**9), TOTALS, TOTALS, TOTALS, st.integers(1, 10**9)),
+        write_run_records,
+    ),
+    "summary": (ConditionSummary, st.builds(ConditionSummary, LABELS, st.integers(2, 10**6), *[FLOATS] * 8), write_summary_csv),
+}
+row_settings = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def same_rows(got, want) -> bool:
+    """Equal row for row and field for field, with nan equal to nan."""
+    return len(got) == len(want) and all(
+        type(a) is type(b) and all(x == y or (x != x and y != y) for x, y in zip(astuple(a), astuple(b)))
+        for a, b in zip(got, want)
+    )
+
+
+@pytest.mark.parametrize("kind", sorted(ROW_FILES))
+@row_settings
+@given(data=st.data())
+def test_write_rows_writes_the_hand_written_bytes_and_reads_back(tmp_path, kind, data):
+    cls, row_strategy, write_oracle = ROW_FILES[kind]
+    rows = data.draw(st.lists(row_strategy, max_size=5))
+    path, oracle = tmp_path / "rows.csv", tmp_path / "oracle.csv"
+    write_rows(path, cls, rows)
+    write_oracle(rows, oracle)
+    assert path.read_bytes() == oracle.read_bytes()
+    assert same_rows(read_rows(path, cls), rows)
+
+
+@row_settings
+@given(groups=st.lists(st.tuples(LABELS, GROUPS, GROUPS), max_size=4))
+def test_stats_rows_write_the_hand_written_bytes_and_read_back(tmp_path, groups):
+    rows = [compare(label, np.array(g1), np.array(g2)) for label, g1, g2 in groups]
+    path, oracle = tmp_path / "rows.csv", tmp_path / "oracle.csv"
+    write_rows(path, StatsRow, rows)
+    write_stats_csv([(label, np.array(g1), np.array(g2)) for label, g1, g2 in groups], oracle)
+    assert path.read_bytes() == oracle.read_bytes()
+    assert same_rows(read_rows(path, StatsRow), rows)

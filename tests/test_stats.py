@@ -8,22 +8,21 @@ import scipy.stats
 
 import predprey.stats as stats_module
 from predprey.errors import InputError, NumericsError, StructuralError
-from predprey.net import init_net
+from predprey.net import init_net, read_rows, write_rows
 from predprey.stats import (
+    ConditionSummary,
     RunRecord,
+    StatsRow,
     cohens_d,
+    compare,
     evaluate_condition,
     kde_occupancy,
     one_way_anova,
-    read_run_records,
     scott_bandwidth,
     summarize_condition,
     task_efficiency,
     write_grid_pgm,
     write_grid_text,
-    write_run_records,
-    write_stats_csv,
-    write_summary_csv,
 )
 from predprey.ppo import sample_actions
 from predprey.seeding import derive_seed
@@ -252,8 +251,8 @@ class TestEvaluateCondition:
         cfg = eval_world()
         records, _ = evaluate_condition(self.make_net(cfg), cfg, n_runs=3, duration=15, seed=6)
         path = tmp_path / "records.csv"
-        write_run_records(records, path)
-        assert read_run_records(path) == records
+        write_rows(path, RunRecord, records)
+        assert read_rows(path, RunRecord) == records
 
 
 def one_run_oracle(net, cfg, seed, run, duration, greedy) -> tuple[RunRecord, str]:
@@ -342,9 +341,9 @@ def scaled_records(k):
 
 # Each CSV writer, writing rows that depend on k.
 CSV_WRITERS = {
-    "run_records": lambda path, k: write_run_records(scaled_records(k), path),
-    "summary": lambda path, k: write_summary_csv([summarize_condition("c", scaled_records(k))], path),
-    "stats": lambda path, k: write_stats_csv([("a_vs_b", k * np.arange(5.0), np.arange(5.0) + 2.0)], path),
+    "run_records": lambda path, k: write_rows(path, RunRecord, scaled_records(k)),
+    "summary": lambda path, k: write_rows(path, ConditionSummary, [summarize_condition("c", scaled_records(k))]),
+    "stats": lambda path, k: write_rows(path, StatsRow, [compare("a_vs_b", k * np.arange(5.0), np.arange(5.0) + 2.0)]),
 }
 
 

@@ -5,12 +5,12 @@ import pytest
 import predprey.world as world_module
 from predprey.configio import parse_scenario_config
 from predprey.errors import CheckpointError, ConfigError, StructuralError
-from predprey.net import AdamState, init_net, load_checkpoint, save_checkpoint
+from predprey.net import AdamState, init_net, load_checkpoint, read_rows, save_checkpoint
 from predprey.ppo import PpoHyperparams
 from predprey.train import (
     SCENARIO_TABLE,
+    MetricsRow,
     ScenarioConfig,
-    TrainingMetrics,
     run_training,
     scenario_defaults,
     steps_per_cycle,
@@ -71,7 +71,7 @@ class TestRunTraining:
         cfg = tiny_config(max_steps=1000)
         _, metrics = run_training(cfg, tmp_path)
         cycle = steps_per_cycle(cfg)
-        assert metrics.rows[-1].global_step >= 1000 - cfg.hyperparams.summary_freq
+        assert metrics[-1].global_step >= 1000 - cfg.hyperparams.summary_freq
         final_step = load_checkpoint(tmp_path / "checkpoint_final.ckpt")[3]
         assert final_step >= 1000
         assert final_step % cycle == 0
@@ -83,11 +83,11 @@ class TestRunTraining:
     def test_metrics_cadence_and_monotonicity(self, tmp_path):
         cfg = tiny_config(max_steps=4096)
         _, metrics = run_training(cfg, tmp_path)
-        steps = [r.global_step for r in metrics.rows]
+        steps = [r.global_step for r in metrics]
         freq = cfg.hyperparams.summary_freq
         assert all(b - a == freq for a, b in zip(steps, steps[1:]))
         assert all(s % freq == 0 for s in steps)
-        assert abs(len(metrics.rows) - 4096 // freq) <= 1
+        assert abs(len(metrics) - 4096 // freq) <= 1
 
     def test_metrics_csv_identical_across_runs(self, tmp_path):
         cfg = tiny_config(seed=5, max_steps=2048)
@@ -100,13 +100,13 @@ class TestRunTraining:
     def test_metrics_roundtrip_csv(self, tmp_path):
         cfg = tiny_config(max_steps=1024)
         _, metrics = run_training(cfg, tmp_path)
-        loaded = TrainingMetrics.from_csv(tmp_path / "metrics.csv")
+        loaded = read_rows(tmp_path / "metrics.csv", MetricsRow)
         assert loaded == metrics
 
     def test_predator_training_smoke(self, tmp_path):
         cfg = tiny_config(predator=True, max_steps=512)
         _, metrics = run_training(cfg, tmp_path)
-        assert metrics.rows  # ran and logged
+        assert metrics  # ran and logged
 
     def test_config_file_can_train_scenario_one_without_predator(self, tmp_path, monkeypatch):
         path = tmp_path / "cfg.txt"
@@ -135,8 +135,8 @@ class TestResume:
         assert mid.exists()
 
         _, tail = run_training(cfg, tmp_path / "resumed", resume_from=mid)
-        expected_tail = [r for r in straight.rows if r.global_step > 1024]
-        assert tail.rows == expected_tail
+        expected_tail = [r for r in straight if r.global_step > 1024]
+        assert tail == expected_tail
 
         # final checkpoints byte-identical
         assert (tmp_path / "full" / "checkpoint_final.ckpt").read_bytes() == (
@@ -148,10 +148,10 @@ class TestResume:
         cfg = tiny_config(seed=9, max_steps=1024, checkpoint_interval=512)
         run_training(cfg, tmp_path)
         straight = (tmp_path / "metrics.csv").read_bytes()
-        assert len(TrainingMetrics.from_csv(tmp_path / "metrics.csv").rows) == 4
+        assert len(read_rows(tmp_path / "metrics.csv", MetricsRow)) == 4
         _, metrics = run_training(cfg, tmp_path, resume_from=tmp_path / "checkpoint_0000000512.ckpt")
         assert (tmp_path / "metrics.csv").read_bytes() == straight
-        assert metrics == TrainingMetrics.from_csv(tmp_path / "metrics.csv")
+        assert metrics == read_rows(tmp_path / "metrics.csv", MetricsRow)
 
     def test_interval_checkpoints_written(self, tmp_path):
         cfg = tiny_config(max_steps=2048, checkpoint_interval=512)
@@ -201,4 +201,4 @@ class TestLearningSmoke:
             checkpoint_interval=100_000,
         )
         _, metrics = run_training(cfg, tmp_path)
-        assert metrics.rows[-1].cumulative_reward_mean > metrics.rows[0].cumulative_reward_mean
+        assert metrics[-1].cumulative_reward_mean > metrics[0].cumulative_reward_mean

@@ -219,6 +219,14 @@ class TestStep:
         with pytest.raises(InputError, match="prey 1"):
             step(state, [[0, 17]])
 
+    @pytest.mark.parametrize("value", [2**64 - 1, 2**63])
+    def test_huge_unsigned_action_is_named_as_given(self, value):
+        state = reset(WorldConfig(), 0)
+        before = state_digest(state)
+        with pytest.raises(InputError, match=f"prey 0: action index {value} outside"):
+            step(state, np.full((1, 6), value, dtype=np.uint64))
+        assert state_digest(state) == before
+
     @pytest.mark.parametrize("actions", [[[0.5] * 6], [[5.9] * 6], [[True] * 6], [["1"] * 6]])
     def test_non_integer_actions_refused_before_anything_moves(self, actions):
         state = reset(WorldConfig(), 0)

@@ -1,5 +1,6 @@
 """Shared helpers: hand-placed world states, world stacking, world digests, flat net parameters, the
-independent vision, body-sliding, trajectory-writer, trajectory-reader and KDE oracles, and a failing file."""
+independent vision, body-sliding, trajectory-writer, trajectory-reader, KDE and row-CSV-writer oracles, and a
+failing file."""
 
 import copy
 import csv
@@ -13,6 +14,7 @@ from scipy.special import erf
 
 from predprey.errors import StructuralError
 from predprey.net import DenseNet
+from predprey.stats import cohens_d, one_way_anova, task_efficiency
 from predprey.trajectory import ALL_KINDS, CSV_HEADER, TrajectoryTable
 from predprey.world import ActionSpace, PredatorState, WorldConfig, WorldState
 
@@ -288,3 +290,70 @@ def full_erf_kde_grid(positions, bandwidth, grid_dims, extent) -> np.ndarray:
         mass += (px / in_grid[:, None]).T @ py
     cell_area = ((xmax - xmin) / w) * ((ymax - ymin) / h)
     return mass / cell_area
+
+
+# Row-CSV writer oracles: one hand-written writer per file, with literal headers and repr'd floats.
+
+RUN_RECORD_HEADER = ["run_id", "pos_total", "neg_total", "caught_total", "duration_steps", "task_efficiency"]
+METRICS_HEADER = [
+    "global_step",
+    "cumulative_reward_mean",
+    "policy_loss",
+    "value_loss",
+    "entropy",
+    "extrinsic_reward_mean",
+    "value_estimate_mean",
+]
+SUMMARY_HEADER = [
+    "condition_id",
+    "n_runs",
+    "pos_mean",
+    "pos_std",
+    "neg_mean",
+    "neg_std",
+    "caught_mean",
+    "caught_std",
+    "task_efficiency_mean",
+    "task_efficiency_std",
+]
+STATS_HEADER = ["pairing", "mean_1", "mean_2", "f_score", "p_value", "cohens_d"]
+
+
+def write_run_records(records, path) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(RUN_RECORD_HEADER)
+        for r in records:
+            writer.writerow(
+                [r.run_id, repr(r.pos_total), repr(r.neg_total), repr(r.caught_total), r.duration_steps, repr(task_efficiency(r))]
+            )
+
+
+def write_metrics_csv(rows, path) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(METRICS_HEADER)
+        for row in rows:
+            values = [getattr(row, name) for name in METRICS_HEADER]
+            writer.writerow([str(values[0])] + [repr(v) for v in values[1:]])
+
+
+def write_summary_csv(summaries, path) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(SUMMARY_HEADER)
+        for s in summaries:
+            writer.writerow([s.condition_id, s.n_runs] + [repr(getattr(s, name)) for name in SUMMARY_HEADER[2:]])
+
+
+def write_stats_csv(rows, path) -> None:
+    """One line per (label, group 1, group 2): means, F, p, and d for the two groups."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(STATS_HEADER)
+        for label, g1, g2 in rows:
+            res = one_way_anova([g1, g2])
+            d = cohens_d(g1, g2)
+            writer.writerow(
+                [label, repr(float(np.mean(g1))), repr(float(np.mean(g2))), repr(res.f_score), repr(res.p_value), repr(d)]
+            )
