@@ -3,7 +3,8 @@
 Subcommands: train, eval, stats, heatmap, replay-export. Every run writes a
 resolved-config snapshot and a build identifier beside its outputs, all but
 train after its data files: a run that stops early leaves earlier outputs whole. Exit
-codes: 0 success, 2 configuration error, 3 numeric failure, 4 I/O failure.
+codes: 0 success, 2 configuration error, bad input or not enough memory for the
+requested sizes (`heatmap --grid`), 3 numeric failure, 4 I/O failure.
 The default output root is $PREDPREY_OUTPUT_ROOT (falling back to ./runs).
 """
 
@@ -138,13 +139,21 @@ def _snapshot_args(args, out: Path, keys: tuple[str, ...]) -> None:
 
 
 def _cmd_stats(args) -> int:
-    conditions: list[tuple[str, list]] = []
+    paths: dict[str, str] = {}
     for spec_arg in args.records:
         if "=" in spec_arg:
             label, path = spec_arg.split("=", 1)
         else:
             label, path = Path(spec_arg).stem, spec_arg
-        conditions.append((label, read_rows(path, RunRecord)))
+        if not label:
+            raise ConfigError(f"empty condition label for {path}; name the condition as label=path")
+        if label in paths:
+            raise ConfigError(
+                f"condition label {label!r} names both {paths[label]} and {path}; "
+                "give each file its own label as label=path"
+            )
+        paths[label] = path
+    conditions = [(label, read_rows(path, RunRecord)) for label, path in paths.items()]
     if len(conditions) < 2:
         raise ConfigError("stats needs at least two run-record CSVs")
     summaries = [summarize_condition(label, records) for label, records in conditions]
@@ -274,6 +283,9 @@ def main(argv=None) -> int:
         return 4
     except PredpreyError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: not enough memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 2
 
 

@@ -15,6 +15,14 @@ so every |z| >= 6 takes its sign, which gives the same bits as erf itself. A
 boundary reflection whose z is saturated at every cell edge of a sample, as for
 most samples far from that boundary, adds exactly 1 or 0 to the sample's whole
 row, so only the other samples evaluate it.
+
+scipy is needed only by the KDE's erf and the ANOVA's betainc. `erf` and
+`betainc` here import `scipy.special` on their first call and pass their
+arguments to it unchanged, so only `heatmap` and `stats` load scipy. Loading it
+cost every fresh process about 0.25 s and 17-23 MiB peak (2-core x86-64 host),
+three to five times the work of a paper-scale `replay-export`, and `train`,
+`eval` and `replay-export` never call it. The two stay module-level names, so a
+test can still replace `stats.erf`.
 """
 
 from __future__ import annotations
@@ -25,7 +33,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import betainc, erf
 
 from .errors import InputError, NumericsError, StructuralError
 from .net import DenseNet, atomic_open, load_checkpoint
@@ -50,6 +57,20 @@ TASK_WEIGHT_CAUGHT = -1.0
 _TAG_EVAL_WORLD = 11
 _TAG_EVAL_ACTIONS = 12
 _DRAW_TICKS = 64  # ticks of uniforms a run draws at once; 50 runs x 64 ticks x 6 prey hold 150 KB
+
+
+def erf(*args, **kwargs):
+    """scipy.special.erf, with scipy imported on the first call."""
+    from scipy import special
+
+    return special.erf(*args, **kwargs)
+
+
+def betainc(*args, **kwargs):
+    """scipy.special.betainc, with scipy imported on the first call."""
+    from scipy import special
+
+    return special.betainc(*args, **kwargs)
 
 
 @dataclass

@@ -19,14 +19,17 @@ only what it uses of it:
                     is used or refused.
 Fields are unquoted, as the writer writes them, and lines may end in CRLF or LF;
 blank lines are skipped. A file whose first line is not the exact header, a row
-without exactly eight fields, an id or tick that is not an integer, and a
-non-finite x, y or heading are refused with InputError naming the file and the
-first bad line (counted from 1, header and blank lines included), which a walk
-through the failed block finds line by line; the outcome does not depend on the
-block size. On a 1.75M-row file (50 runs x 5,000 ticks; 2-core x86-64 host),
-`heatmap --entity-kind prey` takes 5.6-6.7 s and peaks at 104 MiB, against
-7.1-8.4 s and 527 MiB when it read the whole table, and `replay-export --run 0`
-takes 0.05-0.08 s and 64 MiB, against 1.8-2.0 s and 527 MiB.
+without exactly eight fields, an id or tick that is not an integer, a non-finite
+x, y or heading, an entity kind other than the four above, and an event cell
+that is not event names joined by ';' are refused with InputError naming the
+file and the first bad line (counted from 1, header and blank lines included),
+which a walk through the failed block finds line by line; the outcome does not
+depend on the block size. The file is decoded with errors="surrogateescape", so
+a byte the encoding cannot decode fails the check of the field it lands in. On
+a 1.75M-row file (50 runs x 5,000 ticks; 2-core x86-64 host), `heatmap
+--entity-kind prey` takes 5.6-6.7 s and peaks at 104 MiB, against 7.1-8.4 s and
+527 MiB when it read the whole table, and `replay-export --run 0` takes
+0.05-0.08 s and 64 MiB, against 1.8-2.0 s and 527 MiB.
 """
 
 from __future__ import annotations
@@ -43,11 +46,15 @@ import numpy as np
 
 from .errors import InputError, StructuralError
 from .net import atomic_open
-from .world import Event, WorldState
+from .world import EVENT_CAUGHT, EVENT_NEGATIVE, EVENT_POSITIVE, Event, WorldState
 
 CSV_HEADER = ["run_id", "tick", "entity_kind", "entity_id", "x", "y", "heading", "event"]
 
 ALL_KINDS = ("prey", "predator", "points")
+
+# the entity kinds and event names a row may hold; the reader refuses any other
+_KINDS = frozenset(("prey", "predator", "point_positive", "point_negative"))
+_EVENTS = frozenset((EVENT_POSITIVE, EVENT_NEGATIVE, EVENT_CAUGHT))
 
 # The reader's one pass fills this record type; without usecols, numpy refuses a row
 # that does not have exactly one field per column.
@@ -200,7 +207,7 @@ def _read_blocks(path, last_run: int | None = None):
     is greater. A block that fails a check is walked again line by line, so which rows come back, or which
     line is refused, does not depend on the block size.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", errors="surrogateescape") as fh:
         header = next(csv.reader(fh), None)
         if header != CSV_HEADER:
             raise InputError(f"{path}: expected trajectory header {CSV_HEADER}, got {header}")
@@ -213,8 +220,8 @@ def _read_blocks(path, last_run: int | None = None):
             end = len(rows)
             if last_run is not None:
                 later = np.flatnonzero((rows["run_id"] > last_run) & _finite(rows))
-                end = later[0] if len(later) else end
-            if not _finite(rows[:end]).all():
+                end = next((i for i in later if _known(rows[i : i + 1])), end)
+            if not (_finite(rows[:end]).all() and _known(rows[:end])):
                 break
             yield rows[:end]
             if end < _BLOCK_ROWS:
@@ -235,6 +242,13 @@ def _finite(columns) -> np.ndarray:
     return np.isfinite(columns["x"]) & np.isfinite(columns["y"]) & np.isfinite(columns["heading"])
 
 
+def _known(rows) -> bool:
+    """Whether every row's entity kind, and every event its event cell names, is one the writer writes."""
+    events = rows["event"]
+    cells = set(events[events != ""].tolist())
+    return set(rows["entity_kind"].tolist()) <= _KINDS and all(_EVENTS.issuperset(cell.split(";")) for cell in cells)
+
+
 def _walk(path, n_skip: int, last_run: int | None) -> np.ndarray:
     """The data rows after the first `n_skip`, passed through numpy's reader one line at a time.
 
@@ -242,7 +256,7 @@ def _walk(path, n_skip: int, last_run: int | None) -> np.ndarray:
     in the file, and why; it returns the rows before the read's end only if a later run's row comes first.
     """
     rows = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", errors="surrogateescape") as fh:
         next(fh)  # the header, which the caller checked
         for n, line in enumerate(fh, start=2):
             if n_skip:  # in the blocks that passed, a line with a comma is a row and any other line is blank
@@ -264,6 +278,14 @@ def _walk(path, n_skip: int, last_run: int | None) -> np.ndarray:
                 )
             if not _finite(row).all():
                 raise InputError(f"{path}: line {n} has a non-finite x, y or heading")
+            if not _known(row):
+                kind, event = row["entity_kind"][0], row["event"][0]
+                what = (
+                    f"entity kind {kind!r}, not one of {', '.join(sorted(_KINDS))}"
+                    if kind not in _KINDS
+                    else f"event {event!r}, not names from {', '.join(sorted(_EVENTS))} joined by ';'"
+                )
+                raise InputError(f"{path}: line {n} has {what}")
             if last_run is not None and row["run_id"][0] > last_run:
                 return np.concatenate(rows) if rows else row[:0]
             rows.append(row)

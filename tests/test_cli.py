@@ -117,12 +117,12 @@ class TestParseConfig:
         assert cfg2 == cfg
 
 
-def run_cli(args, cwd):
+def run_cli(args, cwd, python_args=("-m", "predprey.cli")):
     """The CLI in a fresh interpreter, so exit code and stderr are exactly what a user sees."""
     src = str(Path(predprey.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
-        [sys.executable, "-m", "predprey.cli", *args], capture_output=True, text=True, cwd=cwd, env=env, timeout=120
+        [sys.executable, *python_args, *args], capture_output=True, text=True, cwd=cwd, env=env, timeout=120
     )
 
 
@@ -222,11 +222,14 @@ class TestBadTrajectoryInput:
             "0,2,prey,0,nan,2.0,90.0,",
             "0,2,prey,0,1.0,inf,90.0,",
             "0,2,prey,0,1.0,2.0,nan,",
+            "\udcff0,2,prey,0,1.0,2.0,90.0,",  # the byte 0xff, which UTF-8 cannot decode
+            "0,2,prex,0,1.0,2.0,90.0,",  # an entity kind the writer never writes
+            "0,2,prey,0,1.0,2.0,90.0,\udcffprey_caught",
         ],
     )
     def test_malformed_row_exits_2_without_traceback(self, tmp_path, subcommand, row):
         traj = tmp_path / "traj.csv"
-        traj.write_text(TRAJECTORY_HEAD + row + "\r\n", newline="")
+        traj.write_text(TRAJECTORY_HEAD + row + "\r\n", newline="", encoding="utf-8", errors="surrogateescape")
         argv = [*ANALYSIS_COMMANDS[subcommand], "--trajectory", str(traj), "-o", str(tmp_path / "out")]
         proc = run_cli(argv, tmp_path)
         assert proc.returncode == 2, proc.stderr
@@ -249,6 +252,28 @@ class TestBadTrajectoryInput:
         assert "Traceback" not in proc.stderr
         assert f"grid needs W and H of at least 1, got {grid[0]} {grid[1]}" in proc.stderr
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "exc, message",
+        [
+            (
+                MemoryError("Unable to allocate 74.5 GiB for an array with shape (100000, 100000) and data type float64"),
+                "Unable to allocate 74.5 GiB for an array with shape (100000, 100000) and data type float64",
+            ),
+            (MemoryError(), "an allocation failed"),
+        ],
+    )
+    def test_out_of_memory_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys, exc, message):
+        # raised by a stand-in: a real allocation this large gets the process killed under overcommit
+        def no_memory(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr("predprey.cli.kde_occupancy", no_memory)
+        traj, out = tmp_path / "traj.csv", tmp_path / "out"
+        traj.write_text(TRAJECTORY_HEAD, newline="")
+        assert main(["heatmap", "--trajectory", str(traj), "--grid", "100000", "100000", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: not enough memory: {message}\n"
+        assert not out.exists()
 
     def test_failed_invocation_snapshot_keeps_previous_file(self, tmp_path, monkeypatch):
         import argparse
@@ -314,6 +339,28 @@ class TestBadRunRecordInput:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert f"{bad}: line 3: " in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+
+class TestStatsLabels:
+    @pytest.mark.parametrize(
+        "specs, message",
+        [
+            (  # eval always writes run_records.csv, so the default labels, the stems, collide
+                [os.path.join("with", "run_records.csv"), os.path.join("without", "run_records.csv")],
+                "condition label 'run_records' names both {0} and {1}; give each file its own label as label=path",
+            ),
+            (
+                ["x=a.csv", "x=b.csv"],
+                "condition label 'x' names both a.csv and b.csv; give each file its own label as label=path",
+            ),
+            (["a=a.csv", "=b.csv"], "empty condition label for b.csv; name the condition as label=path"),
+        ],
+    )
+    def test_repeated_or_empty_label_exits_2_before_any_file_is_read(self, tmp_path, capsys, specs, message):
+        # none of the files exists: reading one would exit 4
+        assert main(["stats", *specs, "-o", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {message.format(*specs)}\n"
         assert not (tmp_path / "out").exists()
 
 
@@ -671,3 +718,63 @@ class TestReplayExport:
         table = TrajectoryTable.from_csv(path)
         text = replay_export(table, 0, (0, 0))
         assert "event prey_caught prey=0" in text
+
+
+# runs the CLI as `python -m predprey.cli` does, then prints, as the last line of stderr, the scipy modules loaded
+SCIPY_REPORT = """
+import runpy, sys
+try:
+    runpy.run_module("predprey.cli", run_name="__main__")
+finally:
+    print("scipy modules:", *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), file=sys.stderr)
+"""
+
+
+def scipy_modules(stderr: str) -> set[str]:
+    last = stderr.splitlines()[-1]
+    assert last.startswith("scipy modules:"), stderr
+    return set(last.split()[2:])
+
+
+class TestScipyLoadsOnFirstUse:
+    """Only the KDE's erf and the ANOVA's betainc need scipy, and `predprey.stats` imports it on their first call.
+
+    Each command runs in a fresh interpreter: this process has loaded scipy already.
+    """
+
+    @pytest.fixture(scope="class")
+    def commands(self, pipeline, tmp_path_factory):
+        root, _, _ = pipeline
+        tmp = tmp_path_factory.mktemp("imports")
+        eval_cfg = tmp / "eval.txt"
+        eval_cfg.write_text((root / "eval.txt").read_text().replace("duration = 25", "duration = 5"))
+        trajectory, records = str(tmp / "eval" / "trajectory.csv"), str(tmp / "eval" / "run_records.csv")
+        argvs = {
+            "train": ["train", "-c", str(root / "train.txt")],
+            "eval": ["eval", "-c", str(eval_cfg), "--checkpoint", str(tmp / "train" / "checkpoint_final.ckpt")],
+            "replay-export": ["replay-export", "--trajectory", trajectory, "--run", "0", "--ticks", "0", "4"],
+            "heatmap": ["heatmap", "--trajectory", trajectory, "--grid", "8", "8"],
+            "stats": ["stats", f"a={records}", f"b={records}"],
+        }
+        outcomes = {}
+        for name, argv in argvs.items():  # in this order: each command reads what the ones before it wrote
+            proc = run_cli([*argv, "-o", str(tmp / name)], tmp, ("-c", SCIPY_REPORT))
+            outcomes[name] = (proc.returncode, scipy_modules(proc.stderr), proc.stderr)
+        return outcomes
+
+    def test_import_predprey_leaves_scipy_out(self, tmp_path):
+        report = "import sys, predprey, predprey.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        proc = run_cli([], tmp_path, ("-c", report))
+        assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+    @pytest.mark.parametrize("command", ["train", "eval", "replay-export"])
+    def test_command_that_never_calls_scipy_leaves_it_out(self, commands, command):
+        code, modules, stderr = commands[command]
+        assert code == 0, stderr
+        assert modules == set()
+
+    @pytest.mark.parametrize("command", ["heatmap", "stats"])
+    def test_command_that_calls_scipy_loads_scipy_special(self, commands, command):
+        code, modules, stderr = commands[command]
+        assert code == 0, stderr
+        assert "scipy.special" in modules

@@ -3,6 +3,7 @@ csv.reader oracle on the golden eval's file and on any file the writer can produ
 block size and at blocks of a few rows, and the reader's refusals of malformed files."""
 
 import os
+import re
 from unittest import mock
 
 import pytest
@@ -246,6 +247,27 @@ class TestRefusals:
                 TrajectoryTable.from_csv(path)
 
     @pytest.mark.parametrize(
+        "row, reason",
+        [
+            (b"\xff0,1,prey,0,1.0,2.0,90.0,", "an id or tick that is not a 64-bit integer"),  # a byte UTF-8 cannot decode
+            (b"0,1,prey,0,1.0,\xff2.0,90.0,", "an id or tick that is not a 64-bit integer, or an x"),
+            (b"0,1,prex,0,1.0,2.0,90.0,", "entity kind 'prex', not one of "),
+            (b"0,1,\xffprey,0,1.0,2.0,90.0,", "entity kind '\\udcffprey', not one of "),
+            (b"0,1,prey,0,1.0,2.0,90.0,prey_caugh", "event 'prey_caugh', not names from "),
+            (b"0,1,prey,0,1.0,2.0,90.0,prey_caught;\xff", "event 'prey_caught;\\udcff', not names from "),
+            (b"0,1,prey,0,1.0,2.0,90.0,prey_caught;", "event 'prey_caught;', not names from "),
+        ],
+    )
+    def test_undecodable_byte_unknown_kind_or_event_names_the_line(self, tmp_path, row, reason):
+        path = tmp_path / "bad.csv"
+        path.write_bytes((HEADER_LINE + GOOD_ROWS).encode() + row + b"\r\n" + GOOD_ROWS.encode())
+        reads = (TrajectoryTable.from_csv, lambda p: read_positions(p, "prey"), lambda p: read_run(p, 0))
+        for n in BLOCK_SIZES:
+            for read in reads:
+                with block_rows(n), pytest.raises(InputError, match=re.escape(f"bad.csv: line 4 has {reason}")):
+                    read(path)
+
+    @pytest.mark.parametrize(
         "text", ["", GOOD_ROWS, "run_id,tick\r\n" + GOOD_ROWS, HEADER_LINE.replace("event", "events") + GOOD_ROWS]
     )
     def test_wrong_header(self, tmp_path, text):
@@ -297,7 +319,9 @@ class TestBlockReader:
                 if len(want):
                     assert replay_export(got, run, (0, 3)) == replay_export(table, run, (0, 3))
 
-    @pytest.mark.parametrize("bad", ["{run},1,prey,0,1.0,2.0,90.0", "{run},1,prey,0,nan,2.0,90.0,"])
+    @pytest.mark.parametrize(
+        "bad", ["{run},1,prey,0,1.0,2.0,90.0", "{run},1,prey,0,nan,2.0,90.0,", "{run},1,prex,0,1.0,2.0,90.0,"]
+    )
     @pytest.mark.parametrize(
         "at, run_of_bad, refused",
         [
