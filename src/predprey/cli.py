@@ -36,7 +36,7 @@ from .stats import (
     write_grid_text,
 )
 from .train import run_training
-from .trajectory import ALL_KINDS, read_positions, read_run, replay_export
+from .trajectory import ENTITY_KINDS, read_positions, read_run, replay_export
 
 SCHEMA_VERSIONS = "checkpoint=1 trajectory_csv=1 metrics_csv=1 run_records_csv=1 summary_csv=1 stats_csv=1"
 
@@ -106,7 +106,6 @@ def _cmd_eval(args) -> int:
     if cfg.checkpoint is None:
         raise ConfigError("eval needs a checkpoint (config key 'checkpoint' or --checkpoint)")
     out = _prepare_out_dir(args, f"eval-{cfg.condition_id}")
-    kinds = ALL_KINDS if cfg.log_points else ("prey", "predator")
     records, traj = evaluate_condition(
         cfg.checkpoint,
         cfg.world,
@@ -115,7 +114,7 @@ def _cmd_eval(args) -> int:
         greedy=cfg.greedy,
         seed=cfg.seed,
         trajectory_path=out / "trajectory.csv",
-        trajectory_kinds=kinds,
+        log_points=cfg.log_points,
     )
     write_rows(out / "run_records.csv", RunRecord, records)
     summary = summarize_condition(cfg.condition_id, records)
@@ -251,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     hm = sub.add_parser("heatmap", help="occupancy density grid from a trajectory log")
     hm.add_argument("--trajectory", required=True, help="trajectory CSV")
-    hm.add_argument("--entity-kind", dest="entity_kind", default="prey", help="prey or predator")
+    hm.add_argument("--entity-kind", dest="entity_kind", default="prey", choices=ENTITY_KINDS, help="rows to map")
     hm.add_argument("--bandwidth", type=float, help="kernel bandwidth (default: Scott's rule)")
     hm.add_argument("--grid", type=int, nargs=2, default=(64, 64), metavar=("W", "H"))
     hm.add_argument("--extent", type=float, nargs=4, metavar=("XMIN", "XMAX", "YMIN", "YMAX"))

@@ -111,7 +111,7 @@ def evaluate_condition(
     greedy: bool = False,
     seed: int = 0,
     trajectory_path=None,
-    trajectory_kinds: tuple[str, ...] = ("prey", "predator"),
+    log_points: bool = False,
 ) -> tuple[list[RunRecord], Path | None]:
     """Run the policy n_runs times for `duration` ticks each; one record per run.
 
@@ -125,9 +125,9 @@ def evaluate_condition(
     Each run keeps its own world seed and its own action generator, so every
     run's outcome is the one it would have alone. A run's generator draws the
     uniforms of _DRAW_TICKS ticks at a time, which is the stream of one draw a
-    tick. When trajectory_path is set,
-    a TrajectoryWriter records every run's rows there, run-major and written
-    atomically.
+    tick. When trajectory_path is set, a TrajectoryWriter records every run's
+    prey and predator rows there, and its point rows with log_points, run-major
+    and written atomically: the file appears only when every run has finished.
     """
     if isinstance(checkpoint, DenseNet):
         net = checkpoint
@@ -145,7 +145,7 @@ def evaluate_condition(
     obs = observe_all(state)
     kind_index = {EVENT_POSITIVE: 0, EVENT_NEGATIVE: 1, EVENT_CAUGHT: 2}
     counts = np.zeros((n_runs, len(kind_index)), dtype=np.int64)
-    writer = None if trajectory_path is None else TrajectoryWriter(trajectory_path, n_runs, trajectory_kinds)
+    writer = None if trajectory_path is None else TrajectoryWriter(trajectory_path, n_runs, log_points)
     with writer or nullcontext():
         for tick in range(duration):
             if not greedy and tick % _DRAW_TICKS == 0:

@@ -35,10 +35,8 @@ a 1.75M-row file (50 runs x 5,000 ticks; 2-core x86-64 host), `heatmap
 from __future__ import annotations
 
 import csv
-import shutil
 import tempfile
 import warnings
-from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,10 +48,8 @@ from .world import EVENT_CAUGHT, EVENT_NEGATIVE, EVENT_POSITIVE, Event, WorldSta
 
 CSV_HEADER = ["run_id", "tick", "entity_kind", "entity_id", "x", "y", "heading", "event"]
 
-ALL_KINDS = ("prey", "predator", "points")
-
 # the entity kinds and event names a row may hold; the reader refuses any other
-_KINDS = frozenset(("prey", "predator", "point_positive", "point_negative"))
+ENTITY_KINDS = ("point_negative", "point_positive", "predator", "prey")
 _EVENTS = frozenset((EVENT_POSITIVE, EVENT_NEGATIVE, EVENT_CAUGHT))
 
 # The reader's one pass fills this record type; without usecols, numpy refuses a row
@@ -61,65 +57,70 @@ _EVENTS = frozenset((EVENT_POSITIVE, EVENT_NEGATIVE, EVENT_CAUGHT))
 _NUMERIC = dict.fromkeys(("run_id", "tick", "entity_id"), np.int64) | dict.fromkeys(("x", "y", "heading"), np.float64)
 _ROW_DTYPE = np.dtype([(name, _NUMERIC.get(name, object)) for name in CSV_HEADER])
 
+_HOLD_TICKS = 64  # ticks of rows a run holds before the writer spools them, as stats._DRAW_TICKS
+
 
 class TrajectoryWriter:
     """Context manager owning the run-major trajectory CSV of `n_runs` lockstep runs.
 
-    The header and run 0's rows go to `path` through `atomic_open`; every later
-    run's rows spool to an anonymous temp file beside it. A clean exit appends
-    the spools in run order, then fsyncs and renames the file into place, so
-    memory does not grow with the run length. An exception removes every file
-    the writer made and leaves any previous file at `path`. Rows are written as
-    csv.writer writes them (no field ever needs quoting).
+    A tick's rows are each run's prey, its predator if any and, with `log_points`, its points. A run
+    holds _HOLD_TICKS ticks of rows, then appends them as one block to the one anonymous spool beside
+    `path`. A clean exit copies the header and each run's blocks, in run order, to `path` through
+    `atomic_open`; an exception or a kill leaves no file and any previous file at `path`. So at most
+    two files are open, whatever `n_runs` is. Rows are as csv.writer writes them (none needs quoting).
     """
 
-    def __init__(self, path, n_runs: int, kinds: tuple[str, ...] = ALL_KINDS):
+    def __init__(self, path, n_runs: int, log_points: bool = False):
         self.path = Path(path)
         self.n_runs = n_runs
-        self.kinds = kinds
+        self.log_points = log_points
 
     def __enter__(self) -> "TrajectoryWriter":
-        with ExitStack() as stack:
-            first = stack.enter_context(atomic_open(self.path, "w", newline=""))
-            first.write(",".join(CSV_HEADER) + "\r\n")
-            self._files = [first]
-            for _ in range(self.n_runs - 1):
-                self._files.append(stack.enter_context(tempfile.TemporaryFile("w+", newline="", dir=self.path.parent)))
-            self._exit = stack.pop_all()
+        self._spool = tempfile.TemporaryFile(dir=self.path.parent)
+        self._held = []  # one list a held tick: each run's rows of that tick as one string
+        self._blocks = [[] for _ in range(self.n_runs)]  # each run's (offset, length) in the spool
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        # the stack closes the spools, then renames run 0's file; an error raised inside it removes the file
-        with self._exit:
-            if exc is not None:
-                raise exc
-            for spool in self._files[1:]:
-                spool.seek(0)
-                shutil.copyfileobj(spool, self._files[0])
+        with self._spool:
+            if exc is None:
+                self._flush()
+                with atomic_open(self.path, "wb") as out:
+                    out.write((",".join(CSV_HEADER) + "\r\n").encode())
+                    for offset, length in (block for blocks in self._blocks for block in blocks):
+                        self._spool.seek(offset)
+                        out.write(self._spool.read(length))
 
     def record(self, tick: int, state: WorldState, events: list[Event]) -> None:
-        """One tick of every world of `state`, world w as run w: one `%` template filled and written per run."""
+        """One tick of every world of `state`, world w as run w: one `%` template filled and held per run."""
         if len(state.prey_pos) != self.n_runs:
             raise StructuralError(f"state has {len(state.prey_pos)} worlds, the trajectory {self.n_runs} runs")
         # one run's row templates for this tick, and each row set's (W, rows, fields) values
-        rows, values = [], [np.empty((self.n_runs, 0, 0), dtype=object)]
-        if "prey" in self.kinds:
-            rows += [f"%d,{tick},prey,{i},%.6f,%.6f,%.4f,%s\r\n" for i in range(state.prey_pos.shape[1])]
-            values.append(_cells(state.prey_pos[..., 0], state.prey_pos[..., 1], state.prey_heading, ""))
-            for ev in events:
-                cell = values[-1][ev.world, ev.prey_id]
-                cell[-1] = f"{cell[-1]};{ev.kind}" if cell[-1] else ev.kind
-        if "predator" in self.kinds and state.predator is not None:
+        rows = [f"%d,{tick},prey,{i},%.6f,%.6f,%.4f,%s\r\n" for i in range(state.prey_pos.shape[1])]
+        values = [_cells(state.prey_pos[..., 0], state.prey_pos[..., 1], state.prey_heading, "")]
+        for ev in events:
+            cell = values[0][ev.world, ev.prey_id]
+            cell[-1] = f"{cell[-1]};{ev.kind}" if cell[-1] else ev.kind
+        if state.predator is not None:
             p = state.predator
             rows.append(f"%d,{tick},predator,0,%.6f,%.6f,%.4f,\r\n")
             values.append(_cells(p.position[:, None, 0], p.position[:, None, 1], p.heading[:, None]))
-        if "points" in self.kinds:
+        if self.log_points:
             rows += [f"%d,{tick},%s,{idx},%.6f,%.6f,0.0,\r\n" for idx in range(state.point_pos.shape[1])]
             kinds = np.where(state.point_positive, "point_positive", "point_negative")
             values.append(_cells(kinds, state.point_pos[..., 0], state.point_pos[..., 1]))
         template = "".join(rows)
-        for fh, run in zip(self._files, np.concatenate([v.reshape(self.n_runs, -1) for v in values], 1).tolist()):
-            fh.write(template % tuple(run))
+        runs = np.concatenate([v.reshape(self.n_runs, -1) for v in values], 1).tolist()
+        self._held.append([template % tuple(run) for run in runs])
+        if len(self._held) == _HOLD_TICKS:
+            self._flush()
+
+    def _flush(self) -> None:
+        for blocks, ticks in zip(self._blocks, zip(*self._held)):
+            block = "".join(ticks).encode()
+            blocks.append((self._spool.tell(), len(block)))
+            self._spool.write(block)
+        self._held = []
 
 
 def _cells(first: np.ndarray, *rest) -> np.ndarray:
@@ -246,7 +247,7 @@ def _known(rows) -> bool:
     """Whether every row's entity kind, and every event its event cell names, is one the writer writes."""
     events = rows["event"]
     cells = set(events[events != ""].tolist())
-    return set(rows["entity_kind"].tolist()) <= _KINDS and all(_EVENTS.issuperset(cell.split(";")) for cell in cells)
+    return set(rows["entity_kind"].tolist()) <= set(ENTITY_KINDS) and all(_EVENTS.issuperset(c.split(";")) for c in cells)
 
 
 def _walk(path, n_skip: int, last_run: int | None) -> np.ndarray:
@@ -281,8 +282,8 @@ def _walk(path, n_skip: int, last_run: int | None) -> np.ndarray:
             if not _known(row):
                 kind, event = row["entity_kind"][0], row["event"][0]
                 what = (
-                    f"entity kind {kind!r}, not one of {', '.join(sorted(_KINDS))}"
-                    if kind not in _KINDS
+                    f"entity kind {kind!r}, not one of {', '.join(ENTITY_KINDS)}"
+                    if kind not in ENTITY_KINDS
                     else f"event {event!r}, not names from {', '.join(sorted(_EVENTS))} joined by ';'"
                 )
                 raise InputError(f"{path}: line {n} has {what}")

@@ -1,4 +1,6 @@
 import os
+import resource
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -117,12 +119,15 @@ class TestParseConfig:
         assert cfg2 == cfg
 
 
-def run_cli(args, cwd, python_args=("-m", "predprey.cli")):
-    """The CLI in a fresh interpreter, so exit code and stderr are exactly what a user sees."""
+def run_cli(args, cwd, python_args=("-m", "predprey.cli"), **kwargs):
+    """The CLI in a fresh interpreter, so exit code and stderr are exactly what a user sees.
+
+    `kwargs` go to subprocess.run, such as a `preexec_fn` that acts on the child alone.
+    """
     src = str(Path(predprey.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
-        [sys.executable, *python_args, *args], capture_output=True, text=True, cwd=cwd, env=env, timeout=120
+        [sys.executable, *python_args, *args], capture_output=True, text=True, cwd=cwd, env=env, timeout=120, **kwargs
     )
 
 
@@ -251,6 +256,17 @@ class TestBadTrajectoryInput:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert f"grid needs W and H of at least 1, got {grid[0]} {grid[1]}" in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_entity_kind_exits_2_before_the_trajectory_is_read(self, tmp_path):
+        # the trajectory does not exist: reading it would exit 4
+        argv = ["heatmap", "--trajectory", "missing.csv", "--entity-kind", "points", "-o", str(tmp_path / "out")]
+        proc = run_cli(argv, tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "--entity-kind: invalid choice: 'points'" in proc.stderr
+        for kind in ("point_negative", "point_positive", "predator", "prey"):
+            assert kind in proc.stderr.split("invalid choice", 1)[1]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -667,6 +683,46 @@ class TestCliPipeline:
         )
         assert rc == 0
         assert (tmp_path / "root" / "replay" / "replay_run1_2_2.txt").exists()
+
+
+def lower_open_file_limit():
+    """In the child before it runs: a soft limit of 64 open files, the hard limit as it was."""
+    resource.setrlimit(resource.RLIMIT_NOFILE, (64, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+
+
+# runs the CLI as `python -m predprey.cli` does, with a world step that kills the process at tick 70 of an eval
+KILL_AT_TICK_70 = """
+import os, runpy, signal
+import predprey.stats as stats
+real_step, ticks = stats.step, []
+def step(*args, **kwargs):
+    if len(ticks) == 70:
+        os.kill(os.getpid(), signal.SIGKILL)
+    ticks.append(None)
+    return real_step(*args, **kwargs)
+stats.step = step
+runpy.run_module("predprey.cli", run_name="__main__")
+"""
+
+
+class TestEvalTrajectoryFiles:
+    def eval_argv(self, pipeline, out, n_runs, duration):
+        root, train_dir, _ = pipeline
+        argv = ["eval", "-c", str(root / "eval.txt"), "--checkpoint", str(train_dir / "checkpoint_final.ckpt")]
+        return [*argv, "--n-runs", str(n_runs), "--duration", str(duration), "-o", str(out)]
+
+    def test_open_files_do_not_grow_with_the_run_count(self, pipeline, tmp_path):
+        out = tmp_path / "out"
+        proc = run_cli(self.eval_argv(pipeline, out, 100, 2), tmp_path, preexec_fn=lower_open_file_limit)
+        assert proc.returncode == 0, proc.stderr
+        assert TrajectoryTable.from_csv(out / "trajectory.csv").runs().tolist() == list(range(100))
+
+    def test_killed_eval_leaves_no_trajectory_file(self, pipeline, tmp_path):
+        out = tmp_path / "out"
+        proc = run_cli(self.eval_argv(pipeline, out, 3, 100), tmp_path, ("-c", KILL_AT_TICK_70))
+        assert proc.returncode == -signal.SIGKILL, proc.stderr
+        assert out.is_dir()
+        assert not {".trajectory.csv.tmp", "trajectory.csv"} & set(os.listdir(out))
 
 
 class TestReplayExport:

@@ -15,7 +15,6 @@ import predprey.trajectory as trajectory_module
 from predprey.cli import main
 from predprey.errors import InputError, StructuralError
 from predprey.trajectory import (
-    ALL_KINDS,
     CSV_HEADER,
     TrajectoryTable,
     TrajectoryWriter,
@@ -66,18 +65,21 @@ def three_worlds(predator: bool):
 
 
 class TestWriter:
-    @pytest.mark.parametrize("kinds", [ALL_KINDS, ("prey", "predator"), ("prey",), ("predator", "points")])
+    # 3 ticks, all held until the exit, and 132 ticks, which the writer spools as two full blocks and a part
+    @pytest.mark.parametrize("repeats", [1, 44])
+    @pytest.mark.parametrize("log_points", [True, False])
     @pytest.mark.parametrize("predator", [True, False])
-    def test_one_record_per_tick_equals_per_world_rows(self, tmp_path, kinds, predator):
+    def test_one_record_per_tick_equals_per_world_rows(self, tmp_path, log_points, predator, repeats):
         state = three_worlds(predator)
         ticks = [
             # two events on prey 0 of world 1, one on prey 1 of world 2, none in world 0
             [Event(0, EVENT_POSITIVE, 0, 1), Event(0, EVENT_CAUGHT, 0, 1), Event(0, EVENT_NEGATIVE, 1, 2)],
             [],
             [Event(2, EVENT_CAUGHT, 1, 0)],
-        ]
+        ] * repeats
+        kinds = ("prey", "predator", "points") if log_points else ("prey", "predator")
         want = [[] for _ in range(3)]
-        with TrajectoryWriter(tmp_path / "t.csv", 3, kinds) as writer:
+        with TrajectoryWriter(tmp_path / "t.csv", 3, log_points) as writer:
             for tick, events in enumerate(ticks):
                 writer.record(tick, state, events)
                 for w in range(3):
@@ -87,12 +89,15 @@ class TestWriter:
         header = ",".join(CSV_HEADER) + "\r\n"
         assert (tmp_path / "t.csv").read_bytes() == (header + "".join("".join(run) for run in want)).encode()
 
-    def test_exception_keeps_previous_file_and_leaves_no_temp_file(self, tmp_path):
+    # an exception while the first ticks are held, and one after the first block went to the spool
+    @pytest.mark.parametrize("n_ticks", [1, 65])
+    def test_exception_keeps_previous_file_and_leaves_no_temp_file(self, tmp_path, n_ticks):
         path = tmp_path / "t.csv"
         path.write_bytes(b"previous")
         with pytest.raises(RuntimeError, match="interrupted"):
             with TrajectoryWriter(path, 3) as writer:
-                writer.record(0, three_worlds(True), [])
+                for tick in range(n_ticks):
+                    writer.record(tick, three_worlds(True), [])
                 raise RuntimeError("interrupted")
         assert path.read_bytes() == b"previous"
         assert os.listdir(tmp_path) == ["t.csv"]

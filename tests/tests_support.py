@@ -15,7 +15,7 @@ from scipy.special import erf
 from predprey.errors import StructuralError
 from predprey.net import DenseNet
 from predprey.stats import cohens_d, one_way_anova, task_efficiency
-from predprey.trajectory import ALL_KINDS, CSV_HEADER, TrajectoryTable
+from predprey.trajectory import CSV_HEADER, TrajectoryTable
 from predprey.world import ActionSpace, PredatorState, WorldConfig, WorldState
 
 
@@ -220,7 +220,7 @@ class HalfWrite:
         raise OSError("no space left on device")
 
 
-def one_world_rows(run_id, tick, state, events, world, kinds=ALL_KINDS) -> str:
+def one_world_rows(run_id, tick, state, events, world, kinds=("prey", "predator", "points")) -> str:
     """Writer oracle: one tick of one world of `state` as rows of run `run_id`, formatted row by row."""
     by_prey: dict[int, list[str]] = {}
     for ev in events:
