@@ -63,14 +63,14 @@ _HOLD_TICKS = 64  # ticks of rows a run holds before the writer spools them, as 
 class TrajectoryWriter:
     """Context manager owning the run-major trajectory CSV of `n_runs` lockstep runs.
 
-    A tick's rows are each run's prey, its predator if any and, with `log_points`, its points. A run
-    holds _HOLD_TICKS ticks of rows, then appends them as one block to the one anonymous spool beside
-    `path`. A clean exit copies the header and each run's blocks, in run order, to `path` through
-    `atomic_open`; an exception or a kill leaves no file and any previous file at `path`. So at most
-    two files are open, whatever `n_runs` is. Rows are as csv.writer writes them (none needs quoting).
+    A tick's rows are each run's prey, its predator if any and, with `log_points`, its points. A run holds _HOLD_TICKS
+    ticks of rows, then appends them as one block to the one anonymous spool beside `path`; a clean exit copies the
+    header and each run's blocks, in run order, to `path` through `atomic_open`. So at most two files are open, whatever
+    `n_runs` is. An exception or a kill before the copy leaves any previous file at `path` and no other; one during it
+    can leave atomic_open's temp file, never a partial `path`. Rows are as csv.writer writes them (none needs quoting).
     """
 
-    def __init__(self, path, n_runs: int, log_points: bool = False):
+    def __init__(self, path, n_runs: int, log_points: bool):
         self.path = Path(path)
         self.n_runs = n_runs
         self.log_points = log_points

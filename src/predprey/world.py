@@ -306,7 +306,7 @@ def _sample_free_position(
     centers: np.ndarray | None = None,
     radii: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Uniform position with wall clearance, outside inflated barriers, off the given bodies but any of radius -inf."""
+    """Uniform position with wall clearance, outside inflated barriers, off the given bodies."""
     limit = cfg.half_side - radius
     if limit <= 0:
         raise ConfigError(f"arena side {cfg.arena_side} too small for body radius {radius}")
@@ -320,7 +320,7 @@ def _sample_free_position(
             if (np.hypot(offsets[:, 0], offsets[:, 1]) < radius + radii).any():
                 continue
         return p
-    placed = 0 if centers is None else np.count_nonzero(radii > -np.inf)
+    placed = 0 if centers is None else len(centers)
     raise ConfigError(
         "could not place an entity without overlap; arena too crowded "
         f"(radius {radius}, {placed} bodies placed)"
@@ -419,11 +419,11 @@ def _circles(state: WorldState, world: int | slice) -> np.ndarray:
 
 def _respawn_position(state: WorldState, world: int, radius: float, skip_point: int | None = None) -> np.ndarray:
     """Free spot in one world, off every prey, the predator and every point except `skip_point`."""
-    radii = state.circle_radii
-    if skip_point is not None:  # points lead the circle rows; no spot is within radius + -inf of the skipped one
-        radii = radii.copy()
-        radii[skip_point] = -np.inf
-    return _sample_free_position(state.rngs[world], state.config, radius, _circles(state, world), radii)
+    centers, radii = _circles(state, world), state.circle_radii
+    if skip_point is not None:  # points lead the circle rows
+        centers = np.delete(centers, skip_point, axis=0)
+        radii = np.delete(radii, skip_point)
+    return _sample_free_position(state.rngs[world], state.config, radius, centers, radii)
 
 
 def step(

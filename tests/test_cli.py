@@ -733,7 +733,7 @@ class TestReplayExport:
         cfg = WorldConfig(n_prey=2, n_positive_points=4, n_negative_points=4)
         state = reset(cfg, 0)
         path = tmp_path / "t.csv"
-        with TrajectoryWriter(path, n_runs=1) as writer:
+        with TrajectoryWriter(path, n_runs=1, log_points=True) as writer:
             rng = np.random.default_rng(0)
             for tick in range(n_ticks):
                 state, _, _, events = step(state, rng.integers(0, 6, size=(1, 2)))
@@ -767,7 +767,7 @@ class TestReplayExport:
 
         cfg, state = make_contact_state()
         path = tmp_path / "t.csv"
-        with TrajectoryWriter(path, n_runs=1) as writer:
+        with TrajectoryWriter(path, n_runs=1, log_points=True) as writer:
             state, _, _, events = step(state, [[0]])
             assert any(e.kind == "prey_caught" for e in events)
             writer.record(0, state, events)

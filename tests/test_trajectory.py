@@ -95,7 +95,7 @@ class TestWriter:
         path = tmp_path / "t.csv"
         path.write_bytes(b"previous")
         with pytest.raises(RuntimeError, match="interrupted"):
-            with TrajectoryWriter(path, 3) as writer:
+            with TrajectoryWriter(path, 3, True) as writer:
                 for tick in range(n_ticks):
                     writer.record(tick, three_worlds(True), [])
                 raise RuntimeError("interrupted")
@@ -104,7 +104,7 @@ class TestWriter:
 
     def test_world_count_must_match_runs(self, tmp_path):
         with pytest.raises(StructuralError, match="3 worlds"):
-            with TrajectoryWriter(tmp_path / "t.csv", 2) as writer:
+            with TrajectoryWriter(tmp_path / "t.csv", 2, True) as writer:
                 writer.record(0, three_worlds(True), [])
         assert os.listdir(tmp_path) == []
 
