@@ -22,12 +22,12 @@ import numpy as np
 
 from .configio import parse_bool, parse_eval_config, parse_scenario_config, write_resolved
 from .errors import CheckpointError, ConfigError, NumericsError, PredpreyError
-from .net import atomic_open, read_rows, write_rows
+from .net import atomic_open, load_checkpoint, read_rows, write_rows
 from .stats import (
     ConditionSummary,
     RunRecord,
     StatsRow,
-    check_grid_dims,
+    check_kde_args,
     compare,
     evaluate_condition,
     kde_occupancy,
@@ -36,7 +36,7 @@ from .stats import (
     write_grid_text,
 )
 from .train import run_training
-from .trajectory import ENTITY_KINDS, read_positions, read_run, replay_export
+from .trajectory import ENTITY_KINDS, check_replay_args, read_positions, read_run, replay_export
 
 SCHEMA_VERSIONS = "checkpoint=1 trajectory_csv=1 metrics_csv=1 run_records_csv=1 summary_csv=1 stats_csv=1"
 
@@ -85,8 +85,8 @@ def _cmd_train(args) -> int:
     out = _prepare_out_dir(args, f"train-scenario{cfg.scenario_id}")
     _write_build(out)
     write_resolved(cfg, out / "resolved_config.txt", provenance)
-    checkpoint, metrics = run_training(cfg, out, resume_from=args.resume)
-    print(f"trained scenario {cfg.scenario_id} to step {metrics[-1].global_step if metrics else 0}")
+    checkpoint, _ = run_training(cfg, out, resume_from=args.resume)
+    print(f"trained scenario {cfg.scenario_id} to step {load_checkpoint(checkpoint)[3]}")
     print(f"final checkpoint: {checkpoint}")
     print(f"metrics: {out / 'metrics.csv'}")
     return 0
@@ -175,9 +175,9 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_heatmap(args) -> int:
-    check_grid_dims(args.grid)
-    positions = read_positions(args.trajectory, args.entity_kind)
     extent = tuple(args.extent) if args.extent else None
+    check_kde_args(args.grid, args.bandwidth, extent)
+    positions = read_positions(args.trajectory, args.entity_kind)
     kde = kde_occupancy(
         positions,
         args.entity_kind,
@@ -198,7 +198,9 @@ def _cmd_heatmap(args) -> int:
 
 
 def _cmd_replay_export(args) -> int:
-    text = replay_export(read_run(args.trajectory, args.run), args.run, (args.ticks[0], args.ticks[1]))
+    ticks = (args.ticks[0], args.ticks[1])
+    check_replay_args(args.run, ticks)
+    text = replay_export(read_run(args.trajectory, args.run), args.run, ticks)
     if args.stdout:
         sys.stdout.write(text)
         return 0

@@ -161,7 +161,9 @@ def trunk(net: DenseNet, x: np.ndarray) -> list[np.ndarray]:
         raise InputError("observation contains non-finite entries")
     acts = [x]
     for w, b in zip(net.weights[:-2], net.biases[:-2]):
-        acts.append(np.tanh(acts[-1] @ w + b))
+        z = acts[-1] @ w  # the layer's one array: bias and tanh are applied in place
+        z += b
+        acts.append(np.tanh(z, out=z))
     return acts
 
 
@@ -215,14 +217,18 @@ def backward(
     d_biases[-2][...] = d_logits.sum(axis=0)
     d_weights[-1][...] = last.T @ d_value[:, None]
     d_biases[-1][...] = d_value.sum(axis=0, keepdims=True)
-    # Back through the trunk.
-    dh = d_logits @ net.weights[-2].T + d_value[:, None] @ net.weights[-1].T
+    # Back through the trunk, turning dh into the pre-activation gradient in place.
+    dh = d_logits @ net.weights[-2].T
+    dh += d_value[:, None] @ net.weights[-1].T
     for k in range(net.n_hidden - 1, -1, -1):
-        dz = dh * (1.0 - acts[k + 1] ** 2)  # tanh'
-        d_weights[k][...] = acts[k].T @ dz
-        d_biases[k][...] = dz.sum(axis=0)
+        tanh_grad = np.square(acts[k + 1])
+        np.subtract(1.0, tanh_grad, out=tanh_grad)
+        dh *= tanh_grad
+        del tanh_grad  # freed before the next layer's product, so at most two (n, width) arrays live
+        d_weights[k][...] = acts[k].T @ dh
+        d_biases[k][...] = dh.sum(axis=0)
         if k > 0:  # the input gradient would go unused
-            dh = dz @ net.weights[k].T
+            dh = dh @ net.weights[k].T
     return grad
 
 

@@ -136,13 +136,20 @@ def clipped_surrogate(r, advantage, epsilon: float):
 
 
 class RolloutBuffer:
-    """Columnar store of transitions, appended one sweep's chunk at a time."""
+    """Columnar store of transitions, filled in place one sweep's chunk at a time.
+
+    The first `append_chunk` fixes the chunk length n and allocates each column once, for
+    ceil(capacity / n) chunks; every later chunk must have that length and is copied into
+    the next rows. `stacked()` returns views of the filled rows, which stay valid until the
+    next `clear()`. `clear()` empties the buffer and keeps its columns for the next cycle.
+    """
 
     FIELDS = ("obs", "actions", "log_prob_old", "values", "advantages", "returns")
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self._chunks: dict[str, list[np.ndarray]] = {f: [] for f in self.FIELDS}
+        self._columns: dict[str, np.ndarray] = {}
+        self._chunk_rows = 0
         self._size = 0
 
     @property
@@ -155,18 +162,30 @@ class RolloutBuffer:
     def append_chunk(self, **arrays: np.ndarray) -> None:
         if set(arrays) != set(self.FIELDS):
             raise StructuralError(f"chunk must provide exactly {self.FIELDS}")
+        arrays = {f: np.asarray(arrays[f]) for f in self.FIELDS}
         n = len(arrays["actions"])
-        if any(len(arrays[f]) != n for f in self.FIELDS):
+        if any(len(a) != n for a in arrays.values()):
             raise StructuralError("chunk arrays have mismatched lengths")
-        for f in self.FIELDS:
-            self._chunks[f].append(np.asarray(arrays[f]))
+        if not self._columns:
+            if n == 0:
+                raise StructuralError("chunk has no rows")
+            rows = math.ceil(self.capacity / n) * n
+            self._columns = {f: np.empty((rows, *a.shape[1:]), dtype=a.dtype) for f, a in arrays.items()}
+            self._chunk_rows = n
+        if n != self._chunk_rows:
+            raise StructuralError(f"chunk has {n} rows, this buffer takes chunks of {self._chunk_rows}")
+        if self.is_full():
+            raise StructuralError(f"buffer already holds {self._size} of its {self.capacity} rows")
+        for f, a in arrays.items():
+            self._columns[f][self._size : self._size + n] = a
         self._size += n
 
     def stacked(self) -> dict[str, np.ndarray]:
-        return {f: np.concatenate(self._chunks[f]) for f in self.FIELDS}
+        if not self._columns:
+            raise StructuralError("no chunk appended yet")
+        return {f: column[: self._size] for f, column in self._columns.items()}
 
     def clear(self) -> None:
-        self._chunks = {f: [] for f in self.FIELDS}
         self._size = 0
 
 
@@ -356,9 +375,11 @@ def ppo_update(
 ) -> UpdateStats:
     """num_epoch shuffled passes of batch_size minibatches over the full buffer.
 
-    Advantages are normalized once across the whole batch. A non-finite loss
-    aborts the update, restores the pre-update parameters and optimizer
-    moments, and raises NumericsError. The buffer is cleared on success.
+    The minibatches are drawn from `buffer.stacked()`, views of the buffer's
+    own columns, so no copy of the buffer is made. Advantages are normalized
+    once across the whole batch. A non-finite loss aborts the update, restores
+    the pre-update parameters and optimizer moments, and raises NumericsError.
+    The buffer is cleared on success, which keeps its columns for the next cycle.
     """
     if buffer.size < hp.buffer_size:
         raise ContractViolation(

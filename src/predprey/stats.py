@@ -327,10 +327,21 @@ def scott_bandwidth(positions: np.ndarray) -> float:
     return spread * n ** (-1.0 / 6.0)
 
 
-def check_grid_dims(grid_dims: tuple[int, int]) -> None:
-    """Refuse a grid narrower or lower than one cell."""
+def check_kde_args(
+    grid_dims: tuple[int, int],
+    bandwidth: float | None = None,
+    extent: tuple[float, float, float, float] | None = None,
+) -> None:
+    """Refuse a grid narrower or lower than one cell, a bandwidth that is not positive and finite,
+    and a degenerate or non-finite extent. A bandwidth or extent of None passes: it is derived later."""
     if min(grid_dims) < 1:
         raise InputError(f"grid needs W and H of at least 1, got {grid_dims[0]} {grid_dims[1]}")
+    if bandwidth is not None and not (bandwidth > 0 and math.isfinite(bandwidth)):
+        raise InputError(f"bandwidth must be positive and finite, got {bandwidth}")
+    if extent is not None:
+        xmin, xmax, ymin, ymax = extent
+        if not (np.isfinite(extent).all() and xmax > xmin and ymax > ymin):
+            raise InputError(f"degenerate or non-finite extent {tuple(extent)}")
 
 
 def kde_occupancy(
@@ -348,7 +359,7 @@ def kde_occupancy(
     to the mass falling inside the grid, so sum(grid) * cell_area equals the
     number of samples.
     """
-    check_grid_dims(grid_dims)
+    check_kde_args(grid_dims, bandwidth, extent)
     positions = np.asarray(positions, dtype=np.float64)
     if positions.size == 0:
         raise InputError(f"no trajectory samples for entity kind {entity_kind!r}")
@@ -358,8 +369,6 @@ def kde_occupancy(
         raise InputError(f"non-finite {entity_kind} position")
     if bandwidth is None:
         bandwidth = scott_bandwidth(positions)
-    if not (bandwidth > 0 and math.isfinite(bandwidth)):
-        raise InputError(f"bandwidth must be positive and finite, got {bandwidth}")
     if extent is None:
         extent = (
             float(positions[:, 0].min()),
@@ -367,9 +376,8 @@ def kde_occupancy(
             float(positions[:, 1].min()),
             float(positions[:, 1].max()),
         )
+    check_kde_args(grid_dims, bandwidth, extent)  # the derived values too
     xmin, xmax, ymin, ymax = extent
-    if not (np.isfinite(extent).all() and xmax > xmin and ymax > ymin):
-        raise InputError(f"degenerate or non-finite extent {extent}")
     w, h = grid_dims
     x_edges = np.linspace(xmin, xmax, w + 1)
     y_edges = np.linspace(ymin, ymax, h + 1)

@@ -151,6 +151,7 @@ def run_training(
         rows = read_rows(metrics_path, MetricsRow, last_key=global_step)
     write_rows(metrics_path, MetricsRow, rows)
 
+    buffer = RolloutBuffer(hp.buffer_size)  # filled in place every cycle; ppo_update empties it
     while global_step < hp.max_steps:
         actors = ActorWorlds.from_state(
             reset(cfg.world, [derive_seed(run_seed, _TAG_WORLD, update_idx, w) for w in range(cfg.n_worlds)])
@@ -162,7 +163,6 @@ def run_training(
             return derive_seed(run_seed, _TAG_EPISODE, update_idx, idx, episode_counts[idx])
 
         action_rng = np.random.default_rng(derive_seed(run_seed, _TAG_ACTIONS, update_idx))
-        buffer = RolloutBuffer(hp.buffer_size)
         while not buffer.is_full():
             collect_rollout(
                 net, actors, hp.time_horizon, hp, action_rng, buffer, episode_seed

@@ -293,18 +293,27 @@ def _walk(path, n_skip: int, last_run: int | None) -> np.ndarray:
     raise InputError(f"{path}: malformed trajectory row")
 
 
+def check_replay_args(run_id: int, tick_range: tuple[int, int]) -> None:
+    """Refuse a negative run id and a tick range whose LO is above its HI, which no trajectory can hold."""
+    if run_id < 0:
+        raise InputError(f"run must be >= 0, got {run_id}")
+    if tick_range[0] > tick_range[1]:
+        raise InputError(f"ticks LO {tick_range[0]} is above HI {tick_range[1]}")
+
+
 def replay_export(table: TrajectoryTable, run_id: int, tick_range: tuple[int, int]) -> str:
     """Render inclusive [lo, hi] ticks of one run as plain-text frames.
 
     Each frame lists every logged entity's position/heading followed by the
     tick's events, for stepping through an encounter by hand.
     """
+    lo, hi = int(tick_range[0]), int(tick_range[1])
+    check_replay_args(run_id, (lo, hi))
     in_run = table.run_id == run_id
     if not in_run.any():
         raise InputError(f"run {run_id} not present in trajectory log")
-    lo, hi = int(tick_range[0]), int(tick_range[1])
     ticks = table.tick[in_run]
-    if lo > hi or lo < ticks.min() or hi > ticks.max():
+    if lo < ticks.min() or hi > ticks.max():
         raise InputError(
             f"tick range [{lo}, {hi}] outside run {run_id}'s range "
             f"[{ticks.min()}, {ticks.max()}]"

@@ -17,7 +17,7 @@ from predprey.configio import (
     write_resolved,
 )
 from predprey.errors import ConfigError
-from predprey.net import read_rows
+from predprey.net import load_checkpoint, read_rows
 from predprey.stats import RunRecord
 from predprey.trajectory import TrajectoryTable, replay_export
 
@@ -270,6 +270,28 @@ class TestBadTrajectoryInput:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["heatmap", "--bandwidth", "0"], "bandwidth must be positive and finite, got 0.0"),
+            (["heatmap", "--bandwidth", "-1"], "bandwidth must be positive and finite, got -1.0"),
+            (["heatmap", "--bandwidth", "nan"], "bandwidth must be positive and finite, got nan"),
+            (["heatmap", "--bandwidth", "inf"], "bandwidth must be positive and finite, got inf"),
+            (["heatmap", "--extent", "0", "0", "0", "1"], "degenerate or non-finite extent (0.0, 0.0, 0.0, 1.0)"),
+            (["heatmap", "--extent", "0", "1", "2", "1"], "degenerate or non-finite extent (0.0, 1.0, 2.0, 1.0)"),
+            (["heatmap", "--extent", "0", "1", "nan", "1"], "degenerate or non-finite extent (0.0, 1.0, nan, 1.0)"),
+            (["heatmap", "--extent", "0", "inf", "0", "1"], "degenerate or non-finite extent (0.0, inf, 0.0, 1.0)"),
+            (["replay-export", "--run", "0", "--ticks", "10", "5"], "ticks LO 10 is above HI 5"),
+            (["replay-export", "--run", "-1", "--ticks", "0", "5"], "run must be >= 0, got -1"),
+        ],
+    )
+    def test_bad_analysis_argument_exits_2_before_the_trajectory_is_read(self, tmp_path, capsys, args, message):
+        # the trajectory does not exist: reading it would exit 4
+        out = tmp_path / "out"
+        assert main([*args, "--trajectory", str(tmp_path / "absent.csv"), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "exc, message",
         [
             (
@@ -437,6 +459,21 @@ def pipeline(tmp_path_factory):
     )
     assert rc == 0
     return root, train_dir, eval_dir
+
+
+class TestTrainClosingLine:
+    @pytest.mark.parametrize("max_steps, final_step", [(1, 256), (512, 512), (600, 768)])
+    def test_reports_the_final_checkpoint_step(self, tmp_path, capsys, max_steps, final_step):
+        # 256 steps a cycle and a metrics row every 200: the last row never falls on the final step
+        cfg = tmp_path / "train.txt"
+        cfg.write_text(
+            "scenario_id = 3\nn_prey = 2\nn_positive_points = 4\nn_negative_points = 4\nbatch_size = 64\n"
+            "buffer_size = 256\ntime_horizon = 16\nsummary_freq = 200\nhidden_units = 8\nnum_layers = 1\n"
+        )
+        out = tmp_path / "out"
+        assert main(["train", "-c", str(cfg), "--max-steps", str(max_steps), "-o", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"trained scenario 3 to step {final_step}"
+        assert load_checkpoint(out / "checkpoint_final.ckpt")[3] == final_step
 
 
 class TestCliPipeline:

@@ -37,6 +37,7 @@ from tests_support import (
     copy_net,
     get_flat,
     set_flat,
+    traced_peak,
     write_metrics_csv,
     write_run_records,
     write_stats_csv,
@@ -183,6 +184,68 @@ class TestBackward:
             backward(net, acts, np.zeros((1, 3)), np.zeros(1))
         with pytest.raises(StructuralError):
             backward(net, acts[:1], np.zeros((1, 2)), np.zeros(1))
+
+
+def expression_trunk(net, x):
+    """The trunk as one expression a layer, three arrays each: the oracle for the in-place trunk."""
+    acts = [x]
+    for w, b in zip(net.weights[:-2], net.biases[:-2]):
+        acts.append(np.tanh(acts[-1] @ w + b))
+    return acts
+
+
+def expression_backward(net, acts, d_logits, d_value):
+    """The backward pass as whole-array expressions: the oracle for the in-place backward."""
+    grad = np.zeros_like(net.flat)
+    d_weights, d_biases = _layer_views(grad, net.layer_sizes)
+    last = acts[-1]
+    d_weights[-2][...] = last.T @ d_logits
+    d_biases[-2][...] = d_logits.sum(axis=0)
+    d_weights[-1][...] = last.T @ d_value[:, None]
+    d_biases[-1][...] = d_value.sum(axis=0, keepdims=True)
+    dh = d_logits @ net.weights[-2].T + d_value[:, None] @ net.weights[-1].T
+    for k in range(net.n_hidden - 1, -1, -1):
+        dz = dh * (1.0 - acts[k + 1] ** 2)
+        d_weights[k][...] = acts[k].T @ dz
+        d_biases[k][...] = dz.sum(axis=0)
+        if k > 0:
+            dh = dz @ net.weights[k].T
+    return grad
+
+
+def scenario_net(seed):
+    """A net of the default training width (79 -> 128 -> 128 -> 6) with non-zero biases."""
+    net = init_net(79, 6, hidden_units=128, num_layers=2, seed=seed)
+    net.flat[...] += 0.05 * np.random.default_rng(seed).normal(size=net.flat.shape)
+    return net
+
+
+class TestInPlaceTrunkAndBackward:
+    ROWS = ((6, 79), (50, 6, 79), (1024, 79))  # one world's prey, eval's stacked worlds, a minibatch
+
+    def test_trunk_matches_the_expressions_bitwise_with_one_array_a_layer(self):
+        net = scenario_net(21)
+        for shape in self.ROWS:
+            x = np.random.default_rng(len(shape)).normal(size=shape)
+            acts, peak = traced_peak(trunk, net, x)
+            want = expression_trunk(net, x)
+            assert len(acts) == len(want) == 3
+            assert all(np.array_equal(a, b) for a, b in zip(acts, want)), shape
+            if shape[0] == 1024:  # at minibatch size the arrays dwarf the fixed overheads
+                # a layer allocates only the activation it returns: three 1 MiB arrays a layer would add 1 MiB
+                assert peak <= sum(a.nbytes for a in acts[1:]) + 256 * 1024, peak
+
+    def test_backward_matches_the_expressions_bitwise_with_one_scratch_array(self):
+        net = scenario_net(22)
+        rng = np.random.default_rng(22)
+        for shape in (s for s in self.ROWS if len(s) == 2):
+            acts = trunk(net, rng.normal(size=shape))
+            d_logits, d_value = rng.normal(size=(shape[0], 6)), rng.normal(size=shape[0])
+            grad, peak = traced_peak(backward, net, acts, d_logits, d_value)
+            assert np.array_equal(grad, expression_backward(net, acts, d_logits, d_value)), shape
+            if shape[0] == 1024:
+                # the gradient, plus dh and one tanh' scratch array of 1 MiB each
+                assert peak <= grad.nbytes + 2 * acts[-1].nbytes + 256 * 1024, peak
 
 
 class TestAdam:

@@ -15,7 +15,7 @@ from predprey.ppo import (
     sample_actions,
 )
 from predprey.world import WorldConfig, observe_all, reset, reset_world, step
-from tests_support import copy_net, get_flat, set_flat
+from tests_support import copy_net, get_flat, set_flat, traced_peak
 
 
 def brute_gae(rewards, values, boundaries, bootstrap, gamma, lam):
@@ -314,6 +314,71 @@ class TestCollectRollout:
             assert np.array_equal(got[key], np.concatenate([sw[key] for sw in sweeps])), key
 
 
+def random_chunk(rng, n=384, obs_dim=79, n_actions=6):
+    """One sweep's chunk of random transitions, 384 rows by default: one world of 6 prey over 64 ticks."""
+    return dict(
+        obs=rng.normal(size=(n, obs_dim)),
+        actions=rng.integers(0, n_actions, n),
+        log_prob_old=np.full(n, -np.log(n_actions)),
+        values=rng.normal(size=n),
+        advantages=rng.normal(size=n),
+        returns=rng.normal(size=n),
+    )
+
+
+def full_default_buffer(rng):
+    """A buffer of the default capacity, 10,240, filled as training fills it: 27 chunks of 384 rows."""
+    buf = RolloutBuffer(PpoHyperparams().buffer_size)
+    chunks = []
+    while not buf.is_full():
+        chunks.append(random_chunk(rng))
+        buf.append_chunk(**chunks[-1])
+    assert buf.size == 27 * 384
+    return buf, chunks
+
+
+class TestRolloutBufferInPlace:
+    def test_stacked_returns_views_of_the_columns_without_copying(self):
+        buf, chunks = full_default_buffer(np.random.default_rng(1))
+        data, peak = traced_peak(buf.stacked)
+        assert peak < 64 * 1024  # a copy of the buffer is 6.5 MB
+        again = buf.stacked()
+        for key in RolloutBuffer.FIELDS:
+            assert np.shares_memory(data[key], again[key]), key
+            assert np.array_equal(data[key], np.concatenate([c[key] for c in chunks])), key
+
+    def test_second_cycle_reuses_the_same_columns(self):
+        rng = np.random.default_rng(2)
+        net = init_net(79, 6, hidden_units=8, num_layers=1, seed=2)
+        buf, _ = full_default_buffer(rng)
+        first = buf.stacked()
+        ppo_update(net, AdamState.for_net(net), buf, PpoHyperparams(), 1e-4, np.random.default_rng(0))
+        assert buf.size == 0 and not buf.is_full()  # the update empties the buffer for the next cycle
+        chunks = []
+        while not buf.is_full():
+            chunks.append(random_chunk(rng))
+            buf.append_chunk(**chunks[-1])
+        second = buf.stacked()
+        for key in RolloutBuffer.FIELDS:
+            assert np.shares_memory(first[key], second[key]), key
+            assert np.array_equal(second[key], np.concatenate([c[key] for c in chunks])), key
+
+    @pytest.mark.parametrize("rows", [383, 385, 768])
+    def test_chunk_of_another_length_is_refused(self, rows):
+        rng = np.random.default_rng(4)
+        buf = RolloutBuffer(PpoHyperparams().buffer_size)
+        buf.append_chunk(**random_chunk(rng))
+        with pytest.raises(StructuralError, match=f"chunk has {rows} rows, this buffer takes chunks of 384"):
+            buf.append_chunk(**random_chunk(rng, n=rows))
+        assert buf.size == 384
+
+    def test_append_to_a_full_buffer_is_refused(self):
+        rng = np.random.default_rng(5)
+        buf, _ = full_default_buffer(rng)
+        with pytest.raises(StructuralError, match="already holds 10368"):
+            buf.append_chunk(**random_chunk(rng))
+
+
 def counting_episode_seeds(base):
     """episode_seed(w) for collect_rollout: a fresh seed for each episode of each world."""
     counts = {}
@@ -406,6 +471,18 @@ class TestPpoUpdate:
         assert stats.n_transitions == 10240
         assert buf.size == 0  # cleared
 
+    def test_update_peak_allocation_stays_under_10_mib(self):
+        # a default-width net (79 -> 128 -> 128 -> 6) on a full default buffer; copying the
+        # buffer and allocating three arrays a trunk layer took the peak to 14.8 MiB
+        rng = np.random.default_rng(13)
+        net = init_net(79, 6, hidden_units=128, num_layers=2, seed=13)
+        buf, _ = full_default_buffer(rng)
+        stats, peak = traced_peak(
+            ppo_update, net, AdamState.for_net(net), buf, PpoHyperparams(), 1e-4, np.random.default_rng(0)
+        )
+        assert stats.n_transitions == 10_368
+        assert peak < 10 * 2**20, peak / 2**20
+
     def test_buffer_not_full_contract(self):
         net = init_net(4, 4, seed=0)
         adam = AdamState.for_net(net)
@@ -419,8 +496,7 @@ class TestPpoUpdate:
         net = init_net(5, 4, hidden_units=6, num_layers=1, seed=9)
         adam = AdamState.for_net(net)
         buf = synthetic_buffer(net, 32, 5, rng)
-        data_chunk = buf._chunks["advantages"][0]
-        data_chunk[3] = np.inf
+        buf.stacked()["advantages"][3] = np.inf  # a view of the buffer's own column
         hp = PpoHyperparams(batch_size=32, buffer_size=32)
         before = get_flat(net)
         with pytest.raises(NumericsError):

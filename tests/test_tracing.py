@@ -48,5 +48,7 @@ def test_traced_cli_train_and_eval_reach_every_benchmark_span(tmp_path):
         "net.save_checkpoint",
         "net.load_checkpoint",
         "ppo.RolloutBuffer.append_chunk",
+        "ppo.RolloutBuffer.stacked",
+        "ppo.ppo_update",
     )
     assert {name: metrics[f"{name}.calls"] > 0 for name in spans} == dict.fromkeys(spans, True)

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import pytest
 
+import predprey.train as train_module
 import predprey.world as world_module
 from predprey.configio import parse_scenario_config
 from predprey.errors import CheckpointError, ConfigError, StructuralError
@@ -107,6 +108,20 @@ class TestRunTraining:
         cfg = tiny_config(predator=True, max_steps=512)
         _, metrics = run_training(cfg, tmp_path)
         assert metrics  # ran and logged
+
+    def test_one_rollout_buffer_serves_every_cycle(self, tmp_path, monkeypatch):
+        made = []
+
+        class CountedBuffer(train_module.RolloutBuffer):
+            def __init__(self, capacity):
+                super().__init__(capacity)
+                made.append(self)
+
+        monkeypatch.setattr(train_module, "RolloutBuffer", CountedBuffer)
+        cfg = tiny_config(max_steps=1024)
+        run_training(cfg, tmp_path)
+        assert load_checkpoint(tmp_path / "checkpoint_final.ckpt")[3] == 4 * steps_per_cycle(cfg)
+        assert len(made) == 1
 
     def test_config_file_can_train_scenario_one_without_predator(self, tmp_path, monkeypatch):
         path = tmp_path / "cfg.txt"

@@ -1,12 +1,13 @@
 """Shared helpers: hand-placed world states, world stacking, world digests, flat net parameters, the
-independent vision, body-sliding, trajectory-writer, trajectory-reader, KDE and row-CSV-writer oracles, and a
-failing file."""
+independent vision, body-sliding, trajectory-writer, trajectory-reader, KDE and row-CSV-writer oracles, a
+failing file, and a peak-allocation probe."""
 
 import copy
 import csv
 import hashlib
 import json
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -357,3 +358,12 @@ def write_stats_csv(rows, path) -> None:
             writer.writerow(
                 [label, repr(float(np.mean(g1))), repr(float(np.mean(g2))), repr(res.f_score), repr(res.p_value), repr(d)]
             )
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the peak bytes allocated while it ran), numpy's array data included."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
