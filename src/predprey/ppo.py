@@ -4,9 +4,12 @@ Rollouts are collected from one shared policy across N independent worlds
 (every prey is a separate experience stream), advantages come from
 exponentially-weighted temporal-difference residuals truncated at the
 collection horizon, and updates run num_epoch shuffled passes of
-batch_size minibatches over the full buffer. The stored behaviour
-log-probabilities are never recomputed, so the post-update policy becomes
-the next cycle's behaviour policy.
+size // batch_size minibatches over the buffer; each pass leaves the
+size % batch_size rows at the end of its permutation out. The buffer keeps
+each observation as the world computes it, a hit kind and a distance per ray
+plus the ego features, and packs dense rows only for the rows a minibatch
+uses. The stored behaviour log-probabilities are never recomputed, so the
+post-update policy becomes the next cycle's behaviour policy.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 from . import net as nets
 from .errors import ConfigError, ContractViolation, InputError, NumericsError, StructuralError
 from .net import AdamState, DenseNet
-from .world import WorldState, observe_all, reset_world, step
+from .world import WorldState, observe_all, pack_observations, reset_world, split_observations, step
 
 ADVANTAGE_NORM_EPS = 1e-8
 
@@ -138,13 +141,22 @@ def clipped_surrogate(r, advantage, epsilon: float):
 class RolloutBuffer:
     """Columnar store of transitions, filled in place one sweep's chunk at a time.
 
+    A chunk gives FIELDS, its observations as dense (n, obs_dim) rows. The buffer stores
+    them as `world.split_observations` returns them, in the kinds, distances and ego
+    columns: a default row takes 11 + 88 + 16 bytes instead of 632, and a full default
+    buffer holds 1.6 MB of columns instead of 6.9. `observations(rows)` packs dense rows
+    again, bit for bit, with `world.pack_observations`. A chunk whose observations do
+    not split exactly is refused with StructuralError and leaves the buffer as it was.
+
     The first `append_chunk` fixes the chunk length n and allocates each column once, for
     ceil(capacity / n) chunks; every later chunk must have that length and is copied into
-    the next rows. `stacked()` returns views of the filled rows, which stay valid until the
-    next `clear()`. `clear()` empties the buffer and keeps its columns for the next cycle.
+    the next rows. `stacked()` returns views of the filled rows of COLUMNS, which stay valid
+    until the next `clear()`. `clear()` empties the buffer and keeps its columns for the
+    next cycle.
     """
 
     FIELDS = ("obs", "actions", "log_prob_old", "values", "advantages", "returns")
+    COLUMNS = ("kinds", "distances", "ego", *FIELDS[1:])
 
     def __init__(self, capacity: int):
         self.capacity = capacity
@@ -166,6 +178,10 @@ class RolloutBuffer:
         n = len(arrays["actions"])
         if any(len(a) != n for a in arrays.values()):
             raise StructuralError("chunk arrays have mismatched lengths")
+        if arrays["obs"].ndim != 2:
+            raise StructuralError(f"chunk obs must be (rows, obs_dim), got shape {arrays['obs'].shape}")
+        kinds, distances, ego = split_observations(arrays.pop("obs"))
+        arrays = {"kinds": kinds, "distances": distances, "ego": ego, **arrays}
         if not self._columns:
             if n == 0:
                 raise StructuralError("chunk has no rows")
@@ -174,16 +190,28 @@ class RolloutBuffer:
             self._chunk_rows = n
         if n != self._chunk_rows:
             raise StructuralError(f"chunk has {n} rows, this buffer takes chunks of {self._chunk_rows}")
+        for f, a in arrays.items():
+            if a.shape[1:] != self._columns[f].shape[1:]:
+                raise StructuralError(
+                    f"chunk {f} rows are {a.shape[1:]}, this buffer's are {self._columns[f].shape[1:]}"
+                )
         if self.is_full():
             raise StructuralError(f"buffer already holds {self._size} of its {self.capacity} rows")
         for f, a in arrays.items():
             self._columns[f][self._size : self._size + n] = a
         self._size += n
 
-    def stacked(self) -> dict[str, np.ndarray]:
+    def _filled(self, name: str) -> np.ndarray:
         if not self._columns:
             raise StructuralError("no chunk appended yet")
-        return {f: column[: self._size] for f, column in self._columns.items()}
+        return self._columns[name][: self._size]
+
+    def stacked(self) -> dict[str, np.ndarray]:
+        return {f: self._filled(f) for f in self.COLUMNS}
+
+    def observations(self, rows) -> np.ndarray:
+        """Dense (len(rows), obs_dim) observations of the filled rows that `rows` indexes."""
+        return pack_observations(*(self._filled(f)[rows] for f in ("kinds", "distances", "ego")))
 
     def clear(self) -> None:
         self._size = 0
@@ -375,18 +403,23 @@ def ppo_update(
 ) -> UpdateStats:
     """num_epoch shuffled passes of batch_size minibatches over the full buffer.
 
-    The minibatches are drawn from `buffer.stacked()`, views of the buffer's
-    own columns, so no copy of the buffer is made. Advantages are normalized
-    once across the whole batch. A non-finite loss aborts the update, restores
-    the pre-update parameters and optimizer moments, and raises NumericsError.
-    The buffer is cleared on success, which keeps its columns for the next cycle.
+    Each epoch draws a permutation of the buffer's size rows and trains on its
+    first (size // batch_size) * batch_size rows, one minibatch per batch_size
+    of them; the last size % batch_size rows of the permutation sit that epoch
+    out (128 of 10,368 at the default config). The columns come from
+    `buffer.stacked()`, views of the buffer's own arrays, and
+    `buffer.observations` packs dense observations for each minibatch's rows
+    only, so no copy of the buffer is made. Advantages are normalized once
+    across the whole batch. A non-finite loss aborts the update, restores the
+    pre-update parameters and optimizer moments, and raises NumericsError. The
+    buffer is cleared on success, which keeps its columns for the next cycle.
     """
     if buffer.size < hp.buffer_size:
         raise ContractViolation(
             f"update requires a full buffer ({buffer.size} < {hp.buffer_size})"
         )
     data = buffer.stacked()
-    for name in ("obs", "log_prob_old", "advantages", "returns"):
+    for name in ("distances", "ego", "log_prob_old", "advantages", "returns"):
         if not np.all(np.isfinite(data[name])):
             raise NumericsError(f"buffer field {name!r} contains non-finite values")
     adv = data["advantages"]
@@ -404,7 +437,7 @@ def ppo_update(
                 idx = order[b * hp.batch_size : (b + 1) * hp.batch_size]
                 total, parts, grad = ppo_loss_and_grads(
                     net,
-                    data["obs"][idx],
+                    buffer.observations(idx),
                     data["actions"][idx],
                     data["log_prob_old"][idx],
                     adv[idx],

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import predprey.ppo as ppo_module
 from predprey.errors import ConfigError, ContractViolation, InputError, NumericsError, StructuralError
 from predprey.net import AdamState, forward, init_net, log_softmax
 from predprey.ppo import (
@@ -14,7 +15,15 @@ from predprey.ppo import (
     ppo_update,
     sample_actions,
 )
-from predprey.world import WorldConfig, observe_all, reset, reset_world, step
+from predprey.world import (
+    N_HIT_KINDS,
+    WorldConfig,
+    observation_matrix,
+    observe_all,
+    reset,
+    reset_world,
+    step,
+)
 from tests_support import copy_net, get_flat, set_flat, traced_peak
 
 
@@ -290,9 +299,9 @@ class TestCollectRollout:
         net = init_net(cfg.obs_dim, 6, hidden_units=16, num_layers=1, seed=3)
         hp = PpoHyperparams(batch_size=8, buffer_size=16, time_horizon=16)
         buf = collect_rollout(net, actors, 16, hp, np.random.default_rng(1))
-        data = buf.stacked()
+        data, obs = buf.stacked(), buf.observations(np.arange(buf.size))
         for i in range(buf.size):
-            r = probability_ratio(net, data["obs"][i], int(data["actions"][i]), data["log_prob_old"][i])
+            r = probability_ratio(net, obs[i], int(data["actions"][i]), data["log_prob_old"][i])
             assert r == pytest.approx(1.0, abs=1e-9)
 
     def test_three_worlds_with_resets_match_per_stream_reference(self):
@@ -307,17 +316,30 @@ class TestCollectRollout:
         ref_actors = ActorWorlds.from_state(reset(cfg, seeds))
         ref_rng, ref_seed = np.random.default_rng(4), counting_episode_seeds(7)
         sweeps = [reference_sweep(net, ref_actors, 16, hp, ref_rng, ref_seed) for _ in range(2)]
-        got = buf.stacked()
+        got = dense_columns(buf)
         assert buf.size == 2 * 3 * 2 * 16
         assert all(len(returns) == 2 * 5 for returns in actors.completed_episode_returns)  # 5 resets per world
         for key in RolloutBuffer.FIELDS:
             assert np.array_equal(got[key], np.concatenate([sw[key] for sw in sweeps])), key
 
 
-def random_chunk(rng, n=384, obs_dim=79, n_actions=6):
+def world_rows(rng, n, n_rays=11):
+    """n observations packed as the world packs them: a random hit kind and distance per ray, then speed and heading."""
+    kinds = rng.integers(0, N_HIT_KINDS, (n, n_rays))
+    ego = (rng.integers(0, 2, n).astype(np.float64), rng.random(n))
+    return observation_matrix(kinds[..., None] == np.arange(N_HIT_KINDS), rng.random((n, n_rays)), ego)
+
+
+def dense_columns(buf):
+    """The buffer's filled rows under the chunk's FIELDS, observations packed dense again."""
+    data = buf.stacked()
+    return {f: buf.observations(np.arange(buf.size)) if f == "obs" else data[f] for f in RolloutBuffer.FIELDS}
+
+
+def random_chunk(rng, n=384, n_rays=11, n_actions=6):
     """One sweep's chunk of random transitions, 384 rows by default: one world of 6 prey over 64 ticks."""
     return dict(
-        obs=rng.normal(size=(n, obs_dim)),
+        obs=world_rows(rng, n, n_rays),
         actions=rng.integers(0, n_actions, n),
         log_prob_old=np.full(n, -np.log(n_actions)),
         values=rng.normal(size=n),
@@ -341,11 +363,13 @@ class TestRolloutBufferInPlace:
     def test_stacked_returns_views_of_the_columns_without_copying(self):
         buf, chunks = full_default_buffer(np.random.default_rng(1))
         data, peak = traced_peak(buf.stacked)
-        assert peak < 64 * 1024  # a copy of the buffer is 6.5 MB
+        assert peak < 64 * 1024  # a copy of the buffer is 1.6 MB
         again = buf.stacked()
-        for key in RolloutBuffer.FIELDS:
+        for key in RolloutBuffer.COLUMNS:
             assert np.shares_memory(data[key], again[key]), key
-            assert np.array_equal(data[key], np.concatenate([c[key] for c in chunks])), key
+        dense = dense_columns(buf)
+        for key in RolloutBuffer.FIELDS:
+            assert np.array_equal(dense[key], np.concatenate([c[key] for c in chunks])), key
 
     def test_second_cycle_reuses_the_same_columns(self):
         rng = np.random.default_rng(2)
@@ -358,10 +382,11 @@ class TestRolloutBufferInPlace:
         while not buf.is_full():
             chunks.append(random_chunk(rng))
             buf.append_chunk(**chunks[-1])
-        second = buf.stacked()
-        for key in RolloutBuffer.FIELDS:
+        second, dense = buf.stacked(), dense_columns(buf)
+        for key in RolloutBuffer.COLUMNS:
             assert np.shares_memory(first[key], second[key]), key
-            assert np.array_equal(second[key], np.concatenate([c[key] for c in chunks])), key
+        for key in RolloutBuffer.FIELDS:
+            assert np.array_equal(dense[key], np.concatenate([c[key] for c in chunks])), key
 
     @pytest.mark.parametrize("rows", [383, 385, 768])
     def test_chunk_of_another_length_is_refused(self, rows):
@@ -371,6 +396,52 @@ class TestRolloutBufferInPlace:
         with pytest.raises(StructuralError, match=f"chunk has {rows} rows, this buffer takes chunks of 384"):
             buf.append_chunk(**random_chunk(rng, n=rows))
         assert buf.size == 384
+
+    def test_full_default_buffer_holds_under_2_mib(self):
+        # kinds, distances and ego take 115 of a default row's 155 bytes; dense float64
+        # observations took the columns to 6.9 MB
+        rng = np.random.default_rng(6)
+        chunks = [random_chunk(rng) for _ in range(27)]
+        buf = RolloutBuffer(PpoHyperparams().buffer_size)
+
+        def fill():
+            for chunk in chunks:
+                buf.append_chunk(**chunk)
+
+        _, peak = traced_peak(fill)
+        assert buf.is_full() and buf.size == 27 * 384
+        assert sum(column.nbytes for column in buf.stacked().values()) == 27 * 384 * 155
+        assert peak < 2 * 2**20, peak / 2**20
+
+    @pytest.mark.parametrize(
+        "defect, match",
+        [
+            ("two hot kinds", r"row \(5,\)"),
+            ("half cell", r"row \(5,\)"),
+            ("width 80", "width 80"),
+            ("12 rays", r"chunk kinds rows are \(12,\), this buffer's are \(11,\)"),
+        ],
+    )
+    def test_observations_that_do_not_split_are_refused(self, defect, match):
+        rng = np.random.default_rng(7)
+        buf = RolloutBuffer(PpoHyperparams().buffer_size)
+        buf.append_chunk(**random_chunk(rng))
+        chunk = random_chunk(rng)
+        per_ray = chunk["obs"][:, :77].reshape(384, 11, 7)  # a view of the chunk's rows
+        if defect == "two hot kinds":
+            per_ray[5, 2, :N_HIT_KINDS] = [1.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+        elif defect == "half cell":
+            per_ray[5, 2, :N_HIT_KINDS] = [0.0, 0.5, 0.0, 0.0, 0.0, 0.0]
+        elif defect == "width 80":
+            chunk["obs"] = np.concatenate([chunk["obs"], np.zeros((384, 1))], axis=1)
+        else:
+            chunk["obs"] = world_rows(rng, 384, n_rays=12)  # rows that split, but not into this buffer's columns
+        with pytest.raises(StructuralError, match=match):
+            buf.append_chunk(**chunk)
+        assert buf.size == 384
+        good = random_chunk(rng)
+        buf.append_chunk(**good)  # the refused chunk left no row behind
+        assert np.array_equal(buf.observations(np.arange(384, 768)), good["obs"])
 
     def test_append_to_a_full_buffer_is_refused(self):
         rng = np.random.default_rng(5)
@@ -430,7 +501,7 @@ def synthetic_buffer(net, n, obs_dim, rng, adv_scale=1.0, perturb=0.0):
     if perturb:
         flat = get_flat(behaviour)
         set_flat(behaviour, flat + perturb * rng.normal(size=flat.shape))
-    obs = rng.normal(size=(n, obs_dim))
+    obs = world_rows(rng, n, n_rays=(obs_dim - 2) // (N_HIT_KINDS + 1))
     logits, values = forward(behaviour, obs)
     logp = log_softmax(logits)
     actions = np.array([rng.integers(0, logits.shape[1]) for _ in range(n)])
@@ -450,9 +521,9 @@ def synthetic_buffer(net, n, obs_dim, rng, adv_scale=1.0, perturb=0.0):
 class TestPpoUpdate:
     def test_zero_advantages_zero_coeffs_leave_parameters(self):
         rng = np.random.default_rng(7)
-        net = init_net(5, 4, hidden_units=6, num_layers=1, seed=7)
+        net = init_net(9, 4, hidden_units=6, num_layers=1, seed=7)
         adam = AdamState.for_net(net)
-        buf = synthetic_buffer(net, 32, 5, rng, adv_scale=0.0)
+        buf = synthetic_buffer(net, 32, 9, rng, adv_scale=0.0)
         hp = PpoHyperparams(
             batch_size=16, buffer_size=32, beta=0.0, value_loss_coeff=0.0, time_horizon=32
         )
@@ -462,14 +533,42 @@ class TestPpoUpdate:
 
     def test_minibatch_step_count(self):
         rng = np.random.default_rng(8)
-        net = init_net(4, 4, hidden_units=4, num_layers=1, seed=8)
+        net = init_net(9, 4, hidden_units=4, num_layers=1, seed=8)
         adam = AdamState.for_net(net)
-        buf = synthetic_buffer(net, 10240, 4, rng)
+        buf = synthetic_buffer(net, 10240, 9, rng)
         hp = PpoHyperparams()  # 1024 x 10240, 3 epochs
         stats = ppo_update(net, adam, buf, hp, lr=1e-4, rng=np.random.default_rng(0))
         assert stats.n_minibatch_steps == 30
         assert stats.n_transitions == 10240
         assert buf.size == 0  # cleared
+
+    def test_each_epoch_trains_on_the_head_of_its_permutation(self, monkeypatch):
+        # 10,368 rows in batches of 1,024: each epoch trains on the first 10,240 rows of
+        # rng.permutation(10,368), in order, and its last 128 rows sit that epoch out
+        rng = np.random.default_rng(14)
+        net = init_net(9, 6, hidden_units=4, num_layers=1, seed=14)
+        buf = RolloutBuffer(PpoHyperparams().buffer_size)
+        while not buf.is_full():
+            buf.append_chunk(**random_chunk(rng, n_rays=1))
+        buf.stacked()["returns"][:] = np.arange(buf.size)  # each row's returns name the row
+        seen = []
+
+        def recording(net, obs, actions, log_prob_old, advantages, returns, *rest):
+            seen.append(returns.astype(np.int64))
+            return ppo_loss_and_grads(net, obs, actions, log_prob_old, advantages, returns, *rest)
+
+        monkeypatch.setattr(ppo_module, "ppo_loss_and_grads", recording)
+        stats = ppo_update(net, AdamState.for_net(net), buf, PpoHyperparams(), 1e-4, np.random.default_rng(3))
+        assert stats.n_minibatch_steps == len(seen) == 30
+        replay = np.random.default_rng(3)
+        for epoch in range(3):
+            order = replay.permutation(10_368)
+            for b in range(10):
+                assert np.array_equal(seen[10 * epoch + b], order[1024 * b : 1024 * (b + 1)])
+            used = np.concatenate(seen[10 * epoch : 10 * (epoch + 1)])
+            left_out = np.setdiff1d(np.arange(10_368), used)
+            assert len(np.unique(used)) == 10_240
+            assert np.array_equal(np.sort(order[10_240:]), left_out) and len(left_out) == 128
 
     def test_update_peak_allocation_stays_under_10_mib(self):
         # a default-width net (79 -> 128 -> 128 -> 6) on a full default buffer; copying the
@@ -493,9 +592,9 @@ class TestPpoUpdate:
 
     def test_non_finite_aborts_and_restores(self):
         rng = np.random.default_rng(9)
-        net = init_net(5, 4, hidden_units=6, num_layers=1, seed=9)
+        net = init_net(9, 4, hidden_units=6, num_layers=1, seed=9)
         adam = AdamState.for_net(net)
-        buf = synthetic_buffer(net, 32, 5, rng)
+        buf = synthetic_buffer(net, 32, 9, rng)
         buf.stacked()["advantages"][3] = np.inf  # a view of the buffer's own column
         hp = PpoHyperparams(batch_size=32, buffer_size=32)
         before = get_flat(net)
@@ -513,11 +612,11 @@ class TestPpoUpdate:
 
     def test_loss_gradient_matches_finite_differences_small(self):
         rng = np.random.default_rng(12)
-        net = init_net(4, 3, hidden_units=4, num_layers=1, seed=12)
-        buf = synthetic_buffer(net, 16, 4, rng, perturb=0.05)
+        net = init_net(9, 3, hidden_units=4, num_layers=1, seed=12)
+        buf = synthetic_buffer(net, 16, 9, rng, perturb=0.05)
         data = buf.stacked()
         args = (
-            data["obs"],
+            buf.observations(np.arange(buf.size)),
             data["actions"],
             data["log_prob_old"],
             data["advantages"],
@@ -550,12 +649,12 @@ class TestPpoUpdate:
         # one state, two actions, reward 1 for action 0: the policy must
         # concentrate on action 0
         rng = np.random.default_rng(1234)
-        net = init_net(1, 2, hidden_units=8, num_layers=1, seed=99)
+        net = init_net(9, 2, hidden_units=8, num_layers=1, seed=99)
         adam = AdamState.for_net(net)
         hp = PpoHyperparams(
             batch_size=32, buffer_size=64, time_horizon=64, gamma=0.99, gae_lambda=0.95
         )
-        obs1 = np.array([1.0])
+        obs1 = world_rows(np.random.default_rng(99), 1, n_rays=1)[0]
         for _ in range(200):
             obs = np.tile(obs1, (64, 1))
             logits, values = forward(net, obs)

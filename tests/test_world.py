@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import predprey.world as world_module
-from predprey.errors import ConfigError, ContractViolation, InputError
+from predprey.errors import ConfigError, ContractViolation, InputError, StructuralError
 from tests_support import bodies, branch_sizes, brute_force_can_see, make_state, stack_worlds, state_digest
 
 from predprey.world import (
@@ -21,11 +21,14 @@ from predprey.world import (
     WorldConfig,
     _circles,
     _raycast_rows,
+    observation_matrix,
     observe_all,
+    pack_observations,
     predator_step,
     prey_action_space,
     reset,
     reset_world,
+    split_observations,
     step,
     visible_prey,
 )
@@ -490,6 +493,80 @@ class TestRayCast:
         onehot, distance = rays(b, 1)
         assert onehot[2, HIT_POSITIVE] == 1.0
         assert distance[2] == pytest.approx((2.0 - cfg_b.point_radius) / cfg_b.ray_length, abs=1e-12)
+
+
+class TestObservationFormat:
+    """split_observations undoes observation_matrix bit for bit and refuses rows it would not re-pack."""
+
+    @staticmethod
+    def check_round_trip(state):
+        obs = observe_all(state)
+        kinds, distances, ego = split_observations(obs)
+        onehot, distance = _raycast_rows(state)
+        assert kinds.dtype == np.uint8 and kinds.shape == distances.shape == distance.shape
+        assert np.array_equal(kinds[..., None] == np.arange(N_HIT_KINDS), onehot)
+        assert np.array_equal(distances.view(np.uint64), distance.view(np.uint64))
+        assert np.array_equal(ego[..., 0].view(np.uint64), state.prey_speed.view(np.uint64))
+        assert np.array_equal(ego[..., 1].view(np.uint64), (state.prey_heading / 360.0).view(np.uint64))
+        packed = observation_matrix(onehot, distances, tuple(np.moveaxis(ego, -1, 0)))
+        assert np.array_equal(packed.view(np.uint64), obs.view(np.uint64))
+        assert np.array_equal(pack_observations(kinds, distances, ego).view(np.uint64), obs.view(np.uint64))
+        return kinds, distances
+
+    def test_one_world_without_predator_round_trips(self):
+        cfg = WorldConfig(predator_present=False, barrier_layout=())
+        state = make_state(
+            cfg,
+            prey_specs=[((1.0, 1.0), 30.0), ((-4.6, -4.6), 45.0), ((0.0, -3.0), 200.0)],
+            points=[((1.1, 1.05), "positive"), ((0.0, 4.0), "negative")],  # the first holds prey 0's center
+        )
+        state.prey_speed[0, 2] = 1.0
+        kinds, distances = self.check_round_trip(state)
+        assert np.all(kinds[0, 0] == HIT_POSITIVE) and np.all(distances[0, 0] == 0.0)  # rays from inside a point
+        assert (kinds[0, 1] == HIT_NOTHING).any()  # the corner prey looks down the diagonal, longer than a ray
+
+    def test_fifty_worlds_with_predator_round_trip(self):
+        cfg = WorldConfig()
+        state = reset(cfg, list(range(50)))
+        rng = np.random.default_rng(18)
+        for _ in range(10):
+            step(state, rng.integers(0, 6, (50, cfg.n_prey)))
+        state.prey_pos[0, 0] = state.predator.position[0]  # rays from inside the predator
+        kinds, distances = self.check_round_trip(state)
+        assert np.all(kinds[0, 0] == HIT_PREDATOR) and np.all(distances[0, 0] == 0.0)
+        assert (kinds == HIT_NOTHING).any()
+        assert set(np.unique(kinds).tolist()) == set(range(N_HIT_KINDS))
+
+    @pytest.mark.parametrize(
+        "defect, match",
+        [
+            ("two hot kinds", r"row \(1, 2\) does not re-pack: ray 3 holds 1.0"),
+            ("half cell", r"row \(1, 2\) does not re-pack: ray 3 holds 0.5"),
+            ("negative zero", r"row \(1, 2\) does not re-pack: ray 3 holds -0.0"),
+            ("width 78", "width 78 is not"),
+            ("width 2", "width 2 is not"),
+            ("float32", "must be float64"),
+        ],
+    )
+    def test_rows_that_do_not_re_pack_are_refused(self, defect, match):
+        obs = observe_all(reset(WorldConfig(), [4, 5]))
+        per_ray = obs[..., :77].reshape(2, 6, 11, 7)  # a view of obs
+        hot = int(per_ray[1, 2, 3, :N_HIT_KINDS].argmax())
+        cold = (hot + 1) % N_HIT_KINDS
+        if defect == "two hot kinds":
+            per_ray[1, 2, 3, cold] = 1.0
+        elif defect == "half cell":
+            per_ray[1, 2, 3, hot] = 0.5
+        elif defect == "negative zero":
+            per_ray[1, 2, 3, cold] = -0.0
+        elif defect == "width 78":
+            obs = obs[..., 1:]
+        elif defect == "width 2":
+            obs = obs[..., -2:]
+        else:
+            obs = obs.astype(np.float32)
+        with pytest.raises(StructuralError, match=match):
+            split_observations(obs)
 
 
 class TestPredatorVision:
