@@ -35,7 +35,7 @@ from .stats import (
     write_grid_pgm,
     write_grid_text,
 )
-from .train import run_training
+from .train import check_resume, run_training
 from .trajectory import ENTITY_KINDS, check_replay_args, read_positions, read_run, replay_export
 
 SCHEMA_VERSIONS = "checkpoint=1 trajectory_csv=1 metrics_csv=1 run_records_csv=1 summary_csv=1 stats_csv=1"
@@ -82,6 +82,8 @@ def _write_build(out: Path) -> None:
 def _cmd_train(args) -> int:
     overrides = {"scenario_id": args.scenario, "seed": args.seed, "max_steps": args.max_steps}
     cfg, provenance = parse_scenario_config(args.config, overrides)
+    if args.resume is not None:  # refuse another net before anything is written; run_training reads it again
+        check_resume(cfg, load_checkpoint(args.resume)[0])
     out = _prepare_out_dir(args, f"train-scenario{cfg.scenario_id}")
     _write_build(out)
     write_resolved(cfg, out / "resolved_config.txt", provenance)

@@ -127,6 +127,11 @@ def _orthogonal(rng: np.random.Generator, rows: int, cols: int, gain: float) -> 
     return gain * q[:rows, :cols]
 
 
+def net_layer_sizes(obs_dim: int, policy_dim: int, hidden_units: int, num_layers: int) -> list[int]:
+    """The layer sizes of init_net's net: the input, num_layers hidden widths, the policy and the value."""
+    return [obs_dim] + [hidden_units] * num_layers + [policy_dim, 1]
+
+
 def init_net(
     obs_dim: int,
     policy_dim: int,
@@ -136,7 +141,7 @@ def init_net(
 ) -> DenseNet:
     """Seeded orthogonal init: gain sqrt(2) on the trunk, 0.01 policy head, 1.0 value head; zero biases."""
     rng = np.random.default_rng(seed)
-    layer_sizes = [obs_dim] + [hidden_units] * num_layers + [policy_dim, 1]
+    layer_sizes = net_layer_sizes(obs_dim, policy_dim, hidden_units, num_layers)
     net = DenseNet(layer_sizes, np.zeros(param_count(layer_sizes)))
     gains = [np.sqrt(2.0)] * num_layers + [0.01, 1.0]
     for w, gain in zip(net.weights, gains):

@@ -23,7 +23,7 @@ import numpy as np
 from . import net as nets
 from .errors import ConfigError, ContractViolation, InputError, NumericsError, StructuralError
 from .net import AdamState, DenseNet
-from .world import WorldState, observe_all, pack_observations, reset_world, split_observations, step
+from .world import WorldState, _redraw, observe_all, pack_observations, split_observations, step
 
 ADVANTAGE_NORM_EPS = 1e-8
 
@@ -303,11 +303,11 @@ def collect_rollout(
         if episode_seed is None:
             continue
         ended = np.flatnonzero(state.tick >= state.config.episode_length)
-        for w in ended:
-            bound_seq[w, :, t] = True
-            actors.finish_episode(w)
-            reset_world(state, w, episode_seed(w))
         if len(ended):
+            bound_seq[ended, :, t] = True
+            for w in ended:
+                actors.finish_episode(w)
+            _redraw(state, ended, [episode_seed(w) for w in ended])
             actors.obs = observe_all(state)
 
     _, bootstrap = nets.forward(net, actors.obs)

@@ -20,7 +20,18 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, StructuralError
-from .net import AdamState, LrSchedule, init_net, load_checkpoint, lr_at, read_rows, save_checkpoint, write_rows
+from .net import (
+    AdamState,
+    DenseNet,
+    LrSchedule,
+    init_net,
+    load_checkpoint,
+    lr_at,
+    net_layer_sizes,
+    read_rows,
+    save_checkpoint,
+    write_rows,
+)
 from .ppo import ActorWorlds, PpoHyperparams, RolloutBuffer, collect_rollout, ppo_update
 from .seeding import check_seed, derive_seed
 from .world import WorldConfig, prey_action_space, reset
@@ -99,6 +110,16 @@ def steps_per_cycle(cfg: ScenarioConfig) -> int:
     return sweeps * per_sweep
 
 
+def check_resume(cfg: ScenarioConfig, net: DenseNet) -> None:
+    """Refuse (StructuralError) to resume cfg from a checkpoint whose net is not the one cfg trains."""
+    expected = net_layer_sizes(cfg.world.obs_dim, prey_action_space().n_joint, cfg.hidden_units, cfg.num_layers)
+    if net.layer_sizes != expected:
+        raise StructuralError(
+            f"checkpoint net has layer sizes {net.layer_sizes}, the config trains {expected} "
+            "(input, hidden widths, actions, value)"
+        )
+
+
 def run_training(
     cfg: ScenarioConfig,
     out_dir,
@@ -112,18 +133,12 @@ def run_training(
     resume into out_dir keeps the metrics.csv rows up to the checkpoint's step,
     and never parses a row past it, such as one a kill during an older append cut short.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     hp = cfg.hyperparams
     n_actions = prey_action_space().n_joint
 
     if resume_from is not None:
         net, adam, run_seed, global_step = load_checkpoint(resume_from)
-        if net.input_dim != cfg.world.obs_dim or net.policy_dim != n_actions:
-            raise StructuralError(
-                f"checkpoint net ({net.input_dim} -> {net.policy_dim}) does not match "
-                f"world ({cfg.world.obs_dim} -> {n_actions})"
-            )
+        check_resume(cfg, net)
     else:
         net = init_net(
             cfg.world.obs_dim,
@@ -145,6 +160,8 @@ def run_training(
     update_idx = global_step // cycle_steps
     steps_per_tick = cfg.n_worlds * cfg.world.n_prey
 
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     metrics_path = out_dir / "metrics.csv"
     rows = []
     if resume_from is not None and metrics_path.exists():

@@ -18,12 +18,13 @@ are degrees in [0, 360) with 0 along +x and counter-clockwise positive;
 
 step, observe_all and predator_step advance every world with one numpy call
 per stage; body sliding, whose barriers act one after another, loops over
-the moving bodies a barrier can stop. Only rare event work runs world by
-world: respawn sampling after pickups and catches, and patrol-waypoint redraws.
-Each world draws all its randomness from its own generator (state.rngs[w])
-in the order it would alone, so a world's run depends only on its (config,
-seed, action sequence), never on W or on the other worlds, and a W-world
-step equals W one-world steps bit for bit.
+the moving bodies a barrier can stop. One sampler, _place, makes every random
+placement, for a batch of worlds at once: body k of every world a reset draws,
+or every predator due a new waypoint; pickups and catches, which resolve pair by
+pair, respawn through it one world a call. Each world draws all its randomness
+from its own generator (state.rngs[w]) in the order it would alone, so a world's
+run depends only on its (config, seed, action sequence), never on W or on the
+other worlds, and a W-world step equals W one-world steps bit for bit.
 
 Contacts resolve once every body has moved. A prey collects a point, and the
 predator catches a prey, when their centers lie within the summed radii. The
@@ -299,32 +300,33 @@ def _slide(pos: np.ndarray, dx: np.ndarray, dy: np.ndarray, radius: float, cfg: 
     return out
 
 
-def _sample_free_position(
-    rng: np.random.Generator,
-    cfg: WorldConfig,
-    radius: float,
-    centers: np.ndarray | None = None,
-    radii: np.ndarray | None = None,
-) -> np.ndarray:
-    """Uniform position with wall clearance, outside inflated barriers, off the given bodies."""
+def _place(rngs: list[np.random.Generator], cfg: WorldConfig, radius: float, centers=None, radii=None) -> np.ndarray:
+    """One free spot per generator, (len(rngs), 2): wall clearance, outside inflated barriers, off the given bodies.
+
+    centers (len(rngs), J, 2) holds each generator's bodies and radii (J,) their radii; a radius of -inf leaves
+    a body out. Each attempt draws two uniforms from every generator still pending, and only the rejected draw
+    again, so each generator's stream and each comparison's bits are those of placing in its world alone.
+    """
     limit = cfg.half_side - radius
     if limit <= 0:
         raise ConfigError(f"arena side {cfg.arena_side} too small for body radius {radius}")
+    rects = [(x0 - radius, y0 - radius, x1 + radius, y1 + radius) for x0, y0, x1, y1 in cfg.barrier_layout]
+    out = np.empty((len(rngs), 2))
+    pending = list(range(len(rngs)))
     for _ in range(_PLACEMENT_ATTEMPTS):
-        p = rng.uniform(-limit, limit, size=2)
-        x, y = p
-        if any(x0 - radius < x < x1 + radius and y0 - radius < y < y1 + radius for x0, y0, x1, y1 in cfg.barrier_layout):
-            continue
+        if not pending:
+            return out
+        p = np.array([rngs[w].uniform(-limit, limit, size=2) for w in pending])
+        # in Python floats: most calls place one world, where numpy's per-call cost exceeds this loop's
+        rejected = np.array([any(x0 < x < x1 and y0 < y < y1 for x0, y0, x1, y1 in rects) for x, y in p.tolist()])
         if centers is not None:
-            offsets = p - centers
-            if (np.hypot(offsets[:, 0], offsets[:, 1]) < radius + radii).any():
-                continue
-        return p
-    placed = 0 if centers is None else len(centers)
-    raise ConfigError(
-        "could not place an entity without overlap; arena too crowded "
-        f"(radius {radius}, {placed} bodies placed)"
-    )
+            offsets = p[:, None] - centers
+            rejected |= (np.hypot(offsets[..., 0], offsets[..., 1]) < radius + radii).any(axis=1)
+            centers = centers[rejected]  # the bodies of the worlds that draw again
+        out[pending] = p  # a rejected candidate is overwritten by a later attempt
+        pending = [w for w, again in zip(pending, rejected.tolist()) if again]
+    placed = 0 if centers is None else centers.shape[1]
+    raise ConfigError(f"arena too crowded: no free spot for body radius {radius} among {placed} placed bodies")
 
 
 # ---------------------------------------------------------------------------
@@ -360,50 +362,54 @@ def reset(config: WorldConfig, seed: int | list[int]) -> WorldState:
         point_positive=np.zeros((n_worlds, n_points), dtype=bool),
         rngs=[None] * n_worlds,
     )
-    for w, world_seed in enumerate(seeds):
-        reset_world(state, w, world_seed)
+    _redraw(state, np.arange(n_worlds), seeds)
     return state
 
 
 def reset_world(state: WorldState, world: int, seed: int) -> None:
-    """Redraw one world in place at tick 0, on a new generator seeded with `seed`.
+    """Redraw one world in place at tick 0, on a new generator seeded with `seed`, as reset draws it."""
+    _redraw(state, np.array([world]), [seed])
 
-    Draw order: each prey's position then heading, the predator's position,
-    heading and first waypoint, then the positive and the negative points.
+
+def _redraw(state: WorldState, worlds: np.ndarray, seeds) -> None:
+    """Redraw `worlds` in place at tick 0, worlds[i] on a new generator seeded with seeds[i].
+
+    One _place call places body k of every world. Each world's draw order: each prey's position then
+    heading, the predator's position, heading and first waypoint, then the positive and the negative points.
     """
     config = state.config
-    rng = np.random.default_rng(seed)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     n_prey = config.n_prey
     n_agents = n_prey + int(config.predator_present)
     radii = np.repeat(
         [config.prey_radius, config.predator_radius, config.point_radius],
         [n_prey, n_agents - n_prey, config.n_positive_points + config.n_negative_points],
     )
-    centers = np.empty((len(radii), 2))
-    headings = np.empty(n_agents)
-    waypoint = None
+    centers = np.empty((len(rngs), len(radii), 2))
+    headings = np.empty((len(rngs), n_agents))
     for k in range(len(radii)):
-        centers[k] = _sample_free_position(rng, config, radii[k], centers[:k], radii[:k])
+        centers[:, k] = _place(rngs, config, radii[k], centers[:, :k], radii[:k])
         if k < n_agents:
-            headings[k] = rng.uniform(0.0, 360.0)
+            headings[:, k] = [rng.uniform(0.0, 360.0) for rng in rngs]
         if k == n_prey and config.predator_present:  # the waypoint ignores every body
-            waypoint = _sample_free_position(rng, config, config.predator_radius)
+            waypoints = _place(rngs, config, config.predator_radius)
 
     if state.predator is not None:
         pred = state.predator
-        pred.position[world] = centers[n_prey]
-        pred.heading[world] = headings[n_prey]
-        pred.chasing[world] = False
-        pred.target_prey_id[world] = -1
-        pred.patrol_waypoint[world] = waypoint
-        pred.ticks_since_waypoint[world] = 0
-    state.tick[world] = 0
-    state.prey_pos[world] = centers[:n_prey]
-    state.prey_heading[world] = headings[:n_prey]
-    state.prey_speed[world] = 0.0
-    state.point_pos[world] = centers[n_agents:]
-    state.point_positive[world] = np.arange(len(radii) - n_agents) < config.n_positive_points
-    state.rngs[world] = rng
+        pred.position[worlds] = centers[:, n_prey]
+        pred.heading[worlds] = headings[:, n_prey]
+        pred.chasing[worlds] = False
+        pred.target_prey_id[worlds] = -1
+        pred.patrol_waypoint[worlds] = waypoints
+        pred.ticks_since_waypoint[worlds] = 0
+    state.tick[worlds] = 0
+    state.prey_pos[worlds] = centers[:, :n_prey]
+    state.prey_heading[worlds] = headings[:, :n_prey]
+    state.prey_speed[worlds] = 0.0
+    state.point_pos[worlds] = centers[:, n_agents:]
+    state.point_positive[worlds] = np.arange(len(radii) - n_agents) < config.n_positive_points
+    for w, rng in zip(worlds.tolist(), rngs):
+        state.rngs[w] = rng
 
 
 def _circles(state: WorldState, world: int | slice) -> np.ndarray:
@@ -415,15 +421,6 @@ def _circles(state: WorldState, world: int | slice) -> np.ndarray:
     if state.predator is not None:
         parts.append(state.predator.position[world][..., None, :])
     return np.concatenate(parts, axis=-2)
-
-
-def _respawn_position(state: WorldState, world: int, radius: float, skip_point: int | None = None) -> np.ndarray:
-    """Free spot in one world, off every prey, the predator and every point except `skip_point`."""
-    centers, radii = _circles(state, world), state.circle_radii
-    if skip_point is not None:  # points lead the circle rows
-        centers = np.delete(centers, skip_point, axis=0)
-        radii = np.delete(radii, skip_point)
-    return _sample_free_position(state.rngs[world], state.config, radius, centers, radii)
 
 
 def step(
@@ -482,7 +479,9 @@ def step(
         positive = state.point_positive[w, j]
         rewards[w, i] += REWARD_POSITIVE if positive else REWARD_NEGATIVE
         events[w].append(Event(ticks[w], EVENT_POSITIVE if positive else EVENT_NEGATIVE, i, w))
-        point_pos[w, j] = _respawn_position(state, w, cfg.point_radius, skip_point=j)
+        radii, world = state.circle_radii.copy(), slice(w, w + 1)
+        radii[j] = -np.inf  # the point is no obstacle to itself; points lead the circles
+        point_pos[w, j] = _place(state.rngs[world], cfg, cfg.point_radius, _circles(state, world), radii)[0]
         respawned.add((w, j))
 
     # Predator contact: penalty plus teleport to a free spot; the run continues.
@@ -496,7 +495,8 @@ def step(
         for w, i in zip(*(a[caught].tolist() for a in pairs)):
             rewards[w, i] += REWARD_CAUGHT
             events[w].append(Event(ticks[w], EVENT_CAUGHT, i, w))
-            prey_pos[w, i] = _respawn_position(state, w, cfg.prey_radius)
+            world = slice(w, w + 1)
+            prey_pos[w, i] = _place(state.rngs[world], cfg, cfg.prey_radius, _circles(state, world), state.circle_radii)[0]
 
     state.tick += 1
     return state, rewards, observe_all(state), [ev for world_events in events for ev in world_events]
@@ -547,9 +547,9 @@ def predator_step(state: WorldState) -> PredatorState:
     pred.target_prey_id[:] = np.where(chasing, target, -1)
     patrol = ~chasing
     pred.ticks_since_waypoint += patrol
-    for w in np.flatnonzero(patrol & (pred.ticks_since_waypoint > _PATROL_STALL_TICKS)):
-        pred.patrol_waypoint[w] = _sample_free_position(state.rngs[w], cfg, cfg.predator_radius)
-        pred.ticks_since_waypoint[w] = 0
+    stalled = np.flatnonzero(patrol & (pred.ticks_since_waypoint > _PATROL_STALL_TICKS)).tolist()
+    pred.patrol_waypoint[stalled] = _place([state.rngs[w] for w in stalled], cfg, cfg.predator_radius)
+    pred.ticks_since_waypoint[stalled] = 0
     goal = np.where(chasing[:, None], state.prey_pos[np.arange(len(target)), target], pred.patrol_waypoint)
 
     offset = goal - pred.position
@@ -561,9 +561,9 @@ def predator_step(state: WorldState) -> PredatorState:
     slid = _slide(pred.position, delta[:, 0], delta[:, 1], cfg.predator_radius, cfg)
     pred.position[:] = np.where(moves[:, None], slid, pred.position)
     gap = pred.patrol_waypoint - pred.position
-    for w in np.flatnonzero(patrol & (np.hypot(gap[:, 0], gap[:, 1]) <= 1e-9)):
-        pred.patrol_waypoint[w] = _sample_free_position(state.rngs[w], cfg, cfg.predator_radius)
-        pred.ticks_since_waypoint[w] = 0
+    arrived = np.flatnonzero(patrol & (np.hypot(gap[:, 0], gap[:, 1]) <= 1e-9)).tolist()
+    pred.patrol_waypoint[arrived] = _place([state.rngs[w] for w in arrived], cfg, cfg.predator_radius)
+    pred.ticks_since_waypoint[arrived] = 0
     return pred
 
 
@@ -574,8 +574,8 @@ def predator_step(state: WorldState) -> PredatorState:
 # calls, measured on a 2-core x86-64 host; a default world has 1,782.
 _DENSE_TRIPLES = 9_000
 _WINDOW_MARGIN = 1e-5  # radians widening every angular window; rounding moves a hit by under 1e-7
-_HIT_COLUMNS = np.arange(N_HIT_KINDS)
-_ONE_HOT = np.eye(N_HIT_KINDS, dtype=bool)  # row k: kind k's one-hot cells
+# Row k: kind k's one-hot cells; np.take of its rows runs about 4x faster than a broadcast compare.
+_ONE_HOT = np.eye(N_HIT_KINDS, dtype=bool)
 
 
 def _ray_t(dx: np.ndarray, dy: np.ndarray, ocx: np.ndarray, ocy: np.ndarray, c0: np.ndarray) -> np.ndarray:
@@ -671,7 +671,7 @@ def _raycast_rows(state: WorldState) -> tuple[np.ndarray, np.ndarray]:
     missed = best_t > cfg.ray_length
     kind = np.where(missed, HIT_NOTHING, np.where(closer, kind, HIT_WALL))  # arena walls and barriers alike
     distance = np.where(missed, 1.0, best_t / cfg.ray_length)
-    return kind[..., None] == _HIT_COLUMNS, distance
+    return np.take(_ONE_HOT, kind, axis=0), distance
 
 
 def observe_all(state: WorldState) -> np.ndarray:
@@ -701,7 +701,6 @@ def observation_matrix(onehot: np.ndarray, distance: np.ndarray, ego: tuple[np.n
 
 def pack_observations(kinds: np.ndarray, distances: np.ndarray, ego: np.ndarray) -> np.ndarray:
     """Dense (..., obs_dim) rows, through observation_matrix, from what split_observations returns."""
-    # np.take of table rows: a broadcast compare runs a 6-element inner loop per ray, about 5x slower
     return observation_matrix(np.take(_ONE_HOT, kinds, axis=0), distances, tuple(np.moveaxis(ego, -1, 0)))
 
 

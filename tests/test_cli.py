@@ -203,6 +203,33 @@ class TestBadNumericInput:
             parse_bool("ture")
 
 
+class TestPlacementRefusals:
+    """An arena without room for its bodies exits 2 with one line naming the radius; which world fails first may vary."""
+
+    ROOMLESS = {
+        "too-small": "arena_side = 0.45\nbarrier_layout = none\n",  # no spot at a prey's wall clearance
+        "too-crowded": "arena_side = 2.2\nn_prey = 40\nbarrier_layout = none\n",  # every attempt overlaps
+    }
+
+    @pytest.mark.parametrize("arena", ROOMLESS)
+    def test_train_exits_2(self, tmp_path, arena):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(self.ROOMLESS[arena] + "hidden_units = 4\nnum_layers = 1\nn_worlds = 3\n")
+        proc = run_cli(["train", "-c", str(cfg), "-o", str(tmp_path / "out")], tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert len(proc.stderr.splitlines()) == 1 and "radius 0.25" in proc.stderr, proc.stderr
+
+    @pytest.mark.parametrize("arena", ROOMLESS)
+    def test_eval_exits_2(self, pipeline, tmp_path, arena):
+        _, train_dir, _ = pipeline
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(self.ROOMLESS[arena] + "n_runs = 3\nduration = 5\n")
+        argv = ["eval", "-c", str(cfg), "--checkpoint", str(train_dir / "checkpoint_final.ckpt"), "-o", str(tmp_path / "out")]
+        proc = run_cli(argv, tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert len(proc.stderr.splitlines()) == 1 and "radius 0.25" in proc.stderr, proc.stderr
+
+
 TRAJECTORY_HEAD = (
     "run_id,tick,entity_kind,entity_id,x,y,heading,event\r\n"
     "0,0,prey,0,1.0,2.0,90.0,\r\n0,0,predator,0,-1.0,-2.0,45.0,\r\n"
@@ -539,6 +566,23 @@ class TestCliPipeline:
         assert "Traceback" not in proc.stderr
         assert f"{metrics}: line 3: " in proc.stderr
         assert metrics.read_bytes() == torn
+
+    @pytest.mark.parametrize("old, new", [("hidden_units = 16", "hidden_units = 8"), ("num_layers = 1", "num_layers = 2")])
+    def test_resume_of_another_net_exits_2_before_anything_is_written(self, pipeline, tmp_path, old, new):
+        root, train_dir, _ = pipeline
+        run_dir = tmp_path / "train"
+        run_dir.mkdir()
+        for name in ("checkpoint_final.ckpt", "metrics.csv", "build.txt", "resolved_config.txt"):
+            (run_dir / name).write_bytes((train_dir / name).read_bytes())
+        before = {path.name: path.read_bytes() for path in run_dir.iterdir()}
+        cfg = tmp_path / "other.txt"
+        cfg.write_text((root / "train.txt").read_text().replace(old, new))
+        argv = ["train", "-c", str(cfg), "--resume", str(run_dir / "checkpoint_final.ckpt"), "-o", str(run_dir)]
+        proc = run_cli(argv, tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "layer sizes" in proc.stderr
+        assert {path.name: path.read_bytes() for path in run_dir.iterdir()} == before
 
     def test_build_identifier_is_looked_up_once_per_process(self, tmp_path, monkeypatch):
         import predprey.cli as cli_module

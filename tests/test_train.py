@@ -184,6 +184,16 @@ class TestResume:
         with pytest.raises(CheckpointError):
             run_training(tiny_config(max_steps=2048), tmp_path / "resume", resume_from=path)
 
+    @pytest.mark.parametrize("hidden_units, num_layers", [(8, 1), (16, 2), (16, 0)])
+    def test_resume_rejects_another_hidden_shape(self, tmp_path, hidden_units, num_layers):
+        cfg = tiny_config(max_steps=512)  # 16 units in one hidden layer
+        net = init_net(cfg.world.obs_dim, 6, hidden_units=hidden_units, num_layers=num_layers, seed=0)
+        path = tmp_path / "other.ckpt"
+        save_checkpoint(path, net, AdamState.for_net(net), 0, 0)
+        with pytest.raises(StructuralError, match="layer sizes"):
+            run_training(cfg, tmp_path / "out", resume_from=path)
+        assert not (tmp_path / "out").exists()
+
     def test_resume_rejects_mismatched_world(self, tmp_path):
         net = init_net(13, 6, hidden_units=4, num_layers=1, seed=0)
         path = tmp_path / "bad.ckpt"

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -5,9 +6,19 @@ import pytest
 
 import predprey.world as world_module
 from predprey.errors import ConfigError, ContractViolation, InputError, StructuralError
-from tests_support import bodies, branch_sizes, brute_force_can_see, make_state, stack_worlds, state_digest
+from tests_support import (
+    bodies,
+    branch_sizes,
+    brute_force_can_see,
+    make_state,
+    respawn_position,
+    sample_free_position,
+    stack_worlds,
+    state_digest,
+)
 
 from predprey.world import (
+    _PATROL_STALL_TICKS,
     EVENT_CAUGHT,
     EVENT_NEGATIVE,
     EVENT_POSITIVE,
@@ -151,6 +162,78 @@ class TestReset:
         assert state_digest(state, 1) == other
 
 
+class TestPlacement:
+    """Respawns and waypoint redraws of scripted worlds against the world-by-world oracles, bit for bit."""
+
+    @staticmethod
+    def generator_states(state):
+        return [rng.bit_generator.state for rng in state.rngs]
+
+    def test_point_respawn_leaves_only_its_own_spot_out(self):
+        cfg = WorldConfig(predator_present=False, barrier_layout=())
+        limit = cfg.half_side - cfg.point_radius
+        first = np.random.default_rng(5).uniform(-limit, limit, size=2)  # the respawn's first candidate
+        point = first + [0.05, 0.0]  # the collected point still covers the candidate
+        prey = point + [0.44, 0.0]  # within reach of the point, clear of the candidate
+        quiet = make_state(cfg, [((-4.0, -4.0), 0.0)], points=[((4.0, 4.0), "positive")], seed=1)
+        busy = make_state(cfg, [(tuple(prey), 0.0)], points=[(tuple(point), "positive")], seed=5)
+        state = stack_worlds([quiet, busy])
+        want = copy.deepcopy(state)
+        _, rewards, _, _ = step(state, [[0], [0]])
+        assert rewards.tolist() == [[0.0], [1.0]]
+        expected = respawn_position(want, 1, cfg.point_radius, skip_point=0)
+        assert np.array_equal(expected, first)
+        assert state.point_pos.tobytes() == np.stack([want.point_pos[0], [expected]]).tobytes()
+        assert self.generator_states(state) == self.generator_states(want)
+
+    def test_catch_respawn_matches_the_oracle(self):
+        cfg = WorldConfig(barrier_layout=(), n_prey=2, n_positive_points=2, n_negative_points=1)
+        limit = cfg.half_side - cfg.prey_radius
+        first = np.random.default_rng(2).uniform(-limit, limit, size=2)  # the respawn's first candidate
+        points = [((-1.0, 2.0), "positive"), ((1.0, -2.0), "positive"), (tuple(first), "negative")]  # blocks it
+        prey = [((3.0, 3.0), 0.0), ((-3.0, -3.0), 90.0)]
+        quiet = make_state(cfg, prey, predator_spec=((-4.0, 4.0), 90.0), points=points, seed=1)
+        caught = make_state(cfg, prey, predator_spec=((3.1, 3.0), 180.0), points=points, seed=2)
+        state = stack_worlds([quiet, caught])
+        want = copy.deepcopy(state)
+        _, _, _, events = step(state, [[0, 0], [0, 0]])
+        assert [(e.world, e.kind, e.prey_id) for e in events] == [(1, EVENT_CAUGHT, 0)]
+        want.predator.position[:] = state.predator.position  # the catch respawns off the predator as it moved
+        want.prey_pos[1, 0] = respawn_position(want, 1, cfg.prey_radius)
+        assert not np.array_equal(want.prey_pos[1, 0], first)
+        assert state.prey_pos.tobytes() == want.prey_pos.tobytes()
+        assert self.generator_states(state) == self.generator_states(want)
+
+    def test_stalled_and_arrived_waypoint_redraws_match_the_oracle(self):
+        cfg = WorldConfig(barrier_layout=())
+        behind = [((-4.0, 0.0), 0.0)]  # outside the cone of a predator heading along +x from the origin
+        worlds = [make_state(cfg, behind, predator_spec=((0.0, 0.0), 0.0), seed=seed) for seed in (3, 4, 5)]
+        state = stack_worlds(worlds)
+        pred = state.predator
+        pred.patrol_waypoint[:] = [(4.0, 4.0), (4.0, -4.0), (0.5, 0.0)]
+        pred.ticks_since_waypoint[:] = [_PATROL_STALL_TICKS, 0, 0]  # world 0 stalls; world 2 arrives this tick
+        want = copy.deepcopy(state)
+        predator_step(state)
+        for w in (0, 2):
+            want.predator.patrol_waypoint[w] = sample_free_position(want.rngs[w], cfg, cfg.predator_radius)
+        assert pred.patrol_waypoint.tobytes() == want.predator.patrol_waypoint.tobytes()
+        assert pred.ticks_since_waypoint.tolist() == [0, 1, 0]
+        assert self.generator_states(state) == self.generator_states(want)
+
+    @pytest.mark.parametrize(
+        "cfg, n_worlds",
+        [
+            (WorldConfig(arena_side=0.45, barrier_layout=()), 1),  # no spot at a prey's wall clearance
+            (WorldConfig(arena_side=0.45, barrier_layout=()), 7),
+            (WorldConfig(arena_side=2.2, n_prey=40, barrier_layout=()), 7),  # overlaps; W = 1: test_impossible_arena_raises
+        ],
+        ids=["too-small-1", "too-small-7", "too-crowded-7"],
+    )
+    def test_arena_without_room_refuses_the_reset(self, cfg, n_worlds):
+        with pytest.raises(ConfigError, match=f"radius {cfg.prey_radius}"):
+            reset(cfg, list(range(n_worlds)))
+
+
 class TestStep:
     def test_noop_actions_keep_positions(self):
         cfg = WorldConfig(predator_present=False)
@@ -254,16 +337,16 @@ class TestStep:
             points=[((0.15, 0.0), "positive")],
         )
         respawns = []
-        respawn = world_module._respawn_position
+        place = world_module._place
 
-        def counted_respawn(*args, **kwargs):
-            respawns.append(args[1:])
-            return respawn(*args, **kwargs)
+        def counted_place(rngs, *args, **kwargs):
+            respawns.append(len(rngs))
+            return place(rngs, *args, **kwargs)
 
-        monkeypatch.setattr(world_module, "_respawn_position", counted_respawn)
+        monkeypatch.setattr(world_module, "_place", counted_place)
         state, rewards, _, events = step(state, [[0, 0]])
         assert [(e.kind, e.prey_id) for e in events] == [(EVENT_POSITIVE, 0)]
-        assert len(respawns) == 1
+        assert respawns == [1]
         assert rewards.tolist() == [[1.0, 0.0]]
         assert not np.array_equal(state.point_pos[0, 0], [0.15, 0.0])
 

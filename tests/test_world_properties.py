@@ -1,15 +1,19 @@
 """Property tests: world invariants under random barrier layouts, seeds and actions, and the fast paths of
-the ray-vs-circle pass and of body sliding against their plain forms."""
+the ray-vs-circle pass, of body sliding and of batched placement against their plain forms."""
 
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from tests_support import bodies, brute_force_can_see, slide_per_body
+from tests_support import bodies, brute_force_can_see, reset_one_by_one, slide_per_body
 
 import predprey.world as world
+from predprey.errors import ConfigError
 from predprey.world import (
+    DEFAULT_BARRIERS,
     PredatorState,
     WorldState,
     EVENT_CAUGHT,
@@ -192,3 +196,45 @@ def test_slide_matches_the_per_body_loop_bit_for_bit(layout, n_bodies, radius, r
     for fewest in (world._SLIDE_NOMINATE_BODIES, 0):  # the path the body count selects, then nomination at every count
         with mock.patch.object(world, "_SLIDE_NOMINATE_BODIES", fewest):
             assert world._slide(pos, dx, dy, radius, cfg).tobytes() == want.tobytes()
+
+
+def world_arrays(state):
+    """Every state array and each world's generator state, the bytes a reset must reproduce."""
+    arrays = [state.tick, state.prey_pos, state.prey_heading, state.prey_speed, state.point_pos, state.point_positive]
+    if state.predator is not None:
+        arrays += [getattr(state.predator, f.name) for f in fields(PredatorState)]
+    return [a.tobytes() for a in arrays], [rng.bit_generator.state for rng in state.rngs]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_worlds=st.sampled_from([1, 7, 50]),
+    barriers=st.booleans(),
+    side=st.floats(6.6, 12.0),
+    n_positive=st.integers(0, 12),
+    n_negative=st.integers(1, 12),
+    radii=st.tuples(st.floats(0.05, 0.4), st.floats(0.05, 0.4), st.floats(0.05, 0.4)),
+    predator=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_reset_equals_world_by_world_placement(n_worlds, barriers, side, n_positive, n_negative, radii, predator, seed):
+    # the default barriers need an arena side of 6.5 at the largest radius; a crowded arena must fail alike
+    prey_radius, predator_radius, point_radius = radii
+    cfg = WorldConfig(
+        arena_side=side if barriers else side / 2.0,
+        barrier_layout=DEFAULT_BARRIERS if barriers else (),
+        n_positive_points=n_positive + 1,
+        n_negative_points=n_negative,
+        prey_radius=prey_radius,
+        predator_radius=predator_radius,
+        point_radius=point_radius,
+        predator_present=predator,
+    )
+    seeds = [seed + w for w in range(n_worlds)]
+    try:
+        want = reset_one_by_one(cfg, seeds)
+    except ConfigError:
+        with pytest.raises(ConfigError):
+            reset(cfg, seeds)
+        return
+    assert world_arrays(reset(cfg, seeds)) == world_arrays(want)

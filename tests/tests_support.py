@@ -1,6 +1,6 @@
 """Shared helpers: hand-placed world states, world stacking, world digests, flat net parameters, the
-independent vision, body-sliding, trajectory-writer, trajectory-reader, KDE and row-CSV-writer oracles, a
-failing file, and a peak-allocation probe."""
+independent placement, vision, body-sliding, trajectory-writer, trajectory-reader, KDE and row-CSV-writer
+oracles, a failing file, and a peak-allocation probe."""
 
 import copy
 import csv
@@ -13,11 +13,11 @@ from dataclasses import fields
 import numpy as np
 from scipy.special import erf
 
-from predprey.errors import StructuralError
+from predprey.errors import ConfigError, StructuralError
 from predprey.net import DenseNet
 from predprey.stats import cohens_d, one_way_anova, task_efficiency
 from predprey.trajectory import CSV_HEADER, TrajectoryTable
-from predprey.world import ActionSpace, PredatorState, WorldConfig, WorldState
+from predprey.world import _PLACEMENT_ATTEMPTS, ActionSpace, PredatorState, WorldConfig, WorldState, _circles
 
 
 def state_digest(state: WorldState, world: int = 0) -> str:
@@ -112,6 +112,98 @@ def stack_worlds(states) -> WorldState:
         rngs=[copy.deepcopy(rng) for s in states for rng in s.rngs],
         **{name: cat(lambda s: s, name) for name in arrays},
     )
+
+
+def sample_free_position(rng, cfg, radius, centers=None, radii=None) -> np.ndarray:
+    """Placement oracle: one world's rejection sampling, one attempt at a time."""
+    limit = cfg.half_side - radius
+    if limit <= 0:
+        raise ConfigError(f"arena side {cfg.arena_side} too small for body radius {radius}")
+    for _ in range(_PLACEMENT_ATTEMPTS):
+        p = rng.uniform(-limit, limit, size=2)
+        x, y = p
+        if any(x0 - radius < x < x1 + radius and y0 - radius < y < y1 + radius for x0, y0, x1, y1 in cfg.barrier_layout):
+            continue
+        if centers is not None:
+            offsets = p - centers
+            if (np.hypot(offsets[:, 0], offsets[:, 1]) < radius + radii).any():
+                continue
+        return p
+    raise ConfigError("could not place an entity without overlap; arena too crowded")
+
+
+def respawn_position(state, world, radius, skip_point=None) -> np.ndarray:
+    """Respawn oracle: a free spot in one world, off every body but point `skip_point`, deleted from the copies."""
+    centers, radii = _circles(state, world), state.circle_radii
+    if skip_point is not None:  # points lead the circle rows
+        centers = np.delete(centers, skip_point, axis=0)
+        radii = np.delete(radii, skip_point)
+    return sample_free_position(state.rngs[world], state.config, radius, centers, radii)
+
+
+def reset_one_by_one(cfg: WorldConfig, seeds) -> WorldState:
+    """Reset oracle: fresh worlds, one per seed, each drawn alone by reset_world_one_by_one."""
+    n_worlds, n_prey, n_points = len(seeds), cfg.n_prey, cfg.n_positive_points + cfg.n_negative_points
+    predator = None
+    if cfg.predator_present:
+        predator = PredatorState(
+            position=np.zeros((n_worlds, 2)),
+            heading=np.zeros(n_worlds),
+            chasing=np.zeros(n_worlds, dtype=bool),
+            target_prey_id=np.full(n_worlds, -1),
+            patrol_waypoint=np.zeros((n_worlds, 2)),
+            ticks_since_waypoint=np.zeros(n_worlds, dtype=np.int64),
+        )
+    state = WorldState(
+        config=cfg,
+        tick=np.zeros(n_worlds, dtype=np.int64),
+        prey_pos=np.zeros((n_worlds, n_prey, 2)),
+        prey_heading=np.zeros((n_worlds, n_prey)),
+        prey_speed=np.zeros((n_worlds, n_prey)),
+        predator=predator,
+        point_pos=np.zeros((n_worlds, n_points, 2)),
+        point_positive=np.zeros((n_worlds, n_points), dtype=bool),
+        rngs=[None] * n_worlds,
+    )
+    for w, seed in enumerate(seeds):
+        reset_world_one_by_one(state, w, seed)
+    return state
+
+
+def reset_world_one_by_one(state, world, seed) -> None:
+    """Reset oracle: redraw one world in place, body after body, on a new generator seeded with `seed`."""
+    config = state.config
+    rng = np.random.default_rng(seed)
+    n_prey = config.n_prey
+    n_agents = n_prey + int(config.predator_present)
+    radii = np.repeat(
+        [config.prey_radius, config.predator_radius, config.point_radius],
+        [n_prey, n_agents - n_prey, config.n_positive_points + config.n_negative_points],
+    )
+    centers = np.empty((len(radii), 2))
+    headings = np.empty(n_agents)
+    waypoint = None
+    for k in range(len(radii)):
+        centers[k] = sample_free_position(rng, config, radii[k], centers[:k], radii[:k])
+        if k < n_agents:
+            headings[k] = rng.uniform(0.0, 360.0)
+        if k == n_prey and config.predator_present:  # the waypoint ignores every body
+            waypoint = sample_free_position(rng, config, config.predator_radius)
+    if state.predator is not None:
+        pred = state.predator
+        pred.position[world] = centers[n_prey]
+        pred.heading[world] = headings[n_prey]
+        pred.chasing[world] = False
+        pred.target_prey_id[world] = -1
+        pred.patrol_waypoint[world] = waypoint
+        pred.ticks_since_waypoint[world] = 0
+    state.tick[world] = 0
+    state.prey_pos[world] = centers[:n_prey]
+    state.prey_heading[world] = headings[:n_prey]
+    state.prey_speed[world] = 0.0
+    state.point_pos[world] = centers[n_agents:]
+    state.point_positive[world] = np.arange(len(radii) - n_agents) < config.n_positive_points
+    state.rngs[world] = rng
 
 
 def bodies(state, world=0):
