@@ -36,6 +36,7 @@ from .world import (
     PredatorState,
     WorldConfig,
     WorldState,
+    observation_matrix,
     observe_all,
     predator_step,
     prey_action_space,

@@ -5,10 +5,11 @@ Rollouts are collected from one shared policy across N independent worlds
 exponentially-weighted temporal-difference residuals truncated at the
 collection horizon, and updates run num_epoch shuffled passes of
 size // batch_size minibatches over the buffer; each pass leaves the
-size % batch_size rows at the end of its permutation out. The buffer keeps
-each observation as the world computes it, a hit kind and a distance per ray
-plus the ego features, and packs dense rows only for the rows a minibatch
-uses. The stored behaviour log-probabilities are never recomputed, so the
+size % batch_size rows at the end of its permutation out. Observations
+travel as world.observe_all hands them out, a hit kind and a distance per ray
+plus the ego features; world.observation_matrix packs dense rows only where
+the net reads them: each tick's actions, the bootstrap value and each
+minibatch. The stored behaviour log-probabilities are never recomputed, so the
 post-update policy becomes the next cycle's behaviour policy.
 """
 
@@ -23,7 +24,7 @@ import numpy as np
 from . import net as nets
 from .errors import ConfigError, ContractViolation, InputError, NumericsError, StructuralError
 from .net import AdamState, DenseNet
-from .world import WorldState, _redraw, observe_all, pack_observations, split_observations, step
+from .world import WorldState, _redraw, observation_matrix, observe_all, step
 
 ADVANTAGE_NORM_EPS = 1e-8
 
@@ -141,22 +142,20 @@ def clipped_surrogate(r, advantage, epsilon: float):
 class RolloutBuffer:
     """Columnar store of transitions, filled in place one sweep's chunk at a time.
 
-    A chunk gives FIELDS, its observations as dense (n, obs_dim) rows. The buffer stores
-    them as `world.split_observations` returns them, in the kinds, distances and ego
-    columns: a default row takes 11 + 88 + 16 bytes instead of 632, and a full default
-    buffer holds 1.6 MB of columns instead of 6.9. `observations(rows)` packs dense rows
-    again, bit for bit, with `world.pack_observations`. A chunk whose observations do
-    not split exactly is refused with StructuralError and leaves the buffer as it was.
+    A chunk gives every one of FIELDS, one row per transition; its observations come as
+    `world.observe_all` returns them, in the kinds, distances and ego fields. A default
+    row takes 11 + 88 + 16 bytes of observation instead of a dense row's 632, and a full
+    default buffer holds 1.6 MB of columns instead of 6.9. `observations(rows)` packs
+    dense rows with `world.observation_matrix`.
 
     The first `append_chunk` fixes the chunk length n and allocates each column once, for
-    ceil(capacity / n) chunks; every later chunk must have that length and is copied into
-    the next rows. `stacked()` returns views of the filled rows of COLUMNS, which stay valid
-    until the next `clear()`. `clear()` empties the buffer and keeps its columns for the
-    next cycle.
+    ceil(capacity / n) chunks; every later chunk must have that length and rows of the
+    same shape, and is copied into the next rows. A refused chunk leaves the buffer as it
+    was. `stacked()` returns views of the filled rows of FIELDS, which stay valid until the
+    next `clear()`. `clear()` empties the buffer and keeps its columns for the next cycle.
     """
 
-    FIELDS = ("obs", "actions", "log_prob_old", "values", "advantages", "returns")
-    COLUMNS = ("kinds", "distances", "ego", *FIELDS[1:])
+    FIELDS = ("kinds", "distances", "ego", "actions", "log_prob_old", "values", "advantages", "returns")
 
     def __init__(self, capacity: int):
         self.capacity = capacity
@@ -178,10 +177,6 @@ class RolloutBuffer:
         n = len(arrays["actions"])
         if any(len(a) != n for a in arrays.values()):
             raise StructuralError("chunk arrays have mismatched lengths")
-        if arrays["obs"].ndim != 2:
-            raise StructuralError(f"chunk obs must be (rows, obs_dim), got shape {arrays['obs'].shape}")
-        kinds, distances, ego = split_observations(arrays.pop("obs"))
-        arrays = {"kinds": kinds, "distances": distances, "ego": ego, **arrays}
         if not self._columns:
             if n == 0:
                 raise StructuralError("chunk has no rows")
@@ -207,11 +202,11 @@ class RolloutBuffer:
         return self._columns[name][: self._size]
 
     def stacked(self) -> dict[str, np.ndarray]:
-        return {f: self._filled(f) for f in self.COLUMNS}
+        return {f: self._filled(f) for f in self.FIELDS}
 
     def observations(self, rows) -> np.ndarray:
         """Dense (len(rows), obs_dim) observations of the filled rows that `rows` indexes."""
-        return pack_observations(*(self._filled(f)[rows] for f in ("kinds", "distances", "ego")))
+        return observation_matrix(*(self._filled(f)[rows] for f in ("kinds", "distances", "ego")))
 
     def clear(self) -> None:
         self._size = 0
@@ -222,7 +217,7 @@ class ActorWorlds:
     """The worlds of one rollout plus the cached observations the policy acts on."""
 
     state: WorldState
-    obs: np.ndarray  # (W, n_prey, obs_dim)
+    obs: tuple[np.ndarray, np.ndarray, np.ndarray]  # observe_all's (kinds, distances, ego)
     episode_return: np.ndarray  # (W, n_prey)
     completed_episode_returns: list[list[float]]  # per world, in the order episodes ended
 
@@ -273,7 +268,8 @@ def collect_rollout(
     The sweep's action uniforms are drawn up front as (W, T, n_prey), which is
     the stream that drawing each world's ticks in turn would give. The sweep is
     stored stream-major, (W, n_prey, T, ...), so the chunk's rows run world by
-    world, prey by prey, tick by tick. Advantages are horizon-truncated: the
+    world, prey by prey, tick by tick, and holds each tick's observations as
+    observe_all returns them. Advantages are horizon-truncated: the
     value of the state after the last tick bootstraps the recursion unless an
     episode boundary cut it. When a world's tick count reaches its configured
     episode_length it is redrawn in place from the seed episode_seed(world_index)
@@ -282,9 +278,9 @@ def collect_rollout(
     if buffer is None:
         buffer = RolloutBuffer(hp.buffer_size)
     state = actors.state
-    n_worlds, n_prey, obs_dim = actors.obs.shape
+    n_worlds, n_prey = state.prey_heading.shape
     u = rng.random((n_worlds, T, n_prey))
-    obs_seq = np.empty((n_worlds, n_prey, T, obs_dim))
+    kind_seq, dist_seq, ego_seq = (np.empty((n_worlds, n_prey, T, x.shape[-1]), x.dtype) for x in actors.obs)
     act_seq = np.empty((n_worlds, n_prey, T), dtype=np.int64)
     logp_seq = np.empty((n_worlds, n_prey, T))
     rew_seq = np.empty((n_worlds, n_prey, T))
@@ -292,8 +288,8 @@ def collect_rollout(
     bound_seq = np.zeros((n_worlds, n_prey, T), dtype=bool)
 
     for t in range(T):
-        obs_seq[:, :, t] = actors.obs
-        actions, logp, values = sample_actions(net, actors.obs, u[:, t])
+        kind_seq[:, :, t], dist_seq[:, :, t], ego_seq[:, :, t] = actors.obs
+        actions, logp, values = sample_actions(net, observation_matrix(*actors.obs), u[:, t])
         act_seq[..., t] = actions
         logp_seq[..., t] = logp
         val_seq[..., t] = values
@@ -310,10 +306,13 @@ def collect_rollout(
             _redraw(state, ended, [episode_seed(w) for w in ended])
             actors.obs = observe_all(state)
 
-    _, bootstrap = nets.forward(net, actors.obs)
+    _, bootstrap = nets.forward(net, observation_matrix(*actors.obs))
     est = compute_gae(rew_seq, val_seq, bound_seq, bootstrap, hp.gamma, hp.gae_lambda)
+    n = n_worlds * n_prey * T
     buffer.append_chunk(
-        obs=obs_seq.reshape(-1, obs_dim),
+        kinds=kind_seq.reshape(n, -1),
+        distances=dist_seq.reshape(n, -1),
+        ego=ego_seq.reshape(n, -1),
         actions=act_seq.ravel(),
         log_prob_old=logp_seq.ravel(),
         values=val_seq.ravel(),

@@ -38,6 +38,9 @@ A WorldState computes the constants of its config and body counts once, when
 it is built. Ray casting tests every barrier and the arena in one slab pass:
 the arena is an inverted slab that holds every prey and that a ray leaves at
 its exit parameter. A ray-vs-circle pass, culled by angular window, follows.
+observe_all hands out what the rays saw as compact arrays, a uint8 hit kind
+and a distance per ray plus the ego features; observation_matrix alone packs
+them into the policy's dense rows, and nothing unpacks a dense row.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation, InputError, StructuralError
+from .errors import ConfigError, ContractViolation, InputError
 
 # Reward structure: foraging a positive point, foraging a negative point,
 # being caught by the predator.
@@ -425,11 +428,11 @@ def _circles(state: WorldState, world: int | slice) -> np.ndarray:
 
 def step(
     state: WorldState, prey_actions: np.ndarray
-) -> tuple[WorldState, np.ndarray, np.ndarray, list[Event]]:
+) -> tuple[WorldState, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray], list[Event]]:
     """Advance every world one tick: prey move, predators act, pickups and catches resolve.
 
     `prey_actions` is (W, n_prey). Returns the mutated state, the (W, n_prey)
-    rewards, the (W, n_prey, obs_dim) observations of the post-step worlds,
+    rewards, observe_all's (kinds, distances, ego) of the post-step worlds,
     and this tick's events, world by world.
     """
     cfg = state.config
@@ -647,11 +650,11 @@ def _nearest_circles(state: WorldState, dx: np.ndarray, dy: np.ndarray) -> tuple
 def _raycast_rows(state: WorldState) -> tuple[np.ndarray, np.ndarray]:
     """Batched nearest-hit query for every ray of every prey of every world.
 
-    Returns (one-hot kinds, normalized distances) of shape
-    (W, n_prey, n_rays, N_HIT_KINDS) and (W, n_prey, n_rays). A ray tests only
-    its own world's bodies, minus its own prey's body. The arena is the last
-    slab: every prey lies strictly inside it, so a ray leaves it at its exit
-    parameter, where each barrier blocks a ray from its entry parameter.
+    Returns the uint8 hit kinds and the normalized distances (1.0 when nothing
+    was hit), each (W, n_prey, n_rays). A ray tests only its own world's
+    bodies, minus its own prey's body. The arena is the last slab: every prey
+    lies strictly inside it, so a ray leaves it at its exit parameter, where
+    each barrier blocks a ray from its entry parameter.
     """
     cfg = state.config
     n_worlds, n = state.prey_heading.shape
@@ -671,67 +674,34 @@ def _raycast_rows(state: WorldState) -> tuple[np.ndarray, np.ndarray]:
     missed = best_t > cfg.ray_length
     kind = np.where(missed, HIT_NOTHING, np.where(closer, kind, HIT_WALL))  # arena walls and barriers alike
     distance = np.where(missed, 1.0, best_t / cfg.ray_length)
-    return np.take(_ONE_HOT, kind, axis=0), distance
+    return kind.astype(np.uint8), distance
 
 
-def observe_all(state: WorldState) -> np.ndarray:
-    """Every prey's observation of its world: the (W, n_prey, obs_dim) policy input."""
-    onehot, distance = _raycast_rows(state)
-    return observation_matrix(onehot, distance, (state.prey_speed, state.prey_heading / 360.0))
+def observe_all(state: WorldState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every prey's view of its world: (kinds, distances, ego).
 
-
-def observation_matrix(onehot: np.ndarray, distance: np.ndarray, ego: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Pack per-ray (one-hot kind, distance) pairs, then the ego features, one row per prey.
-
-    Takes (..., n_rays, N_HIT_KINDS), (..., n_rays) and the N_EGO_FEATURES
-    arrays (...), and writes them into one new (..., obs_dim) array. Row
-    layout: for each ray, N_HIT_KINDS one-hot entries then its normalized
-    distance (1.0 when nothing was hit); then normalized speed and heading / 360.
+    kinds (W, n_prey, n_rays) is each ray's uint8 hit kind and distances the same
+    shape of normalized hit distances, 1.0 when nothing was hit; ego (W, n_prey,
+    N_EGO_FEATURES) holds the normalized speed and heading / 360.
+    observation_matrix packs them into the policy's dense rows.
     """
-    *lead, n_rays = distance.shape
+    kinds, distances = _raycast_rows(state)
+    return kinds, distances, np.stack((state.prey_speed, state.prey_heading / 360.0), axis=-1)
+
+
+def observation_matrix(kinds: np.ndarray, distances: np.ndarray, ego: np.ndarray) -> np.ndarray:
+    """The policy's dense (..., obs_dim) rows of what observe_all returns, one row per prey.
+
+    Takes kinds and distances (..., n_rays) and ego (..., N_EGO_FEATURES) and
+    writes them into one new array. Row layout: for each ray, N_HIT_KINDS
+    one-hot entries then its distance; then the ego features. This is the only
+    place a dense row is built.
+    """
+    *lead, n_rays = distances.shape
     width = n_rays * (N_HIT_KINDS + 1)
-    out = np.zeros((*lead, width + len(ego)))
+    out = np.empty((*lead, width + ego.shape[-1]))
     per_ray = out[..., :width].reshape(*lead, n_rays, N_HIT_KINDS + 1)  # a view of out
-    per_ray[..., :N_HIT_KINDS] = onehot
-    per_ray[..., N_HIT_KINDS] = distance
-    for k, feature in enumerate(ego):
-        out[..., width + k] = feature
+    per_ray[..., :N_HIT_KINDS] = np.take(_ONE_HOT, kinds, axis=0)
+    per_ray[..., N_HIT_KINDS] = distances
+    out[..., width:] = ego
     return out
-
-
-def pack_observations(kinds: np.ndarray, distances: np.ndarray, ego: np.ndarray) -> np.ndarray:
-    """Dense (..., obs_dim) rows, through observation_matrix, from what split_observations returns."""
-    return observation_matrix(np.take(_ONE_HOT, kinds, axis=0), distances, tuple(np.moveaxis(ego, -1, 0)))
-
-
-def split_observations(obs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The inverse of observation_matrix: (..., obs_dim) rows -> (kinds, distances, ego).
-
-    Returns each ray's hit kind as uint8 (..., n_rays), the distances (..., n_rays) and
-    the N_EGO_FEATURES ego features (..., N_EGO_FEATURES), the floats copied bit for bit;
-    pack_observations packs them back. Refuses with StructuralError an array that is not
-    float64, a width that is not n_rays * (N_HIT_KINDS + 1) + N_EGO_FEATURES with
-    n_rays >= 1, and any row that would not re-pack to the same bits: a ray whose kind
-    cells are not one 1.0 among 0.0s, a -0.0 among them included.
-    """
-    obs = np.asarray(obs)
-    if obs.dtype != np.float64 or obs.ndim == 0:
-        raise StructuralError(f"observations must be float64 rows, got {obs.dtype} of shape {obs.shape}")
-    *lead, width = obs.shape
-    n_rays, rest = divmod(width - N_EGO_FEATURES, N_HIT_KINDS + 1)
-    if n_rays < 1 or rest:
-        raise StructuralError(
-            f"observation width {width} is not n_rays * {N_HIT_KINDS + 1} + {N_EGO_FEATURES} for any n_rays >= 1"
-        )
-    per_ray = obs[..., : width - N_EGO_FEATURES].reshape(*lead, n_rays, N_HIT_KINDS + 1)
-    kinds = per_ray[..., :N_HIT_KINDS].argmax(axis=-1).astype(np.uint8)
-    distances = per_ray[..., N_HIT_KINDS].copy()
-    ego = obs[..., width - N_EGO_FEATURES :].copy()
-    mismatch = pack_observations(kinds, distances, ego).view(np.uint64) != obs.view(np.uint64)
-    if mismatch.any():
-        *row, cell = np.argwhere(mismatch)[0].tolist()
-        raise StructuralError(
-            f"observation row {tuple(row)} does not re-pack: ray {cell // (N_HIT_KINDS + 1)} "
-            f"holds {float(obs[(*row, cell)])!r} in cell {cell}, not one 1.0 among 0.0s"
-        )
-    return kinds, distances, ego

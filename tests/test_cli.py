@@ -319,6 +319,40 @@ class TestBadTrajectoryInput:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "points, message",
+        [
+            ([(1.0, 2.0)], "entity kind 'prey' has 1 sample, too few to derive a bandwidth; pass --bandwidth"),
+            (
+                [(1.5, 2.5)] * 3,
+                "entity kind 'prey' has 3 samples, all at (1.5, 2.5): no spread to derive a bandwidth from; pass --bandwidth",
+            ),
+            (
+                [(1.5, 2.5), (1.6, 2.5)],
+                "entity kind 'prey' samples span x 1.5 to 1.6 and y 2.5 to 2.5: no area to derive an extent from; "
+                "pass --extent",
+            ),
+        ],
+    )
+    def test_samples_that_cannot_give_a_bandwidth_or_extent_exit_2_with_one_line(self, tmp_path, points, message):
+        # neither flag is given: the error names the samples and the flag to pass, with no numpy warning before it
+        traj = tmp_path / "traj.csv"
+        rows = "".join(f"0,{tick},prey,0,{x},{y},90.0,\r\n" for tick, (x, y) in enumerate(points))
+        traj.write_text(TRAJECTORY_HEAD.split("\r\n", 1)[0] + "\r\n" + rows, newline="")
+        proc = run_cli(["heatmap", "--trajectory", str(traj), "-o", str(tmp_path / "out")], tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_one_sample_with_bandwidth_and_extent_is_accepted(self, tmp_path):
+        traj = tmp_path / "traj.csv"
+        traj.write_text(TRAJECTORY_HEAD.split("\r\n", 1)[0] + "\r\n0,0,prey,0,1.0,2.0,90.0,\r\n", newline="")
+        argv = ["heatmap", "--trajectory", str(traj), "--bandwidth", "0.5", "--extent", "-5", "5", "-5", "5"]
+        proc = run_cli([*argv, "--grid", "8", "8", "-o", str(tmp_path / "out")], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout.startswith("1 samples, bandwidth 0.5000, grid 8x8")
+
+    @pytest.mark.parametrize(
         "exc, message",
         [
             (

@@ -24,7 +24,7 @@ from predprey.world import (
     reset_world,
     step,
 )
-from tests_support import copy_net, get_flat, set_flat, traced_peak
+from tests_support import copy_net, get_flat, reference_observation_rows, set_flat, traced_peak
 
 
 def brute_gae(rewards, values, boundaries, bootstrap, gamma, lam):
@@ -300,6 +300,7 @@ class TestCollectRollout:
         hp = PpoHyperparams(batch_size=8, buffer_size=16, time_horizon=16)
         buf = collect_rollout(net, actors, 16, hp, np.random.default_rng(1))
         data, obs = buf.stacked(), buf.observations(np.arange(buf.size))
+        assert np.array_equal(obs, reference_observation_rows(data["kinds"], data["distances"], data["ego"]))
         for i in range(buf.size):
             r = probability_ratio(net, obs[i], int(data["actions"][i]), data["log_prob_old"][i])
             assert r == pytest.approx(1.0, abs=1e-9)
@@ -316,7 +317,7 @@ class TestCollectRollout:
         ref_actors = ActorWorlds.from_state(reset(cfg, seeds))
         ref_rng, ref_seed = np.random.default_rng(4), counting_episode_seeds(7)
         sweeps = [reference_sweep(net, ref_actors, 16, hp, ref_rng, ref_seed) for _ in range(2)]
-        got = dense_columns(buf)
+        got = buf.stacked()
         assert buf.size == 2 * 3 * 2 * 16
         assert all(len(returns) == 2 * 5 for returns in actors.completed_episode_returns)  # 5 resets per world
         for key in RolloutBuffer.FIELDS:
@@ -324,22 +325,20 @@ class TestCollectRollout:
 
 
 def world_rows(rng, n, n_rays=11):
-    """n observations packed as the world packs them: a random hit kind and distance per ray, then speed and heading."""
-    kinds = rng.integers(0, N_HIT_KINDS, (n, n_rays))
-    ego = (rng.integers(0, 2, n).astype(np.float64), rng.random(n))
-    return observation_matrix(kinds[..., None] == np.arange(N_HIT_KINDS), rng.random((n, n_rays)), ego)
-
-
-def dense_columns(buf):
-    """The buffer's filled rows under the chunk's FIELDS, observations packed dense again."""
-    data = buf.stacked()
-    return {f: buf.observations(np.arange(buf.size)) if f == "obs" else data[f] for f in RolloutBuffer.FIELDS}
+    """n observations as the world hands them out: (kinds, distances, ego), a random uint8 hit kind and a distance
+    per ray, then speed and heading."""
+    kinds = rng.integers(0, N_HIT_KINDS, (n, n_rays)).astype(np.uint8)
+    ego = np.stack((rng.integers(0, 2, n).astype(np.float64), rng.random(n)), axis=-1)
+    return kinds, rng.random((n, n_rays)), ego
 
 
 def random_chunk(rng, n=384, n_rays=11, n_actions=6):
     """One sweep's chunk of random transitions, 384 rows by default: one world of 6 prey over 64 ticks."""
+    kinds, distances, ego = world_rows(rng, n, n_rays)
     return dict(
-        obs=world_rows(rng, n, n_rays),
+        kinds=kinds,
+        distances=distances,
+        ego=ego,
         actions=rng.integers(0, n_actions, n),
         log_prob_old=np.full(n, -np.log(n_actions)),
         values=rng.normal(size=n),
@@ -365,11 +364,9 @@ class TestRolloutBufferInPlace:
         data, peak = traced_peak(buf.stacked)
         assert peak < 64 * 1024  # a copy of the buffer is 1.6 MB
         again = buf.stacked()
-        for key in RolloutBuffer.COLUMNS:
-            assert np.shares_memory(data[key], again[key]), key
-        dense = dense_columns(buf)
         for key in RolloutBuffer.FIELDS:
-            assert np.array_equal(dense[key], np.concatenate([c[key] for c in chunks])), key
+            assert np.shares_memory(data[key], again[key]), key
+            assert np.array_equal(data[key], np.concatenate([c[key] for c in chunks])), key
 
     def test_second_cycle_reuses_the_same_columns(self):
         rng = np.random.default_rng(2)
@@ -382,11 +379,10 @@ class TestRolloutBufferInPlace:
         while not buf.is_full():
             chunks.append(random_chunk(rng))
             buf.append_chunk(**chunks[-1])
-        second, dense = buf.stacked(), dense_columns(buf)
-        for key in RolloutBuffer.COLUMNS:
-            assert np.shares_memory(first[key], second[key]), key
+        second = buf.stacked()
         for key in RolloutBuffer.FIELDS:
-            assert np.array_equal(dense[key], np.concatenate([c[key] for c in chunks])), key
+            assert np.shares_memory(first[key], second[key]), key
+            assert np.array_equal(second[key], np.concatenate([c[key] for c in chunks])), key
 
     @pytest.mark.parametrize("rows", [383, 385, 768])
     def test_chunk_of_another_length_is_refused(self, rows):
@@ -416,32 +412,38 @@ class TestRolloutBufferInPlace:
     @pytest.mark.parametrize(
         "defect, match",
         [
-            ("two hot kinds", r"row \(5,\)"),
-            ("half cell", r"row \(5,\)"),
-            ("width 80", "width 80"),
-            ("12 rays", r"chunk kinds rows are \(12,\), this buffer's are \(11,\)"),
+            ("dense obs", "chunk must provide exactly"),
+            ("short distances", "chunk arrays have mismatched lengths"),
+            ("12-ray kinds", r"chunk kinds rows are \(12,\), this buffer's are \(11,\)"),
+            ("12-ray distances", r"chunk distances rows are \(12,\), this buffer's are \(11,\)"),
+            ("3 ego features", r"chunk ego rows are \(3,\), this buffer's are \(2,\)"),
         ],
     )
-    def test_observations_that_do_not_split_are_refused(self, defect, match):
+    def test_chunk_of_other_fields_or_row_shapes_is_refused(self, defect, match):
         rng = np.random.default_rng(7)
         buf = RolloutBuffer(PpoHyperparams().buffer_size)
         buf.append_chunk(**random_chunk(rng))
         chunk = random_chunk(rng)
-        per_ray = chunk["obs"][:, :77].reshape(384, 11, 7)  # a view of the chunk's rows
-        if defect == "two hot kinds":
-            per_ray[5, 2, :N_HIT_KINDS] = [1.0, 1.0, 0.0, 0.0, 0.0, 0.0]
-        elif defect == "half cell":
-            per_ray[5, 2, :N_HIT_KINDS] = [0.0, 0.5, 0.0, 0.0, 0.0, 0.0]
-        elif defect == "width 80":
-            chunk["obs"] = np.concatenate([chunk["obs"], np.zeros((384, 1))], axis=1)
+        if defect == "dense obs":
+            chunk["obs"] = observation_matrix(chunk.pop("kinds"), chunk.pop("distances"), chunk.pop("ego"))
+        elif defect == "short distances":
+            chunk["distances"] = chunk["distances"][:-1]
+        elif defect == "12-ray kinds":
+            chunk["kinds"] = random_chunk(rng, n_rays=12)["kinds"]
+        elif defect == "12-ray distances":
+            chunk["distances"] = random_chunk(rng, n_rays=12)["distances"]
         else:
-            chunk["obs"] = world_rows(rng, 384, n_rays=12)  # rows that split, but not into this buffer's columns
+            chunk["ego"] = np.concatenate([chunk["ego"], np.zeros((384, 1))], axis=1)
         with pytest.raises(StructuralError, match=match):
             buf.append_chunk(**chunk)
         assert buf.size == 384
         good = random_chunk(rng)
         buf.append_chunk(**good)  # the refused chunk left no row behind
-        assert np.array_equal(buf.observations(np.arange(384, 768)), good["obs"])
+        data = buf.stacked()
+        for key in RolloutBuffer.FIELDS:
+            assert np.array_equal(data[key][384:], good[key]), key
+        dense = reference_observation_rows(good["kinds"], good["distances"], good["ego"])
+        assert np.array_equal(buf.observations(np.arange(384, 768)), dense)
 
     def test_append_to_a_full_buffer_is_refused(self):
         rng = np.random.default_rng(5)
@@ -464,12 +466,13 @@ def counting_episode_seeds(base):
 def reference_sweep(net, actors, T, hp, rng, episode_seed):
     """One sweep laid out stream by stream: time-major arrays and one GAE call per (world, prey)."""
     state = actors.state
-    n_worlds, n_prey, _ = actors.obs.shape
+    n_worlds, n_prey = state.prey_heading.shape
     u = rng.random((n_worlds, T, n_prey))
-    seq = {k: [] for k in ("obs", "actions", "log_prob_old", "values", "rewards", "boundaries")}
+    observed = ("kinds", "distances", "ego")
+    seq = {k: [] for k in (*observed, "actions", "log_prob_old", "values", "rewards", "boundaries")}
     for t in range(T):
-        actions, logp, values = sample_actions(net, actors.obs, u[:, t])
-        for key, x in (("obs", actors.obs), ("actions", actions), ("log_prob_old", logp), ("values", values)):
+        actions, logp, values = sample_actions(net, reference_observation_rows(*actors.obs), u[:, t])
+        for key, x in (*zip(observed, actors.obs), ("actions", actions), ("log_prob_old", logp), ("values", values)):
             seq[key].append(np.array(x))
         _, rewards, actors.obs, _ = step(state, actions)
         ended = state.tick >= state.config.episode_length
@@ -480,7 +483,7 @@ def reference_sweep(net, actors, T, hp, rng, episode_seed):
         seq["rewards"].append(np.array(rewards))
         seq["boundaries"].append(np.repeat(ended[:, None], n_prey, axis=1))
     seq = {k: np.stack(v) for k, v in seq.items()}  # (T, W, n_prey, ...)
-    _, bootstrap = forward(net, actors.obs)
+    _, bootstrap = forward(net, reference_observation_rows(*actors.obs))
     rows = {k: [] for k in RolloutBuffer.FIELDS}
     for w in range(n_worlds):
         for i in range(n_prey):
@@ -488,7 +491,7 @@ def reference_sweep(net, actors, T, hp, rng, episode_seed):
                 seq["rewards"][:, w, i], seq["values"][:, w, i], seq["boundaries"][:, w, i],
                 float(bootstrap[w, i]), hp.gamma, hp.gae_lambda,
             )
-            for key in ("obs", "actions", "log_prob_old", "values"):
+            for key in (*observed, "actions", "log_prob_old", "values"):
                 rows[key].append(seq[key][:, w, i])
             rows["advantages"].append(est.advantages)
             rows["returns"].append(est.returns)
@@ -501,14 +504,16 @@ def synthetic_buffer(net, n, obs_dim, rng, adv_scale=1.0, perturb=0.0):
     if perturb:
         flat = get_flat(behaviour)
         set_flat(behaviour, flat + perturb * rng.normal(size=flat.shape))
-    obs = world_rows(rng, n, n_rays=(obs_dim - 2) // (N_HIT_KINDS + 1))
-    logits, values = forward(behaviour, obs)
+    kinds, distances, ego = world_rows(rng, n, n_rays=(obs_dim - 2) // (N_HIT_KINDS + 1))
+    logits, values = forward(behaviour, observation_matrix(kinds, distances, ego))
     logp = log_softmax(logits)
     actions = np.array([rng.integers(0, logits.shape[1]) for _ in range(n)])
     lp_old = logp[np.arange(n), actions]
     buf = RolloutBuffer(n)
     buf.append_chunk(
-        obs=obs,
+        kinds=kinds,
+        distances=distances,
+        ego=ego,
         actions=actions,
         log_prob_old=lp_old,
         values=values,
@@ -654,9 +659,11 @@ class TestPpoUpdate:
         hp = PpoHyperparams(
             batch_size=32, buffer_size=64, time_horizon=64, gamma=0.99, gae_lambda=0.95
         )
-        obs1 = world_rows(np.random.default_rng(99), 1, n_rays=1)[0]
+        seen1 = world_rows(np.random.default_rng(99), 1, n_rays=1)
+        obs1 = observation_matrix(*seen1)[0]
         for _ in range(200):
-            obs = np.tile(obs1, (64, 1))
+            kinds, distances, ego = (np.tile(x, (64, 1)) for x in seen1)
+            obs = observation_matrix(kinds, distances, ego)
             logits, values = forward(net, obs)
             logp = log_softmax(logits)
             u = rng.random(64)
@@ -673,7 +680,8 @@ class TestPpoUpdate:
                 adv[i], rets[i] = est.advantages[0], est.returns[0]
             buf = RolloutBuffer(64)
             buf.append_chunk(
-                obs=obs, actions=actions, log_prob_old=lp_old, values=values, advantages=adv, returns=rets,
+                kinds=kinds, distances=distances, ego=ego,
+                actions=actions, log_prob_old=lp_old, values=values, advantages=adv, returns=rets,
             )
             ppo_update(net, adam, buf, hp, lr=0.01, rng=rng)
         logits, _ = forward(net, obs1)

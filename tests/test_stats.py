@@ -27,7 +27,7 @@ from predprey.stats import (
 from predprey.ppo import sample_actions
 from predprey.seeding import derive_seed
 from predprey.trajectory import CSV_HEADER, TrajectoryTable
-from predprey.world import EVENT_CAUGHT, EVENT_NEGATIVE, EVENT_POSITIVE, WorldConfig, observe_all, reset, step
+from predprey.world import EVENT_CAUGHT, EVENT_NEGATIVE, EVENT_POSITIVE, WorldConfig, observation_matrix, observe_all, reset, step
 from tests_support import HalfWrite, full_erf_kde_grid, one_world_rows
 
 
@@ -267,7 +267,7 @@ def one_run_oracle(net, cfg, seed, run, duration, greedy) -> tuple[RunRecord, st
     rows = []
     for tick in range(duration):
         u = None if greedy else rng.random(cfg.n_prey)[None]
-        actions, _, _ = sample_actions(net, obs, u)
+        actions, _, _ = sample_actions(net, observation_matrix(*obs), u)
         state, _, obs, events = step(state, actions)
         for ev in events:
             counts[ev.kind] += 1
@@ -298,7 +298,7 @@ class TestRunRecordConsistency:
         import math as m
 
         from predprey.ppo import sample_actions
-        from predprey.world import observe_all, reset, step
+        from predprey.world import observation_matrix, observe_all, reset, step
 
         cfg = eval_world()
         net = init_net(cfg.obs_dim, 6, hidden_units=16, num_layers=1, seed=1)
@@ -308,7 +308,8 @@ class TestRunRecordConsistency:
         rewards_all = []
         counts = {"positive_collected": 0, "negative_collected": 0, "prey_caught": 0}
         for _ in range(300):
-            actions, _, _ = sample_actions(net, obs, rng.random(obs.shape[:-1]))
+            dense = observation_matrix(*obs)
+            actions, _, _ = sample_actions(net, dense, rng.random(dense.shape[:-1]))
             state, rewards, obs, events = step(state, actions)
             rewards_all.extend(map(float, rewards[0]))
             for e in events:

@@ -42,11 +42,16 @@ def test_traced_cli_train_and_eval_reach_every_benchmark_span(tmp_path):
     metrics = tracing.layer_metrics(tracer)
     spans = (
         "world.step",
+        "world.observe_all",
+        "world.observation_matrix",
         "net.forward",
         "net.backward",
         "net.adam_step",
         "net.save_checkpoint",
         "net.load_checkpoint",
+        "ppo.collect_rollout",
+        "ppo.sample_actions",
+        "ppo.compute_gae",
         "ppo.RolloutBuffer.append_chunk",
         "ppo.RolloutBuffer.stacked",
         "ppo.ppo_update",

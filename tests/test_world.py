@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 import predprey.world as world_module
-from predprey.errors import ConfigError, ContractViolation, InputError, StructuralError
+from predprey.errors import ConfigError, ContractViolation, InputError
 from tests_support import (
     bodies,
     branch_sizes,
     brute_force_can_see,
     make_state,
+    reference_observation_rows,
     respawn_position,
     sample_free_position,
     stack_worlds,
@@ -34,21 +35,19 @@ from predprey.world import (
     _raycast_rows,
     observation_matrix,
     observe_all,
-    pack_observations,
     predator_step,
     prey_action_space,
     reset,
     reset_world,
-    split_observations,
     step,
     visible_prey,
 )
 
 
 def rays(state, prey):
-    """One prey's (hit one-hot, normalized distance) per ray, from the batched ray cast of world 0."""
-    onehot, distance = _raycast_rows(state)
-    return onehot[0, prey], distance[0, prey]
+    """One prey's (hit kind, normalized distance) per ray, from the batched ray cast of world 0."""
+    kinds, distance = _raycast_rows(state)
+    return kinds[0, prey], distance[0, prey]
 
 
 def inside_barrier(pos, cfg) -> bool:
@@ -428,9 +427,9 @@ class TestRayCast:
     def test_empty_arena_rays_hit_walls(self):
         cfg = WorldConfig(predator_present=False, barrier_layout=())
         state = make_state(cfg, prey_specs=[((0.0, 0.0), 0.0)])
-        onehot, distance = rays(state, 0)
+        kinds, distance = rays(state, 0)
         # centered prey: wall is within ray length in every fan direction
-        assert np.all(onehot[:, HIT_WALL] == 1.0)
+        assert np.all(kinds == HIT_WALL)
         forward_i = cfg.n_rays // 2
         assert distance[forward_i] == pytest.approx(cfg.half_side / cfg.ray_length)
 
@@ -442,9 +441,9 @@ class TestRayCast:
             prey_specs=[((-3.0, 0.0), 0.0)],
             points=[((-3.0 + dist, 0.0), "positive")],
         )
-        onehot, distance = rays(state, 0)
+        kinds, distance = rays(state, 0)
         forward_i = cfg.n_rays // 2
-        assert onehot[forward_i, HIT_POSITIVE] == 1.0
+        assert kinds[forward_i] == HIT_POSITIVE
         expected = (dist - cfg.point_radius) / cfg.ray_length
         assert distance[forward_i] == pytest.approx(expected, abs=1e-12)
         assert abs(distance[forward_i] - 0.5) < 0.05
@@ -457,9 +456,9 @@ class TestRayCast:
             prey_specs=[((x0 - 1.0, 0.0), 0.0)],
             points=[((x1 + 1.0, 0.0), "positive")],
         )
-        onehot, distance = rays(state, 0)
+        kinds, distance = rays(state, 0)
         forward_i = cfg.n_rays // 2
-        assert onehot[forward_i, HIT_WALL] == 1.0
+        assert kinds[forward_i] == HIT_WALL
         assert distance[forward_i] == pytest.approx(1.0 / cfg.ray_length, abs=1e-9)
 
     def test_sees_predator_and_other_prey(self):
@@ -469,34 +468,34 @@ class TestRayCast:
             prey_specs=[((0.0, 0.0), 0.0), ((2.0, 0.0), 0.0)],
             predator_spec=((0.0, 3.0), 0.0),
         )
-        onehot, _ = rays(state, 0)
+        kinds, _ = rays(state, 0)
         forward_i = cfg.n_rays // 2
-        assert onehot[forward_i, HIT_PREY] == 1.0
+        assert kinds[forward_i] == HIT_PREY
         up_i = np.argmin(np.abs(np.linspace(-70, 70, cfg.n_rays) - 70))
         # ray 70 degrees off heading 0 does not point straight up; rotate prey
         state.prey_heading[0, 0] = 20.0
-        onehot, _ = rays(state, 0)
-        assert onehot[up_i, HIT_PREDATOR] == 1.0
+        kinds, _ = rays(state, 0)
+        assert kinds[up_i] == HIT_PREDATOR
 
     def test_nothing_beyond_ray_length(self):
         cfg = WorldConfig(
             predator_present=False, barrier_layout=(), arena_side=40.0, ray_length=5.0
         )
         state = make_state(cfg, prey_specs=[((0.0, 0.0), 0.0)])
-        onehot, distance = rays(state, 0)
-        assert np.all(onehot[:, HIT_NOTHING] == 1.0)
+        kinds, distance = rays(state, 0)
+        assert np.all(kinds == HIT_NOTHING)
         assert np.all(distance == 1.0)
 
     def test_vector_layout(self):
         cfg = WorldConfig()
         state = reset(cfg, 2)
-        obs = observe_all(state)
+        obs = observation_matrix(*observe_all(state))
         assert obs.shape == (1, cfg.n_prey, cfg.obs_dim)
         assert obs[0, 0, -1] == pytest.approx(state.prey_heading[0, 0] / 360.0)
         # each ray contributes its one-hot kind followed by its distance
-        onehot, distance = _raycast_rows(state)
+        kinds, distance = _raycast_rows(state)
         per_ray = obs[..., : cfg.n_rays * (N_HIT_KINDS + 1)].reshape(1, cfg.n_prey, cfg.n_rays, N_HIT_KINDS + 1)
-        assert np.array_equal(per_ray[..., :N_HIT_KINDS], onehot)
+        assert np.array_equal(per_ray[..., :N_HIT_KINDS], kinds[..., None] == np.arange(N_HIT_KINDS))
         assert np.array_equal(per_ray[..., N_HIT_KINDS], distance)
 
     def test_matches_analytic_circle_oracle(self):
@@ -507,10 +506,10 @@ class TestRayCast:
         batch = stack_worlds(
             [make_state(cfg, prey_specs=[((-4.0, 0.0), 0.0)], points=[((-4.0 + d, 0.0), "negative")]) for d in dists]
         )
-        onehot, distance = _raycast_rows(batch)
+        kinds, distance = _raycast_rows(batch)
         fi = cfg.n_rays // 2
         for w, d in enumerate(dists):
-            assert onehot[w, 0, fi, HIT_NEGATIVE] == 1.0
+            assert kinds[w, 0, fi] == HIT_NEGATIVE
             assert distance[w, 0, fi] == pytest.approx((d - cfg.point_radius) / cfg.ray_length, abs=1e-10)
 
 
@@ -521,8 +520,8 @@ class TestRayCast:
         fi = cfg.n_rays // 2
         # strictly inside the barrier's y band: blocked at its near face; level with a face: grazes past it
         for y, hit_at in ((0.0, x0), (y1 - 0.01, x0), (y1, cfg.half_side), (y0, cfg.half_side), (y1 + 0.01, cfg.half_side)):
-            onehot, distance = rays(make_state(cfg, prey_specs=[((0.0, y), 0.0)]), 0)
-            assert onehot[fi, HIT_WALL] == 1.0
+            kinds, distance = rays(make_state(cfg, prey_specs=[((0.0, y), 0.0)]), 0)
+            assert kinds[fi] == HIT_WALL
             assert distance[fi] == hit_at / cfg.ray_length
 
     def test_ray_origin_on_inflated_barrier_face(self):
@@ -536,19 +535,19 @@ class TestRayCast:
             ((((x0 + x1) / 2.0, y1 + r), 270.0), (y1 + r) - y1),  # top face, looking -y
         ]
         for spec, t in cases:
-            onehot, distance = rays(make_state(cfg, prey_specs=[spec]), 0)
-            assert onehot[fi, HIT_WALL] == 1.0
+            kinds, distance = rays(make_state(cfg, prey_specs=[spec]), 0)
+            assert kinds[fi] == HIT_WALL
             assert distance[fi] == t / cfg.ray_length
         # along the inflated top face, looking +x: the ray passes one radius above the barrier
-        onehot, distance = rays(make_state(cfg, prey_specs=[((0.0, y1 + r), 0.0)]), 0)
+        kinds, distance = rays(make_state(cfg, prey_specs=[((0.0, y1 + r), 0.0)]), 0)
         assert distance[fi] == cfg.half_side / cfg.ray_length
 
     def test_prey_inside_a_point_sees_it_at_distance_zero(self):
         cfg = WorldConfig(predator_present=False, barrier_layout=())
         for polarity, kind in (("positive", HIT_POSITIVE), ("negative", HIT_NEGATIVE)):
             points = [((3.0, 3.0), "negative"), ((1.1, 1.05), polarity)]  # the second holds the prey's center
-            onehot, distance = rays(make_state(cfg, prey_specs=[((1.0, 1.0), 30.0)], points=points), 0)
-            assert np.all(onehot[:, kind] == 1.0)
+            kinds, distance = rays(make_state(cfg, prey_specs=[((1.0, 1.0), 30.0)], points=points), 0)
+            assert np.all(kinds == kind)
             assert np.all(distance == 0.0)
 
     def test_states_of_different_configs_keep_their_own_constants(self):
@@ -564,39 +563,37 @@ class TestRayCast:
             points=[((-4.0, 2.0), "positive"), ((3.0, 3.0), "negative")],
         )
         b = make_state(cfg_b, prey_specs=[((-4.0, 0.0), 0.0), ((-4.0, -3.0), 90.0)], points=[((-4.0, -1.0), "positive")])
-        first_a = observe_all(a)
-        obs_b = observe_all(b)
-        assert np.array_equal(observe_all(a), first_a)
+        first_a = observation_matrix(*observe_all(a))
+        obs_b = observation_matrix(*observe_all(b))
+        assert np.array_equal(observation_matrix(*observe_all(a)), first_a)
         assert first_a.shape == (1, 1, cfg_a.obs_dim) and obs_b.shape == (1, 2, cfg_b.obs_dim)
-        onehot, distance = rays(a, 0)
-        assert onehot[cfg_a.n_rays // 2, HIT_PREDATOR] == 1.0
+        kinds, distance = rays(a, 0)
+        assert kinds[cfg_a.n_rays // 2] == HIT_PREDATOR
         assert distance[cfg_a.n_rays // 2] == pytest.approx((3.0 - cfg_a.predator_radius) / cfg_a.ray_length, abs=1e-12)
-        onehot, distance = rays(b, 0)
-        assert onehot[2, HIT_WALL] == 1.0 and distance[2] == 5.0 / cfg_b.ray_length
-        onehot, distance = rays(b, 1)
-        assert onehot[2, HIT_POSITIVE] == 1.0
+        kinds, distance = rays(b, 0)
+        assert kinds[2] == HIT_WALL and distance[2] == 5.0 / cfg_b.ray_length
+        kinds, distance = rays(b, 1)
+        assert kinds[2] == HIT_POSITIVE
         assert distance[2] == pytest.approx((2.0 - cfg_b.point_radius) / cfg_b.ray_length, abs=1e-12)
 
 
 class TestObservationFormat:
-    """split_observations undoes observation_matrix bit for bit and refuses rows it would not re-pack."""
+    """observe_all hands out each ray's kind and distance and the ego features; observation_matrix packs them
+    as the reference encoder does (its property test is in test_world_properties.py)."""
 
     @staticmethod
-    def check_round_trip(state):
-        obs = observe_all(state)
-        kinds, distances, ego = split_observations(obs)
-        onehot, distance = _raycast_rows(state)
-        assert kinds.dtype == np.uint8 and kinds.shape == distances.shape == distance.shape
-        assert np.array_equal(kinds[..., None] == np.arange(N_HIT_KINDS), onehot)
+    def check_observation(state):
+        kinds, distances, ego = observe_all(state)
+        kind, distance = _raycast_rows(state)
+        assert kinds.dtype == np.uint8 and np.array_equal(kinds, kind)
         assert np.array_equal(distances.view(np.uint64), distance.view(np.uint64))
         assert np.array_equal(ego[..., 0].view(np.uint64), state.prey_speed.view(np.uint64))
         assert np.array_equal(ego[..., 1].view(np.uint64), (state.prey_heading / 360.0).view(np.uint64))
-        packed = observation_matrix(onehot, distances, tuple(np.moveaxis(ego, -1, 0)))
-        assert np.array_equal(packed.view(np.uint64), obs.view(np.uint64))
-        assert np.array_equal(pack_observations(kinds, distances, ego).view(np.uint64), obs.view(np.uint64))
+        packed = observation_matrix(kinds, distances, ego)
+        assert np.array_equal(packed.view(np.uint64), reference_observation_rows(kinds, distances, ego).view(np.uint64))
         return kinds, distances
 
-    def test_one_world_without_predator_round_trips(self):
+    def test_one_world_without_predator_packs_as_the_reference(self):
         cfg = WorldConfig(predator_present=False, barrier_layout=())
         state = make_state(
             cfg,
@@ -604,52 +601,21 @@ class TestObservationFormat:
             points=[((1.1, 1.05), "positive"), ((0.0, 4.0), "negative")],  # the first holds prey 0's center
         )
         state.prey_speed[0, 2] = 1.0
-        kinds, distances = self.check_round_trip(state)
+        kinds, distances = self.check_observation(state)
         assert np.all(kinds[0, 0] == HIT_POSITIVE) and np.all(distances[0, 0] == 0.0)  # rays from inside a point
         assert (kinds[0, 1] == HIT_NOTHING).any()  # the corner prey looks down the diagonal, longer than a ray
 
-    def test_fifty_worlds_with_predator_round_trip(self):
+    def test_fifty_worlds_with_predator_pack_as_the_reference(self):
         cfg = WorldConfig()
         state = reset(cfg, list(range(50)))
         rng = np.random.default_rng(18)
         for _ in range(10):
             step(state, rng.integers(0, 6, (50, cfg.n_prey)))
         state.prey_pos[0, 0] = state.predator.position[0]  # rays from inside the predator
-        kinds, distances = self.check_round_trip(state)
+        kinds, distances = self.check_observation(state)
         assert np.all(kinds[0, 0] == HIT_PREDATOR) and np.all(distances[0, 0] == 0.0)
         assert (kinds == HIT_NOTHING).any()
         assert set(np.unique(kinds).tolist()) == set(range(N_HIT_KINDS))
-
-    @pytest.mark.parametrize(
-        "defect, match",
-        [
-            ("two hot kinds", r"row \(1, 2\) does not re-pack: ray 3 holds 1.0"),
-            ("half cell", r"row \(1, 2\) does not re-pack: ray 3 holds 0.5"),
-            ("negative zero", r"row \(1, 2\) does not re-pack: ray 3 holds -0.0"),
-            ("width 78", "width 78 is not"),
-            ("width 2", "width 2 is not"),
-            ("float32", "must be float64"),
-        ],
-    )
-    def test_rows_that_do_not_re_pack_are_refused(self, defect, match):
-        obs = observe_all(reset(WorldConfig(), [4, 5]))
-        per_ray = obs[..., :77].reshape(2, 6, 11, 7)  # a view of obs
-        hot = int(per_ray[1, 2, 3, :N_HIT_KINDS].argmax())
-        cold = (hot + 1) % N_HIT_KINDS
-        if defect == "two hot kinds":
-            per_ray[1, 2, 3, cold] = 1.0
-        elif defect == "half cell":
-            per_ray[1, 2, 3, hot] = 0.5
-        elif defect == "negative zero":
-            per_ray[1, 2, 3, cold] = -0.0
-        elif defect == "width 78":
-            obs = obs[..., 1:]
-        elif defect == "width 2":
-            obs = obs[..., -2:]
-        else:
-            obs = obs.astype(np.float32)
-        with pytest.raises(StructuralError, match=match):
-            split_observations(obs)
 
 
 class TestPredatorVision:
@@ -776,10 +742,10 @@ class TestEgoFeatures:
         cfg = WorldConfig(predator_present=False)
         state = make_state(cfg, prey_specs=[((0.0, 0.0), 0.0)])
         space = prey_action_space()
-        _, _, obs, _ = step(state, [[space.encode(1, 0)]])
-        assert obs[0, 0, -2] == 1.0  # ego features close the row: speed, then heading
-        _, _, obs, _ = step(state, [[space.encode(0, 0)]])
-        assert obs[0, 0, -2] == 0.0
+        _, _, (_, _, ego), _ = step(state, [[space.encode(1, 0)]])
+        assert ego[0, 0, 0] == 1.0  # the ego features: speed, then heading
+        _, _, (_, _, ego), _ = step(state, [[space.encode(0, 0)]])
+        assert ego[0, 0, 0] == 0.0
 
 
 def random_world(cfg, rng, seed):
@@ -817,6 +783,11 @@ def random_world(cfg, rng, seed):
     return state
 
 
+def same_observation(obs, world, one_world_obs) -> bool:
+    """Whether world `world` of a W-world step's (kinds, distances, ego) equals a one-world step's, bit for bit."""
+    return all(a[world].dtype == b.dtype and a[world].tobytes() == b[0].tobytes() for a, b in zip(obs, one_world_obs))
+
+
 def event_tuples(events):
     return [(e.tick, e.kind, e.prey_id) for e in events]
 
@@ -849,7 +820,7 @@ class TestBatchedWorlds:
             for w, single in enumerate(singles):
                 _, rewards_w, obs_w, events_w = step(single, actions[w : w + 1])
                 assert np.array_equal(rewards[w], rewards_w[0])
-                assert np.array_equal(obs[w], obs_w[0])
+                assert same_observation(obs, w, obs_w)
                 assert event_tuples(e for e in events if e.world == w) == event_tuples(events_w)
                 assert np.array_equal(batch.prey_pos[w], single.prey_pos[0])
                 assert np.array_equal(batch.prey_heading[w], single.prey_heading[0])
@@ -870,7 +841,7 @@ class TestBatchedWorlds:
             _, _, obs, events = step(batch, actions)
             for w, single in enumerate(singles):
                 _, _, obs_w, events_w = step(single, actions[w : w + 1])
-                assert np.array_equal(obs[w], obs_w[0])
+                assert same_observation(obs, w, obs_w)
                 assert event_tuples(e for e in events if e.world == w) == event_tuples(events_w)
         for w, single in enumerate(singles):
             assert state_digest(batch, w) == state_digest(single)

@@ -1,5 +1,6 @@
-"""Property tests: world invariants under random barrier layouts, seeds and actions, and the fast paths of
-the ray-vs-circle pass, of body sliding and of batched placement against their plain forms."""
+"""Property tests: world invariants under random barrier layouts, seeds and actions, the dense observation
+rows against the reference encoder, and the fast paths of the ray-vs-circle pass, of body sliding and of
+batched placement against their plain forms."""
 
 from dataclasses import fields
 from unittest import mock
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from tests_support import bodies, brute_force_can_see, reset_one_by_one, slide_per_body
+from tests_support import bodies, brute_force_can_see, reference_observation_rows, reset_one_by_one, slide_per_body
 
 import predprey.world as world
 from predprey.errors import ConfigError
@@ -23,6 +24,8 @@ from predprey.world import (
     REWARD_NEGATIVE,
     REWARD_POSITIVE,
     WorldConfig,
+    observation_matrix,
+    observe_all,
     reset,
     step,
     visible_prey,
@@ -67,8 +70,9 @@ def test_world_invariants(layout, seed, predator):
     assert (state.point_positive.sum(axis=1) == cfg.n_positive_points).all()
     limit = cfg.half_side
     for tick, joint in enumerate(actions):
-        state, rewards, obs, events = step(state, joint)
-        assert obs.shape == (n_worlds, cfg.n_prey, cfg.obs_dim)
+        state, rewards, (kinds, distances, ego), events = step(state, joint)
+        assert kinds.shape == distances.shape == (n_worlds, cfg.n_prey, cfg.n_rays)
+        assert ego.shape == (n_worlds, cfg.n_prey, 2)
         assert state.point_pos.shape == (n_worlds, cfg.n_positive_points + cfg.n_negative_points, 2)
         assert (state.point_positive.sum(axis=1) == cfg.n_positive_points).all()
 
@@ -86,6 +90,29 @@ def test_world_invariants(layout, seed, predator):
             if predator:
                 for i in range(cfg.n_prey):
                     assert seen[w, i] == brute_force_can_see(state, i, world=w), (tick, w, i)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_rays=st.integers(1, 13),
+    fov=st.sampled_from([0.0, 140.0, 360.0]),
+    layout=st.sampled_from([(), DEFAULT_BARRIERS]),
+    predator=st.booleans(),
+    n_worlds=st.sampled_from([1, 7, 50]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_observation_rows_match_the_reference_encoder_bit_for_bit(n_rays, fov, layout, predator, n_worlds, seed):
+    cfg = WorldConfig(n_rays=n_rays, ray_fov_degrees=fov, barrier_layout=layout, predator_present=predator)
+    state = reset(cfg, [seed + w for w in range(n_worlds)])
+    rng = np.random.default_rng(seed)
+    for _ in range(3):  # moves and turns give both speeds and headings off the reset draw
+        _, _, obs, _ = step(state, rng.integers(0, 6, size=(n_worlds, cfg.n_prey)))
+    kinds, distances, ego = observe_all(state)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(obs, (kinds, distances, ego)))  # step returns observe_all's view
+    assert kinds.dtype == np.uint8 and kinds.shape == distances.shape == (n_worlds, cfg.n_prey, n_rays)
+    dense = observation_matrix(kinds, distances, ego)
+    assert dense.shape == (n_worlds, cfg.n_prey, cfg.obs_dim)
+    assert np.array_equal(dense.view(np.uint64), reference_observation_rows(kinds, distances, ego).view(np.uint64))
 
 
 @st.composite
@@ -158,11 +185,11 @@ def test_culled_ray_pass_matches_dense_pass_bit_for_bit(state):
         # a near-zero fan leaves direction components that overflow the slab divisions to inf, as a zero one does
         with mock.patch.object(world, "_DENSE_TRIPLES", limit), np.errstate(invalid="ignore", over="ignore"):
             results.append((world._nearest_circles(state, np.cos(rad), np.sin(rad)), world._raycast_rows(state)))
-    ((t_dense, kind_dense), (onehot_dense, dist_dense)), ((t_culled, kind_culled), (onehot_culled, dist_culled)) = results
+    ((t_dense, kind_dense), (kinds_dense, dist_dense)), ((t_culled, kind_culled), (kinds_culled, dist_culled)) = results
     assert t_culled.tobytes() == t_dense.tobytes()
     hit = np.isfinite(t_dense)  # a ray that misses every circle has no kind
     assert np.array_equal(kind_culled[hit], kind_dense[hit])
-    assert np.array_equal(onehot_culled, onehot_dense)
+    assert np.array_equal(kinds_culled, kinds_dense)
     assert dist_culled.tobytes() == dist_dense.tobytes()
 
 

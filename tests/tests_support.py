@@ -1,6 +1,6 @@
 """Shared helpers: hand-placed world states, world stacking, world digests, flat net parameters, the
-independent placement, vision, body-sliding, trajectory-writer, trajectory-reader, KDE and row-CSV-writer
-oracles, a failing file, and a peak-allocation probe."""
+independent placement, vision, body-sliding, observation-encoder, trajectory-writer, trajectory-reader, KDE
+and row-CSV-writer oracles, a failing file, and a peak-allocation probe."""
 
 import copy
 import csv
@@ -17,7 +17,15 @@ from predprey.errors import ConfigError, StructuralError
 from predprey.net import DenseNet
 from predprey.stats import cohens_d, one_way_anova, task_efficiency
 from predprey.trajectory import CSV_HEADER, TrajectoryTable
-from predprey.world import _PLACEMENT_ATTEMPTS, ActionSpace, PredatorState, WorldConfig, WorldState, _circles
+from predprey.world import (
+    _PLACEMENT_ATTEMPTS,
+    N_HIT_KINDS,
+    ActionSpace,
+    PredatorState,
+    WorldConfig,
+    WorldState,
+    _circles,
+)
 
 
 def state_digest(state: WorldState, world: int = 0) -> str:
@@ -246,6 +254,24 @@ def slide_per_body(pos: np.ndarray, dx: np.ndarray, dy: np.ndarray, radius: floa
             elif lo < y < hi:
                 ty = lo if (y - lo) <= (hi - y) else hi
         out[k] = tx, ty
+    return out
+
+
+def reference_observation_rows(kinds, distances, ego) -> np.ndarray:
+    """Observation-encoder oracle: dense (..., obs_dim) rows of observe_all's (kinds, distances, ego).
+
+    Each ray's one-hot cells come from comparing its kind with every kind, then the layout is written out
+    cell by cell: per ray its N_HIT_KINDS one-hot entries and its distance, then the ego features.
+    """
+    onehot = kinds[..., None] == np.arange(N_HIT_KINDS)
+    *lead, n_rays = distances.shape
+    width = n_rays * (N_HIT_KINDS + 1)
+    out = np.zeros((*lead, width + ego.shape[-1]))
+    for k in range(n_rays):
+        start = k * (N_HIT_KINDS + 1)
+        out[..., start : start + N_HIT_KINDS] = onehot[..., k, :]
+        out[..., start + N_HIT_KINDS] = distances[..., k]
+    out[..., width:] = ego
     return out
 
 
