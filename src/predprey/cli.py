@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .configio import parse_bool, parse_eval_config, parse_scenario_config, write_resolved
+from .configio import EVAL_SCHEMA, TRAIN_SCHEMA, parse_bool, parse_eval_config, parse_scenario_config, write_resolved
 from .errors import CheckpointError, ConfigError, NumericsError, PredpreyError
 from .net import atomic_open, load_checkpoint, read_rows, write_rows
 from .stats import (
@@ -59,7 +59,7 @@ def build_identifier() -> str:
         )
         if described.returncode == 0:
             ident += f"+{described.stdout.strip()}"
-    except OSError:
+    except (OSError, subprocess.SubprocessError):  # no git, or a `git describe` past its timeout
         pass
     return ident
 
@@ -80,7 +80,8 @@ def _write_build(out: Path) -> None:
 
 
 def _cmd_train(args) -> int:
-    overrides = {"scenario_id": args.scenario, "seed": args.seed, "max_steps": args.max_steps}
+    # each flag that overrides a config key has that key as its argparse destination
+    overrides = {key: value for key, value in vars(args).items() if key in TRAIN_SCHEMA}
     cfg, provenance = parse_scenario_config(args.config, overrides)
     if args.resume is not None:  # refuse another net before anything is written; run_training reads it again
         check_resume(cfg, load_checkpoint(args.resume)[0])
@@ -95,15 +96,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    overrides = {
-        "checkpoint": args.checkpoint,
-        "seed": args.seed,
-        "n_runs": args.n_runs,
-        "duration": args.duration,
-        "greedy": True if args.greedy else None,
-        "predator_present": args.predator,
-        "condition_id": args.condition,
-    }
+    overrides = {key: value for key, value in vars(args).items() if key in EVAL_SCHEMA}
     cfg, provenance = parse_eval_config(args.config, overrides)
     if cfg.checkpoint is None:
         raise ConfigError("eval needs a checkpoint (config key 'checkpoint' or --checkpoint)")
@@ -131,10 +124,12 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _snapshot_args(args, out: Path, keys: tuple[str, ...]) -> None:
+def _snapshot_args(args, out: Path) -> None:
+    """Every parsed setting in its parser's order, less those that only say where output goes or what runs."""
     lines = ["# resolved invocation"]
-    for key in keys:
-        lines.append(f"{key} = {getattr(args, key)}")
+    for key, value in vars(args).items():
+        if key not in ("subcommand", "fn", "out", "stdout"):
+            lines.append(f"{key} = {value}")
     with atomic_open(out / "resolved_config.txt", "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -168,7 +163,7 @@ def _cmd_stats(args) -> int:
     out = _prepare_out_dir(args, "stats")
     write_rows(out / "summary.csv", ConditionSummary, summaries)
     write_rows(out / "stats.csv", StatsRow, rows)
-    _snapshot_args(args, out, ("records",))
+    _snapshot_args(args, out)
     _write_build(out)
     for row in rows:
         print(f"{row.pairing}: F={row.f_score:.3f} p={row.p_value:.3g}")
@@ -190,7 +185,7 @@ def _cmd_heatmap(args) -> int:
     out = _prepare_out_dir(args, f"heatmap-{args.entity_kind}")
     write_grid_text(kde, out / "occupancy.txt")
     write_grid_pgm(kde, out / "occupancy.pgm")
-    _snapshot_args(args, out, ("trajectory", "entity_kind", "bandwidth", "grid", "extent"))
+    _snapshot_args(args, out)
     _write_build(out)
     print(
         f"{kde.n_samples} samples, bandwidth {kde.bandwidth:.4f}, "
@@ -210,7 +205,7 @@ def _cmd_replay_export(args) -> int:
     path = out / f"replay_run{args.run}_{args.ticks[0]}_{args.ticks[1]}.txt"
     with atomic_open(path, "w") as fh:
         fh.write(text)
-    _snapshot_args(args, out, ("trajectory", "run", "ticks"))
+    _snapshot_args(args, out)
     _write_build(out)
     print(f"wrote {path}")
     return 0
@@ -223,7 +218,7 @@ def _build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser("train", help="train a prey policy for one scenario")
     train.add_argument("-c", "--config", help="flat key = value config file")
     train.add_argument("-o", "--out", help="output directory")
-    train.add_argument("--scenario", type=int, choices=(1, 2, 3), help="scenario selector")
+    train.add_argument("--scenario", dest="scenario_id", type=int, choices=(1, 2, 3), help="scenario selector")
     train.add_argument("--seed", type=int, help="run seed override")
     train.add_argument("--max-steps", dest="max_steps", type=int, help="training length override")
     train.add_argument("--resume", help="checkpoint to resume from")
@@ -236,15 +231,15 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--seed", type=int, help="evaluation seed override")
     ev.add_argument("--n-runs", dest="n_runs", type=int, help="number of independent runs")
     ev.add_argument("--duration", type=int, help="ticks per run")
-    ev.add_argument("--greedy", action="store_true", help="argmax actions instead of sampling")
+    ev.add_argument("--greedy", action="store_const", const=True, help="argmax actions instead of sampling")
     ev.add_argument(
         "--predator",
+        dest="predator_present",
         type=parse_bool,
-        default=None,
         metavar="BOOL",
         help="predator present at test time (true/false)",
     )
-    ev.add_argument("--condition", help="condition label for outputs")
+    ev.add_argument("--condition", dest="condition_id", metavar="CONDITION", help="condition label for outputs")
     ev.set_defaults(fn=_cmd_eval)
 
     st = sub.add_parser("stats", help="summaries, ANOVA and effect sizes across conditions")

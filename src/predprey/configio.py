@@ -106,7 +106,8 @@ EVAL_SCHEMA = _schema(EvalConfig)
 
 def _read_flat(path) -> dict[str, str]:
     entries: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    # an undecodable byte fails a key's or a number's parse and passes through in a string value
+    for lineno, raw in enumerate(Path(path).read_text(errors="surrogateescape").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

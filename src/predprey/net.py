@@ -389,9 +389,12 @@ def checkpoint_from_bytes(data: bytes) -> tuple[DenseNet, AdamState, int, int]:
 def atomic_open(path, mode: str = "w", **kwargs):
     """Open a temp file beside `path` for writing; on a clean exit fsync it and move it onto `path`.
 
-    A failure mid-write removes the temp file and leaves any previous file at `path` intact.
+    A failure mid-write removes the temp file and leaves any previous file at `path` intact. Text goes
+    out with errors="surrogateescape": an undecodable byte of a file name or input goes back as that byte.
     """
     path = Path(path)
+    if "b" not in mode:
+        kwargs.setdefault("errors", "surrogateescape")
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         with open(tmp, mode, **kwargs) as fh:

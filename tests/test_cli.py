@@ -1,5 +1,6 @@
 import os
 import resource
+import shlex
 import signal
 import subprocess
 import sys
@@ -9,8 +10,10 @@ import numpy as np
 import pytest
 
 import predprey
-from predprey.cli import main
+from predprey.cli import _build_parser, main
 from predprey.configio import (
+    EVAL_SCHEMA,
+    TRAIN_SCHEMA,
     EvalConfig,
     parse_eval_config,
     parse_scenario_config,
@@ -117,6 +120,50 @@ class TestParseConfig:
         write_resolved(cfg, out, prov)
         cfg2, _ = parse_eval_config(out)
         assert cfg2 == cfg
+
+
+class TestFlagsNameConfigKeys:
+    """Each train and eval flag that overrides a config key has that key as its argparse destination."""
+
+    ARGV = {
+        "train": ["--scenario", "3", "--seed", "7", "--max-steps", "5"],
+        "eval": [
+            "--checkpoint", "x.ckpt", "--seed", "1", "--n-runs", "3", "--duration", "4", "--greedy",
+            "--predator", "false", "--condition", "c",
+        ],  # fmt: skip
+    }
+
+    @pytest.mark.parametrize(
+        "command, schema, parse", [("train", TRAIN_SCHEMA, "parse_scenario_config"), ("eval", EVAL_SCHEMA, "parse_eval_config")]
+    )
+    def test_every_destination_is_a_config_key_its_flag_sets(self, monkeypatch, command, schema, parse):
+        import argparse
+
+        import predprey.cli as cli_module
+
+        subparsers = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        dests = {action.dest for action in subparsers.choices[command]._actions if action.dest != "help"}
+        assert dests - set(schema) <= {"config", "out", "resume"}
+        provenance = {}
+        real = getattr(cli_module, parse)
+
+        def parse_then_stop(path, overrides):
+            provenance.update(real(path, overrides)[1])
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli_module, parse, parse_then_stop)
+        with pytest.raises(KeyboardInterrupt):
+            main([command, *self.ARGV[command]])
+        assert {key for key, source in provenance.items() if source == "flag"} == dests & set(schema)
+
+    def test_every_command_in_the_readme_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+        argvs = [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines() if line.startswith("predprey ")]
+        assert sorted({argv[0] for argv in argvs}) == ["eval", "heatmap", "replay-export", "stats", "train"]
+        for argv in argvs:
+            args = _build_parser().parse_args(argv)
+            assert args.subcommand == argv[0]
 
 
 def run_cli(args, cwd, python_args=("-m", "predprey.cli"), **kwargs):
@@ -382,12 +429,12 @@ class TestBadTrajectoryInput:
         from tests_support import HalfWrite
 
         args = argparse.Namespace(trajectory="a.csv", run=0)
-        _snapshot_args(args, tmp_path, ("trajectory", "run"))
+        _snapshot_args(args, tmp_path)
         before = (tmp_path / "resolved_config.txt").read_bytes()
         args.run = 1
         monkeypatch.setattr(net_module, "open", HalfWrite, raising=False)
         with pytest.raises(OSError):
-            _snapshot_args(args, tmp_path, ("trajectory", "run"))
+            _snapshot_args(args, tmp_path)
         monkeypatch.undo()
         assert (tmp_path / "resolved_config.txt").read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["resolved_config.txt"]
@@ -522,15 +569,84 @@ def pipeline(tmp_path_factory):
     return root, train_dir, eval_dir
 
 
+TINY_TRAIN = (
+    "scenario_id = 3\nn_prey = 2\nn_positive_points = 4\nn_negative_points = 4\nbatch_size = 64\n"
+    "buffer_size = 256\ntime_horizon = 16\nsummary_freq = 200\nhidden_units = 8\nnum_layers = 1\n"
+)
+# UTF-8 mode: stdout and stderr carry a lone surrogate as its byte whatever the host's locale
+UTF8_MODE = ("-X", "utf8", "-m", "predprey.cli")
+
+
+class TestBytesUtf8CannotCarry:
+    """A byte UTF-8 cannot decode, in a config file, a path or a label, reaches Python as a lone surrogate."""
+
+    @pytest.mark.parametrize(
+        "subcommand, line",
+        [("train", b"scenario_id = \xff1"), ("train", b"se\xffed = 1"), ("eval", b"greedy = tru\xffe")],
+    )
+    def test_config_byte_in_a_key_or_value_exits_2_with_one_line(self, tmp_path, subcommand, line):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_bytes(b"seed = 1\n" + line + b"\n")
+        proc = run_cli([subcommand, "-c", str(cfg), "-o", str(tmp_path / "out")], tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("config error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_config_byte_in_a_comment_is_ignored(self, tmp_path):
+        plain, commented = tmp_path / "plain.txt", tmp_path / "commented.txt"
+        plain.write_text(TINY_TRAIN)
+        commented.write_bytes(b"# caf\xe9 \xff\n" + TINY_TRAIN.encode().replace(b"n_prey = 2\n", b"n_prey = 2  # \xff\n"))
+        for cfg in (plain, commented):
+            assert main(["train", "-c", str(cfg), "--max-steps", "1", "-o", str(tmp_path / cfg.stem)]) == 0
+        resolved = [(tmp_path / name / "resolved_config.txt").read_bytes() for name in ("plain", "commented")]
+        assert resolved[0] == resolved[1]
+
+    def test_checkpoint_path_is_written_back_as_its_bytes(self, pipeline, tmp_path):
+        root, train_dir, _ = pipeline
+        checkpoint = tmp_path / os.fsdecode(b"ck_\xff.ckpt")
+        checkpoint.write_bytes((train_dir / "checkpoint_final.ckpt").read_bytes())
+        first, again = tmp_path / "first", tmp_path / "again"
+        proc = run_cli(["eval", "-c", str(root / "eval.txt"), "--checkpoint", str(checkpoint), "-o", str(first)], tmp_path, UTF8_MODE)
+        assert proc.returncode == 0, proc.stderr
+        resolved = (first / "resolved_config.txt").read_bytes()
+        assert b"\ncheckpoint = " + os.fsencode(checkpoint) + b"  # flag\n" in resolved
+        proc = run_cli(["eval", "-c", str(first / "resolved_config.txt"), "-o", str(again)], tmp_path, UTF8_MODE)
+        assert proc.returncode == 0, proc.stderr
+        assert (again / "run_records.csv").read_bytes() == (first / "run_records.csv").read_bytes()
+
+    def test_trajectory_path_is_written_back_as_its_bytes(self, pipeline, tmp_path):
+        _, _, eval_dir = pipeline
+        trajectory = tmp_path / os.fsdecode(b"traj_\xff.csv")
+        trajectory.write_bytes((eval_dir / "trajectory.csv").read_bytes())
+        out = tmp_path / "out"
+        proc = run_cli(["heatmap", "--trajectory", str(trajectory), "--grid", "8", "8", "-o", str(out)], tmp_path, UTF8_MODE)
+        assert proc.returncode == 0, proc.stderr
+        assert b"\ntrajectory = " + os.fsencode(trajectory) + b"\n" in (out / "resolved_config.txt").read_bytes()
+        assert {p.name for p in out.iterdir()} == {"build.txt", "occupancy.pgm", "occupancy.txt", "resolved_config.txt"}
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_condition_label_is_written_back_as_its_bytes(self, pipeline, tmp_path, source):
+        root, train_dir, _ = pipeline
+        if source == "flag":
+            argv = ["eval", "-c", str(root / "eval.txt"), "--condition", os.fsdecode(b"c\xff")]
+        else:
+            cfg = tmp_path / "eval.txt"
+            cfg.write_bytes((root / "eval.txt").read_bytes().replace(b"condition_id = demo", b"condition_id = c\xff"))
+            argv = ["eval", "-c", str(cfg)]
+        out = tmp_path / "out"
+        argv += ["--checkpoint", str(train_dir / "checkpoint_final.ckpt"), "-o", str(out)]
+        proc = run_cli(argv, tmp_path, UTF8_MODE, errors="surrogateescape")  # the closing line prints the label
+        assert proc.returncode == 0, proc.stderr
+        assert b"\nc\xff," in (out / "summary.csv").read_bytes()
+        assert b"\ncondition_id = c\xff  # " + source.encode() + b"\n" in (out / "resolved_config.txt").read_bytes()
+
+
 class TestTrainClosingLine:
     @pytest.mark.parametrize("max_steps, final_step", [(1, 256), (512, 512), (600, 768)])
     def test_reports_the_final_checkpoint_step(self, tmp_path, capsys, max_steps, final_step):
         # 256 steps a cycle and a metrics row every 200: the last row never falls on the final step
         cfg = tmp_path / "train.txt"
-        cfg.write_text(
-            "scenario_id = 3\nn_prey = 2\nn_positive_points = 4\nn_negative_points = 4\nbatch_size = 64\n"
-            "buffer_size = 256\ntime_horizon = 16\nsummary_freq = 200\nhidden_units = 8\nnum_layers = 1\n"
-        )
+        cfg.write_text(TINY_TRAIN)
         out = tmp_path / "out"
         assert main(["train", "-c", str(cfg), "--max-steps", str(max_steps), "-o", str(out)]) == 0
         assert capsys.readouterr().out.splitlines()[0] == f"trained scenario 3 to step {final_step}"
@@ -635,6 +751,26 @@ class TestCliPipeline:
             cli_module._write_build(tmp_path / name)
         assert len(calls) == 1
         assert (tmp_path / "a" / "build.txt").read_bytes() == (tmp_path / "b" / "build.txt").read_bytes()
+
+    def test_git_past_its_timeout_leaves_the_version_alone(self, pipeline, tmp_path, monkeypatch):
+        import predprey.cli as cli_module
+
+        _, _, eval_dir = pipeline
+        records = str(eval_dir / "run_records.csv")
+
+        def slow_git(cmd, **kwargs):
+            raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
+
+        monkeypatch.setattr(cli_module.subprocess, "run", slow_git)
+        cli_module.build_identifier.cache_clear()
+        try:
+            cli_module._write_build(tmp_path)
+            ident = (tmp_path / "build.txt").read_text().splitlines()[0]
+            assert ident.startswith("predprey-") and "+" not in ident, ident
+            assert main(["stats", f"a={records}", f"b={records}", "-o", str(tmp_path / "stats")]) == 0
+            assert (tmp_path / "stats" / "build.txt").read_text().splitlines()[0] == ident
+        finally:
+            cli_module.build_identifier.cache_clear()
 
     def test_train_artifacts(self, pipeline):
         _, train_dir, _ = pipeline
