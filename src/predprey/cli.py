@@ -124,12 +124,28 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _absolute_record(spec: str) -> str:
+    """A stats argument, `label=path` or `path`, with its path made absolute."""
+    label, sep, path = spec.partition("=")
+    return f"{label}={os.path.abspath(path)}" if sep else os.path.abspath(spec)
+
+
 def _snapshot_args(args, out: Path) -> None:
-    """Every parsed setting in its parser's order, less those that only say where output goes or what runs."""
+    """Every setting given or defaulted, in its parser's order, less those that only say where output goes or what runs.
+
+    A list is written as its flag takes it, items separated by spaces; input paths are written absolute.
+    """
     lines = ["# resolved invocation"]
     for key, value in vars(args).items():
-        if key not in ("subcommand", "fn", "out", "stdout"):
-            lines.append(f"{key} = {value}")
+        if key in ("subcommand", "fn", "out", "stdout") or value is None:
+            continue
+        if key == "trajectory":
+            value = os.path.abspath(value)
+        elif key == "records":
+            value = [_absolute_record(spec) for spec in value]
+        if isinstance(value, (list, tuple)):
+            value = " ".join(map(str, value))
+        lines.append(f"{key} = {value}")
     with atomic_open(out / "resolved_config.txt", "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -1,16 +1,18 @@
 """Clipped-surrogate actor-critic learner.
 
 Rollouts are collected from one shared policy across N independent worlds
-(every prey is a separate experience stream), advantages come from
-exponentially-weighted temporal-difference residuals truncated at the
-collection horizon, and updates run num_epoch shuffled passes of
-size // batch_size minibatches over the buffer; each pass leaves the
-size % batch_size rows at the end of its permutation out. Observations
-travel as world.observe_all hands them out, a hit kind and a distance per ray
-plus the ego features; world.observation_matrix packs dense rows only where
-the net reads them: each tick's actions, the bootstrap value and each
-minibatch. The stored behaviour log-probabilities are never recomputed, so the
-post-update policy becomes the next cycle's behaviour policy.
+(every prey is a separate experience stream) into one RolloutBuffer, whose
+columns are allocated once with a cycle's rows; each sweep writes its chunk
+straight into them. Advantages come from exponentially-weighted
+temporal-difference residuals truncated at the collection horizon, and
+updates run num_epoch shuffled passes of size // batch_size minibatches over
+the full buffer; each pass leaves the size % batch_size rows at the end of its
+permutation out. Observations are stored as world.observe_all hands them out,
+a hit kind and a distance per ray plus the ego features;
+world.observation_matrix packs dense rows only where the net reads them: each
+tick's actions, the bootstrap value and each minibatch. The stored behaviour
+log-probabilities are never recomputed, so the post-update policy becomes the
+next cycle's behaviour policy.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from . import net as nets
 from .errors import ConfigError, ContractViolation, InputError, NumericsError, StructuralError
 from .net import AdamState, DenseNet
-from .world import WorldState, _redraw, observation_matrix, observe_all, step
+from .world import N_EGO_FEATURES, WorldState, _redraw, observation_matrix, observe_all, step
 
 ADVANTAGE_NORM_EPS = 1e-8
 
@@ -140,27 +142,29 @@ def clipped_surrogate(r, advantage, epsilon: float):
 
 
 class RolloutBuffer:
-    """Columnar store of transitions, filled in place one sweep's chunk at a time.
+    """Columnar store of transitions, allocated once and filled in place one sweep's chunk at a time.
 
-    A chunk gives every one of FIELDS, one row per transition; its observations come as
-    `world.observe_all` returns them, in the kinds, distances and ego fields. A default
-    row takes 11 + 88 + 16 bytes of observation instead of a dense row's 632, and a full
-    default buffer holds 1.6 MB of columns instead of 6.9. `observations(rows)` packs
-    dense rows with `world.observation_matrix`.
+    Every one of FIELDS is a column of `capacity` rows, one row per transition; its
+    observations are kept as `world.observe_all` returns them, in the kinds, distances and
+    ego fields. A default row takes 11 + 88 + 16 bytes of observation instead of a dense
+    row's 632, and a full default buffer holds 1.6 MB of columns instead of 6.9.
+    `observations(rows)` packs dense rows with `world.observation_matrix`.
 
-    The first `append_chunk` fixes the chunk length n and allocates each column once, for
-    ceil(capacity / n) chunks; every later chunk must have that length and rows of the
-    same shape, and is copied into the next rows. A refused chunk leaves the buffer as it
-    was. `stacked()` returns views of the filled rows of FIELDS, which stay valid until the
-    next `clear()`. `clear()` empties the buffer and keeps its columns for the next cycle.
+    `append_chunk(n)` hands out views of the next n rows of every column and counts them
+    as filled; the caller writes the chunk through them. `stacked()` returns views of the
+    filled rows of FIELDS. `clear()` empties the buffer and keeps its columns for the next
+    cycle.
     """
 
     FIELDS = ("kinds", "distances", "ego", "actions", "log_prob_old", "values", "advantages", "returns")
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, n_rays: int):
         self.capacity = capacity
-        self._columns: dict[str, np.ndarray] = {}
-        self._chunk_rows = 0
+        row_shapes = {"kinds": (n_rays,), "distances": (n_rays,), "ego": (N_EGO_FEATURES,)}
+        dtypes = {"kinds": np.uint8, "actions": np.int64}
+        self._columns = {
+            f: np.empty((capacity, *row_shapes.get(f, ())), dtype=dtypes.get(f, np.float64)) for f in self.FIELDS
+        }
         self._size = 0
 
     @property
@@ -168,45 +172,21 @@ class RolloutBuffer:
         return self._size
 
     def is_full(self) -> bool:
-        return self._size >= self.capacity
+        return self._size == self.capacity
 
-    def append_chunk(self, **arrays: np.ndarray) -> None:
-        if set(arrays) != set(self.FIELDS):
-            raise StructuralError(f"chunk must provide exactly {self.FIELDS}")
-        arrays = {f: np.asarray(arrays[f]) for f in self.FIELDS}
-        n = len(arrays["actions"])
-        if any(len(a) != n for a in arrays.values()):
-            raise StructuralError("chunk arrays have mismatched lengths")
-        if not self._columns:
-            if n == 0:
-                raise StructuralError("chunk has no rows")
-            rows = math.ceil(self.capacity / n) * n
-            self._columns = {f: np.empty((rows, *a.shape[1:]), dtype=a.dtype) for f, a in arrays.items()}
-            self._chunk_rows = n
-        if n != self._chunk_rows:
-            raise StructuralError(f"chunk has {n} rows, this buffer takes chunks of {self._chunk_rows}")
-        for f, a in arrays.items():
-            if a.shape[1:] != self._columns[f].shape[1:]:
-                raise StructuralError(
-                    f"chunk {f} rows are {a.shape[1:]}, this buffer's are {self._columns[f].shape[1:]}"
-                )
-        if self.is_full():
-            raise StructuralError(f"buffer already holds {self._size} of its {self.capacity} rows")
-        for f, a in arrays.items():
-            self._columns[f][self._size : self._size + n] = a
-        self._size += n
-
-    def _filled(self, name: str) -> np.ndarray:
-        if not self._columns:
-            raise StructuralError("no chunk appended yet")
-        return self._columns[name][: self._size]
+    def append_chunk(self, n: int) -> dict[str, np.ndarray]:
+        """Views of the next n rows of every column, now counted as filled; refused if they do not fit."""
+        if self._size + n > self.capacity:
+            raise StructuralError(f"a chunk of {n} rows does not fit: buffer holds {self._size} of its {self.capacity}")
+        start, self._size = self._size, self._size + n
+        return {f: column[start : self._size] for f, column in self._columns.items()}
 
     def stacked(self) -> dict[str, np.ndarray]:
-        return {f: self._filled(f) for f in self.FIELDS}
+        return {f: column[: self._size] for f, column in self._columns.items()}
 
     def observations(self, rows) -> np.ndarray:
         """Dense (len(rows), obs_dim) observations of the filled rows that `rows` indexes."""
-        return observation_matrix(*(self._filled(f)[rows] for f in ("kinds", "distances", "ego")))
+        return observation_matrix(*(self._columns[f][: self._size][rows] for f in ("kinds", "distances", "ego")))
 
     def clear(self) -> None:
         self._size = 0
@@ -257,47 +237,45 @@ def sample_actions(
 def collect_rollout(
     net: DenseNet,
     actors: ActorWorlds,
-    T: int,
     hp: PpoHyperparams,
     rng: np.random.Generator,
-    buffer: RolloutBuffer | None = None,
-    episode_seed=None,
-) -> RolloutBuffer:
-    """One sweep: T ticks of every world in lockstep, appended to the buffer as one chunk.
+    buffer: RolloutBuffer,
+    episode_seed,
+) -> None:
+    """One sweep: hp.time_horizon ticks of every world in lockstep, written into the buffer as one chunk.
 
     The sweep's action uniforms are drawn up front as (W, T, n_prey), which is
     the stream that drawing each world's ticks in turn would give. The sweep is
     stored stream-major, (W, n_prey, T, ...), so the chunk's rows run world by
-    world, prey by prey, tick by tick, and holds each tick's observations as
-    observe_all returns them. Advantages are horizon-truncated: the
-    value of the state after the last tick bootstraps the recursion unless an
-    episode boundary cut it. When a world's tick count reaches its configured
-    episode_length it is redrawn in place from the seed episode_seed(world_index)
-    returns; passing None disables resets.
+    world, prey by prey, tick by tick: each tick's observations, as observe_all
+    returns them, and its actions, log-probabilities and values go straight into
+    the buffer's rows, and so do the advantages and returns at the end. Only the
+    rewards and episode boundaries are kept aside. Advantages are
+    horizon-truncated: the value of the state after the last tick bootstraps the
+    recursion unless an episode boundary cut it. When a world's tick count
+    reaches its configured episode_length it is redrawn in place from the seed
+    episode_seed(world_index) returns.
     """
-    if buffer is None:
-        buffer = RolloutBuffer(hp.buffer_size)
     state = actors.state
     n_worlds, n_prey = state.prey_heading.shape
+    T = hp.time_horizon
     u = rng.random((n_worlds, T, n_prey))
-    kind_seq, dist_seq, ego_seq = (np.empty((n_worlds, n_prey, T, x.shape[-1]), x.dtype) for x in actors.obs)
-    act_seq = np.empty((n_worlds, n_prey, T), dtype=np.int64)
-    logp_seq = np.empty((n_worlds, n_prey, T))
+    chunk = buffer.append_chunk(n_worlds * n_prey * T)
+    kinds, distances, ego, actions_seq, logp_seq, val_seq, adv_seq, ret_seq = (
+        chunk[f].reshape(n_worlds, n_prey, T, *chunk[f].shape[1:]) for f in RolloutBuffer.FIELDS
+    )
     rew_seq = np.empty((n_worlds, n_prey, T))
-    val_seq = np.empty((n_worlds, n_prey, T))
     bound_seq = np.zeros((n_worlds, n_prey, T), dtype=bool)
 
     for t in range(T):
-        kind_seq[:, :, t], dist_seq[:, :, t], ego_seq[:, :, t] = actors.obs
+        kinds[:, :, t], distances[:, :, t], ego[:, :, t] = actors.obs
         actions, logp, values = sample_actions(net, observation_matrix(*actors.obs), u[:, t])
-        act_seq[..., t] = actions
+        actions_seq[..., t] = actions
         logp_seq[..., t] = logp
         val_seq[..., t] = values
         _, rewards, actors.obs, _ = step(state, actions)
         rew_seq[..., t] = rewards
         actors.episode_return += rewards
-        if episode_seed is None:
-            continue
         ended = np.flatnonzero(state.tick >= state.config.episode_length)
         if len(ended):
             bound_seq[ended, :, t] = True
@@ -308,18 +286,8 @@ def collect_rollout(
 
     _, bootstrap = nets.forward(net, observation_matrix(*actors.obs))
     est = compute_gae(rew_seq, val_seq, bound_seq, bootstrap, hp.gamma, hp.gae_lambda)
-    n = n_worlds * n_prey * T
-    buffer.append_chunk(
-        kinds=kind_seq.reshape(n, -1),
-        distances=dist_seq.reshape(n, -1),
-        ego=ego_seq.reshape(n, -1),
-        actions=act_seq.ravel(),
-        log_prob_old=logp_seq.ravel(),
-        values=val_seq.ravel(),
-        advantages=est.advantages.ravel(),
-        returns=est.returns.ravel(),
-    )
-    return buffer
+    adv_seq[...] = est.advantages
+    ret_seq[...] = est.returns
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +368,7 @@ def ppo_update(
     lr: float,
     rng: np.random.Generator,
 ) -> UpdateStats:
-    """num_epoch shuffled passes of batch_size minibatches over the full buffer.
+    """num_epoch shuffled passes of batch_size minibatches over the buffer, which must be full.
 
     Each epoch draws a permutation of the buffer's size rows and trains on its
     first (size // batch_size) * batch_size rows, one minibatch per batch_size
@@ -413,10 +381,8 @@ def ppo_update(
     pre-update parameters and optimizer moments, and raises NumericsError. The
     buffer is cleared on success, which keeps its columns for the next cycle.
     """
-    if buffer.size < hp.buffer_size:
-        raise ContractViolation(
-            f"update requires a full buffer ({buffer.size} < {hp.buffer_size})"
-        )
+    if not buffer.is_full():
+        raise ContractViolation(f"update requires a full buffer ({buffer.size} < {buffer.capacity})")
     data = buffer.stacked()
     for name in ("distances", "ego", "log_prob_old", "advantages", "returns"):
         if not np.all(np.isfinite(data[name])):

@@ -103,7 +103,7 @@ class MetricsRow:
 
 
 def steps_per_cycle(cfg: ScenarioConfig) -> int:
-    """Env steps consumed by one collect/update cycle; constant for a config."""
+    """Env steps in one collect/update cycle, and rows of its rollout buffer: buffer_size rounded up to whole sweeps."""
     hp = cfg.hyperparams
     per_sweep = cfg.n_worlds * cfg.world.n_prey * hp.time_horizon
     sweeps = math.ceil(hp.buffer_size / per_sweep)
@@ -127,11 +127,13 @@ def run_training(
 ) -> tuple[Path, list[MetricsRow]]:
     """Train until global step reaches max_steps; returns (final checkpoint, metrics.csv rows).
 
-    Rewrites metrics.csv atomically every cycle and writes a checkpoint whenever
-    the global step crosses a checkpoint_interval boundary, plus a final one. Resuming
-    from any written checkpoint reproduces the uninterrupted run exactly; a
-    resume into out_dir keeps the metrics.csv rows up to the checkpoint's step,
-    and never parses a row past it, such as one a kill during an older append cut short.
+    Each cycle fills one RolloutBuffer of steps_per_cycle(cfg) rows, allocated once
+    for the run, and updates on it. Rewrites metrics.csv atomically every cycle and
+    writes a checkpoint whenever the global step crosses a checkpoint_interval
+    boundary, plus a final one. Resuming from any written checkpoint reproduces the
+    uninterrupted run exactly; a resume into out_dir keeps the metrics.csv rows up to
+    the checkpoint's step, and never parses a row past it, such as one a kill during
+    an older append cut short.
     """
     hp = cfg.hyperparams
     n_actions = prey_action_space().n_joint
@@ -168,7 +170,7 @@ def run_training(
         rows = read_rows(metrics_path, MetricsRow, last_key=global_step)
     write_rows(metrics_path, MetricsRow, rows)
 
-    buffer = RolloutBuffer(hp.buffer_size)  # filled in place every cycle; ppo_update empties it
+    buffer = RolloutBuffer(cycle_steps, cfg.world.n_rays)  # filled in place every cycle; ppo_update empties it
     while global_step < hp.max_steps:
         actors = ActorWorlds.from_state(
             reset(cfg.world, [derive_seed(run_seed, _TAG_WORLD, update_idx, w) for w in range(cfg.n_worlds)])
@@ -181,9 +183,7 @@ def run_training(
 
         action_rng = np.random.default_rng(derive_seed(run_seed, _TAG_ACTIONS, update_idx))
         while not buffer.is_full():
-            collect_rollout(
-                net, actors, hp.time_horizon, hp, action_rng, buffer, episode_seed
-            )
+            collect_rollout(net, actors, hp, action_rng, buffer, episode_seed)
             global_step += steps_per_tick * hp.time_horizon
         for w in range(cfg.n_worlds):
             actors.finish_episode(w)

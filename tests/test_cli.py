@@ -902,6 +902,33 @@ class TestCliPipeline:
         text = (out / "replay_run0_0_4.txt").read_text()
         assert text.count("tick ") == 5
 
+    def test_analysis_snapshots_write_settings_as_their_flags_take_them(self, pipeline, tmp_path, monkeypatch):
+        root, _, eval_dir = pipeline
+        monkeypatch.chdir(root)  # relative input paths, as typed
+        trajectory, records = "eval/trajectory.csv", "eval/run_records.csv"
+        runs = {
+            "heatmap": ["heatmap", "--trajectory", trajectory],
+            "heatmap-64": ["heatmap", "--trajectory", trajectory, "--grid", "64", "64"],
+            "stats": ["stats", f"a={records}", records],
+            "replay": ["replay-export", "--trajectory", trajectory, "--run", "0", "--ticks", "1", "2"],
+        }
+        snapshots = {}
+        for name, argv in runs.items():
+            assert main([*argv, "-o", str(tmp_path / name)]) == 0
+            snapshots[name] = (tmp_path / name / "resolved_config.txt").read_bytes()
+        assert snapshots["heatmap"] == snapshots["heatmap-64"]  # the default grid reads as the typed one
+        for name, snapshot in snapshots.items():
+            assert not any(mark in snapshot for mark in (b"None", b"[", b"(")), (name, snapshot)
+        absolute = {path: str(eval_dir / Path(path).name).encode() for path in (trajectory, records)}
+        assert snapshots["heatmap"] == (
+            b"# resolved invocation\ntrajectory = " + absolute[trajectory] + b"\nentity_kind = prey\ngrid = 64 64\n"
+        )
+        assert b"\nrecords = a=" + absolute[records] + b" " + absolute[records] + b"\n" in snapshots["stats"]
+        assert b"\nticks = 1 2\n" in snapshots["replay"]
+        monkeypatch.chdir(tmp_path)
+        lines = dict(line.split(" = ", 1) for line in snapshots["replay"].decode().splitlines()[1:])
+        assert Path(lines["trajectory"]).is_file()
+
     def test_eval_without_checkpoint_is_config_error(self, tmp_path):
         assert main(["eval", "-o", str(tmp_path / "x")]) == 2
 

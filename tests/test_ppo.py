@@ -16,6 +16,7 @@ from predprey.ppo import (
     sample_actions,
 )
 from predprey.world import (
+    N_EGO_FEATURES,
     N_HIT_KINDS,
     WorldConfig,
     observation_matrix,
@@ -24,7 +25,8 @@ from predprey.world import (
     reset_world,
     step,
 )
-from tests_support import copy_net, get_flat, reference_observation_rows, set_flat, traced_peak
+from predprey.train import ScenarioConfig, steps_per_cycle
+from tests_support import copy_net, fill_buffer, get_flat, reference_observation_rows, set_flat, traced_peak
 
 
 def brute_gae(rewards, values, boundaries, bootstrap, gamma, lam):
@@ -268,8 +270,9 @@ class TestCollectRollout:
         cfg, actors = tiny_world_actors(n_prey=1)
         net = init_net(cfg.obs_dim, 6, hidden_units=16, num_layers=1, seed=0)
         hp = PpoHyperparams(batch_size=32, buffer_size=64, time_horizon=64)
-        buf = collect_rollout(net, actors, 64, hp, np.random.default_rng(0))
-        assert buf.size == 64
+        buf = RolloutBuffer(hp.buffer_size, cfg.n_rays)
+        collect_rollout(net, actors, hp, np.random.default_rng(0), buf, counting_episode_seeds(0))
+        assert buf.size == 64 and buf.is_full()
 
     def test_deterministic_buffers(self):
         outs = []
@@ -277,7 +280,8 @@ class TestCollectRollout:
             cfg, actors = tiny_world_actors(n_prey=2, seed=3)
             net = init_net(cfg.obs_dim, 6, hidden_units=16, num_layers=1, seed=1)
             hp = PpoHyperparams(batch_size=32, buffer_size=64, time_horizon=16)
-            buf = collect_rollout(net, actors, 16, hp, np.random.default_rng(11))
+            buf = RolloutBuffer(hp.buffer_size, cfg.n_rays)
+            collect_rollout(net, actors, hp, np.random.default_rng(11), buf, counting_episode_seeds(0))
             outs.append(buf.stacked())
         for key in outs[0]:
             assert np.array_equal(outs[0][key], outs[1][key]), key
@@ -286,11 +290,11 @@ class TestCollectRollout:
         cfg, actors = tiny_world_actors(n_prey=10, seed=5)
         net = init_net(cfg.obs_dim, 6, hidden_units=8, num_layers=1, seed=2)
         hp = PpoHyperparams()  # buffer 10240, horizon 64
-        buf = RolloutBuffer(hp.buffer_size)
+        buf = RolloutBuffer(hp.buffer_size, cfg.n_rays)
         rng = np.random.default_rng(0)
         sweeps = 0
         while not buf.is_full():
-            collect_rollout(net, actors, hp.time_horizon, hp, rng, buf)
+            collect_rollout(net, actors, hp, rng, buf, counting_episode_seeds(0))
             sweeps += 1
         assert sweeps == 16  # 10240 / (10 streams * 64)
 
@@ -298,12 +302,28 @@ class TestCollectRollout:
         cfg, actors = tiny_world_actors(n_prey=1, seed=9)
         net = init_net(cfg.obs_dim, 6, hidden_units=16, num_layers=1, seed=3)
         hp = PpoHyperparams(batch_size=8, buffer_size=16, time_horizon=16)
-        buf = collect_rollout(net, actors, 16, hp, np.random.default_rng(1))
+        buf = RolloutBuffer(hp.buffer_size, cfg.n_rays)
+        collect_rollout(net, actors, hp, np.random.default_rng(1), buf, counting_episode_seeds(0))
         data, obs = buf.stacked(), buf.observations(np.arange(buf.size))
         assert np.array_equal(obs, reference_observation_rows(data["kinds"], data["distances"], data["ego"]))
         for i in range(buf.size):
             r = probability_ratio(net, obs[i], int(data["actions"][i]), data["log_prob_old"][i])
             assert r == pytest.approx(1.0, abs=1e-9)
+
+    def test_default_sweep_peaks_under_128_kib(self):
+        # the sweep writes its rows straight into the buffer; filling per-sweep arrays of
+        # every field and copying them in took the peak to 155 KB
+        cfg = ScenarioConfig().world
+        net = init_net(79, 6, seed=0)
+        hp = PpoHyperparams()
+        buf = RolloutBuffer(3 * 384, cfg.n_rays)
+        actors = ActorWorlds.from_state(reset(cfg, 0))
+        rng, episode_seed = np.random.default_rng(0), counting_episode_seeds(0)
+        for _ in range(2):  # warm-up sweeps
+            collect_rollout(net, actors, hp, rng, buf, episode_seed)
+        _, peak = traced_peak(collect_rollout, net, actors, hp, rng, buf, episode_seed)
+        assert buf.is_full()
+        assert peak < 128 * 1024, peak / 1024
 
     def test_three_worlds_with_resets_match_per_stream_reference(self):
         cfg = WorldConfig(n_prey=2, n_positive_points=4, n_negative_points=4, episode_length=6)
@@ -311,9 +331,10 @@ class TestCollectRollout:
         hp = PpoHyperparams(batch_size=32, buffer_size=192, time_horizon=16)
         seeds = [31, 32, 33]
         actors = ActorWorlds.from_state(reset(cfg, seeds))
-        buf, rng, episode_seed = RolloutBuffer(hp.buffer_size), np.random.default_rng(4), counting_episode_seeds(7)
+        buf = RolloutBuffer(hp.buffer_size, cfg.n_rays)
+        rng, episode_seed = np.random.default_rng(4), counting_episode_seeds(7)
         for _ in range(2):
-            collect_rollout(net, actors, 16, hp, rng, buf, episode_seed)
+            collect_rollout(net, actors, hp, rng, buf, episode_seed)
         ref_actors = ActorWorlds.from_state(reset(cfg, seeds))
         ref_rng, ref_seed = np.random.default_rng(4), counting_episode_seeds(7)
         sweeps = [reference_sweep(net, ref_actors, 16, hp, ref_rng, ref_seed) for _ in range(2)]
@@ -347,13 +368,16 @@ def random_chunk(rng, n=384, n_rays=11, n_actions=6):
     )
 
 
+DEFAULT_CYCLE_ROWS = steps_per_cycle(ScenarioConfig())  # 27 sweeps of one world of 6 prey over 64 ticks
+
+
 def full_default_buffer(rng):
-    """A buffer of the default capacity, 10,240, filled as training fills it: 27 chunks of 384 rows."""
-    buf = RolloutBuffer(PpoHyperparams().buffer_size)
+    """The default training buffer, 10,368 rows, filled as training fills it: 27 chunks of 384 rows."""
+    buf = RolloutBuffer(DEFAULT_CYCLE_ROWS, 11)
     chunks = []
     while not buf.is_full():
         chunks.append(random_chunk(rng))
-        buf.append_chunk(**chunks[-1])
+        fill_buffer(buf, **chunks[-1])
     assert buf.size == 27 * 384
     return buf, chunks
 
@@ -368,6 +392,18 @@ class TestRolloutBufferInPlace:
             assert np.shares_memory(data[key], again[key]), key
             assert np.array_equal(data[key], np.concatenate([c[key] for c in chunks])), key
 
+    def test_chunk_views_are_rows_of_the_stacked_columns(self):
+        buf, first = RolloutBuffer(3 * 384, 11), random_chunk(np.random.default_rng(3))
+        fill_buffer(buf, **first)
+        chunk = buf.append_chunk(384)
+        assert buf.size == 768
+        data = buf.stacked()
+        for key in RolloutBuffer.FIELDS:
+            assert np.shares_memory(chunk[key], data[key]), key
+            chunk[key][...] = 1  # a write through the chunk lands in the buffer's rows 384..767
+            assert np.all(data[key][384:] == 1), key
+            assert np.array_equal(data[key][:384], first[key]), key
+
     def test_second_cycle_reuses_the_same_columns(self):
         rng = np.random.default_rng(2)
         net = init_net(79, 6, hidden_units=8, num_layers=1, seed=2)
@@ -378,78 +414,74 @@ class TestRolloutBufferInPlace:
         chunks = []
         while not buf.is_full():
             chunks.append(random_chunk(rng))
-            buf.append_chunk(**chunks[-1])
+            fill_buffer(buf, **chunks[-1])
         second = buf.stacked()
         for key in RolloutBuffer.FIELDS:
             assert np.shares_memory(first[key], second[key]), key
             assert np.array_equal(second[key], np.concatenate([c[key] for c in chunks])), key
-
-    @pytest.mark.parametrize("rows", [383, 385, 768])
-    def test_chunk_of_another_length_is_refused(self, rows):
-        rng = np.random.default_rng(4)
-        buf = RolloutBuffer(PpoHyperparams().buffer_size)
-        buf.append_chunk(**random_chunk(rng))
-        with pytest.raises(StructuralError, match=f"chunk has {rows} rows, this buffer takes chunks of 384"):
-            buf.append_chunk(**random_chunk(rng, n=rows))
-        assert buf.size == 384
 
     def test_full_default_buffer_holds_under_2_mib(self):
         # kinds, distances and ego take 115 of a default row's 155 bytes; dense float64
         # observations took the columns to 6.9 MB
         rng = np.random.default_rng(6)
         chunks = [random_chunk(rng) for _ in range(27)]
-        buf = RolloutBuffer(PpoHyperparams().buffer_size)
 
-        def fill():
+        def build_and_fill():
+            buf = RolloutBuffer(DEFAULT_CYCLE_ROWS, 11)
             for chunk in chunks:
-                buf.append_chunk(**chunk)
+                fill_buffer(buf, **chunk)
+            return buf
 
-        _, peak = traced_peak(fill)
-        assert buf.is_full() and buf.size == 27 * 384
-        assert sum(column.nbytes for column in buf.stacked().values()) == 27 * 384 * 155
+        buf, peak = traced_peak(build_and_fill)
+        assert buf.is_full() and buf.size == DEFAULT_CYCLE_ROWS == 10_368
+        assert sum(column.nbytes for column in buf.stacked().values()) == 10_368 * 155
         assert peak < 2 * 2**20, peak / 2**20
 
-    @pytest.mark.parametrize(
-        "defect, match",
-        [
-            ("dense obs", "chunk must provide exactly"),
-            ("short distances", "chunk arrays have mismatched lengths"),
-            ("12-ray kinds", r"chunk kinds rows are \(12,\), this buffer's are \(11,\)"),
-            ("12-ray distances", r"chunk distances rows are \(12,\), this buffer's are \(11,\)"),
-            ("3 ego features", r"chunk ego rows are \(3,\), this buffer's are \(2,\)"),
-        ],
-    )
-    def test_chunk_of_other_fields_or_row_shapes_is_refused(self, defect, match):
-        rng = np.random.default_rng(7)
-        buf = RolloutBuffer(PpoHyperparams().buffer_size)
-        buf.append_chunk(**random_chunk(rng))
-        chunk = random_chunk(rng)
-        if defect == "dense obs":
-            chunk["obs"] = observation_matrix(chunk.pop("kinds"), chunk.pop("distances"), chunk.pop("ego"))
-        elif defect == "short distances":
-            chunk["distances"] = chunk["distances"][:-1]
-        elif defect == "12-ray kinds":
-            chunk["kinds"] = random_chunk(rng, n_rays=12)["kinds"]
-        elif defect == "12-ray distances":
-            chunk["distances"] = random_chunk(rng, n_rays=12)["distances"]
-        else:
-            chunk["ego"] = np.concatenate([chunk["ego"], np.zeros((384, 1))], axis=1)
-        with pytest.raises(StructuralError, match=match):
-            buf.append_chunk(**chunk)
-        assert buf.size == 384
-        good = random_chunk(rng)
-        buf.append_chunk(**good)  # the refused chunk left no row behind
+    @pytest.mark.parametrize("filled, rows", [(26 * 384, 385), (27 * 384, 1)])
+    def test_overflowing_chunk_is_refused_and_leaves_the_size(self, filled, rows):
+        buf = RolloutBuffer(DEFAULT_CYCLE_ROWS, 11)
+        buf.append_chunk(filled)
+        with pytest.raises(StructuralError, match=f"chunk of {rows} rows does not fit: buffer holds {filled} of its 10368"):
+            buf.append_chunk(rows)
+        assert buf.size == filled
+        assert len(buf.append_chunk(DEFAULT_CYCLE_ROWS - filled)["actions"]) == DEFAULT_CYCLE_ROWS - filled
+
+    @pytest.mark.parametrize("rows", [383, 385, 768])
+    def test_chunk_of_any_length_that_fits_is_handed_out(self, rows):
+        # the buffer takes no chunk length from its first chunk: a sweep of any world count fits
+        rng = np.random.default_rng(4)
+        buf = RolloutBuffer(DEFAULT_CYCLE_ROWS, 11)
+        first, second = random_chunk(rng), random_chunk(rng, n=rows)
+        fill_buffer(buf, **first)
+        fill_buffer(buf, **second)
+        assert buf.size == 384 + rows
         data = buf.stacked()
         for key in RolloutBuffer.FIELDS:
-            assert np.array_equal(data[key][384:], good[key]), key
-        dense = reference_observation_rows(good["kinds"], good["distances"], good["ego"])
-        assert np.array_equal(buf.observations(np.arange(384, 768)), dense)
+            assert np.array_equal(data[key], np.concatenate([first[key], second[key]])), key
+        dense = reference_observation_rows(second["kinds"], second["distances"], second["ego"])
+        assert np.array_equal(buf.observations(np.arange(384, 384 + rows)), dense)
+
+    def test_new_buffer_holds_every_column_with_its_row_shape_and_no_rows(self):
+        buf = RolloutBuffer(100, 12)
+        assert buf.size == 0 and not buf.is_full()
+        shapes = {key: (rows.shape, rows.dtype) for key, rows in buf.stacked().items()}
+        assert shapes == {
+            "kinds": ((0, 12), np.uint8),
+            "distances": ((0, 12), np.float64),
+            "ego": ((0, N_EGO_FEATURES), np.float64),
+            "actions": ((0,), np.int64),
+            "log_prob_old": ((0,), np.float64),
+            "values": ((0,), np.float64),
+            "advantages": ((0,), np.float64),
+            "returns": ((0,), np.float64),
+        }
+        assert buf.observations(np.arange(0)).shape == (0, 12 * (N_HIT_KINDS + 1) + N_EGO_FEATURES)
 
     def test_append_to_a_full_buffer_is_refused(self):
         rng = np.random.default_rng(5)
         buf, _ = full_default_buffer(rng)
-        with pytest.raises(StructuralError, match="already holds 10368"):
-            buf.append_chunk(**random_chunk(rng))
+        with pytest.raises(StructuralError, match="holds 10368 of its 10368"):
+            fill_buffer(buf, **random_chunk(rng))
 
 
 def counting_episode_seeds(base):
@@ -509,8 +541,9 @@ def synthetic_buffer(net, n, obs_dim, rng, adv_scale=1.0, perturb=0.0):
     logp = log_softmax(logits)
     actions = np.array([rng.integers(0, logits.shape[1]) for _ in range(n)])
     lp_old = logp[np.arange(n), actions]
-    buf = RolloutBuffer(n)
-    buf.append_chunk(
+    buf = RolloutBuffer(n, kinds.shape[1])
+    fill_buffer(
+        buf,
         kinds=kinds,
         distances=distances,
         ego=ego,
@@ -552,9 +585,9 @@ class TestPpoUpdate:
         # rng.permutation(10,368), in order, and its last 128 rows sit that epoch out
         rng = np.random.default_rng(14)
         net = init_net(9, 6, hidden_units=4, num_layers=1, seed=14)
-        buf = RolloutBuffer(PpoHyperparams().buffer_size)
+        buf = RolloutBuffer(DEFAULT_CYCLE_ROWS, 1)
         while not buf.is_full():
-            buf.append_chunk(**random_chunk(rng, n_rays=1))
+            fill_buffer(buf, **random_chunk(rng, n_rays=1))
         buf.stacked()["returns"][:] = np.arange(buf.size)  # each row's returns name the row
         seen = []
 
@@ -590,7 +623,7 @@ class TestPpoUpdate:
     def test_buffer_not_full_contract(self):
         net = init_net(4, 4, seed=0)
         adam = AdamState.for_net(net)
-        buf = RolloutBuffer(64)
+        buf = RolloutBuffer(64, 1)
         hp = PpoHyperparams(batch_size=16, buffer_size=64)
         with pytest.raises(ContractViolation):
             ppo_update(net, adam, buf, hp, lr=1e-3, rng=np.random.default_rng(0))
@@ -678,8 +711,9 @@ class TestPpoUpdate:
                     hp.gamma, hp.gae_lambda,
                 )
                 adv[i], rets[i] = est.advantages[0], est.returns[0]
-            buf = RolloutBuffer(64)
-            buf.append_chunk(
+            buf = RolloutBuffer(64, 1)
+            fill_buffer(
+                buf,
                 kinds=kinds, distances=distances, ego=ego,
                 actions=actions, log_prob_old=lp_old, values=values, advantages=adv, returns=rets,
             )

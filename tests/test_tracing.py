@@ -4,8 +4,11 @@ benchmarks/tracing.py patches package functions by name; a rename in
 src/predprey would otherwise surface only in a traced benchmark run.
 """
 
+import csv
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 import predprey.cli  # noqa: F401  (the tracer patches every loaded predprey module)
 import predprey.net
@@ -29,17 +32,34 @@ def test_tracer_wraps_and_restores_every_target():
     assert predprey.net.forward is original
 
 
-def test_traced_cli_train_and_eval_reach_every_benchmark_span(tmp_path):
-    # the observers read call arguments and results, so a changed signature fails here too
+@pytest.fixture(scope="module")
+def traced_cli(tmp_path_factory):
+    """Run a one-cycle train, an eval of its checkpoint and heatmap, replay-export and stats of that eval under one Tracer."""
     tracing = load_tracing()
-    train_dir = tmp_path / "train"
+    tmp_path = tmp_path_factory.mktemp("traced_cli")
+    train_dir, eval_dir = tmp_path / "train", tmp_path / "eval"
     train = ["train", "--scenario", "3", "--seed", "1", "--max-steps", "1", "-o", str(train_dir)]  # one cycle
     checkpoint = str(train_dir / "checkpoint_final.ckpt")
-    evaluate = ["eval", "--checkpoint", checkpoint, "--n-runs", "2", "--duration", "5", "-o", str(tmp_path / "eval")]
+    evaluate = ["eval", "--checkpoint", checkpoint, "--n-runs", "2", "--duration", "5", "-o", str(eval_dir)]
+    trajectory, records = str(eval_dir / "trajectory.csv"), str(eval_dir / "run_records.csv")
+    analyze = (
+        ["heatmap", "--trajectory", trajectory, "--grid", "8", "8", "-o", str(tmp_path / "heatmap")],
+        ["replay-export", "--trajectory", trajectory, "--run", "0", "--ticks", "1", "2", "-o", str(tmp_path / "replay")],
+        ["stats", f"a={records}", f"b={records}", "-o", str(tmp_path / "stats")],
+    )
     with tracing.Tracer() as tracer:
-        assert predprey.cli.main(train) == 0
-        assert predprey.cli.main(evaluate) == 0
-    metrics = tracing.layer_metrics(tracer)
+        for argv in (train, evaluate, *analyze):
+            assert predprey.cli.main(argv) == 0, argv
+    return tracing.layer_metrics(tracer), trajectory
+
+
+def assert_spans_called(metrics, spans):
+    assert {name: metrics[f"{name}.calls"] > 0 for name in spans} == dict.fromkeys(spans, True)
+
+
+# the observers read call arguments and results, so a changed signature fails these too
+def test_traced_cli_train_and_eval_reach_every_benchmark_span(traced_cli):
+    metrics, _ = traced_cli
     spans = (
         "world.step",
         "world.observe_all",
@@ -56,4 +76,21 @@ def test_traced_cli_train_and_eval_reach_every_benchmark_span(tmp_path):
         "ppo.RolloutBuffer.stacked",
         "ppo.ppo_update",
     )
-    assert {name: metrics[f"{name}.calls"] > 0 for name in spans} == dict.fromkeys(spans, True)
+    assert_spans_called(metrics, spans)
+    assert metrics["ppo.RolloutBuffer.append_chunk.calls"] == 27  # the sweeps of the one default cycle
+
+
+def test_traced_cli_analysis_reaches_every_benchmark_span(traced_cli):
+    metrics, trajectory = traced_cli
+    spans = (
+        "stats.kde_occupancy",
+        "stats.summarize_condition",
+        "stats.one_way_anova",
+        "stats.cohens_d",
+        "trajectory.replay_export",
+        "configio.write_resolved",
+    )
+    assert_spans_called(metrics, spans)
+    with open(trajectory, newline="") as fh:
+        prey_rows = sum(row["entity_kind"] == "prey" for row in csv.DictReader(fh))
+    assert metrics["stats.kde_occupancy.samples"] == prey_rows > 0

@@ -113,15 +113,15 @@ class TestRunTraining:
         made = []
 
         class CountedBuffer(train_module.RolloutBuffer):
-            def __init__(self, capacity):
-                super().__init__(capacity)
+            def __init__(self, capacity, n_rays):
+                super().__init__(capacity, n_rays)
                 made.append(self)
 
         monkeypatch.setattr(train_module, "RolloutBuffer", CountedBuffer)
         cfg = tiny_config(max_steps=1024)
         run_training(cfg, tmp_path)
         assert load_checkpoint(tmp_path / "checkpoint_final.ckpt")[3] == 4 * steps_per_cycle(cfg)
-        assert len(made) == 1
+        assert len(made) == 1 and made[0].capacity == steps_per_cycle(cfg)
 
     def test_config_file_can_train_scenario_one_without_predator(self, tmp_path, monkeypatch):
         path = tmp_path / "cfg.txt"

@@ -1,6 +1,6 @@
 """Shared helpers: hand-placed world states, world stacking, world digests, flat net parameters, the
 independent placement, vision, body-sliding, observation-encoder, trajectory-writer, trajectory-reader, KDE
-and row-CSV-writer oracles, a failing file, and a peak-allocation probe."""
+and row-CSV-writer oracles, a failing file, a peak-allocation probe and a rollout-buffer filler."""
 
 import copy
 import csv
@@ -485,3 +485,10 @@ def traced_peak(fn, *args):
         return fn(*args), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def fill_buffer(buf, **arrays) -> None:
+    """Append one chunk of len(arrays["actions"]) rows to a RolloutBuffer and write every one of its FIELDS."""
+    assert set(arrays) == set(buf.FIELDS), sorted(arrays)
+    for name, rows in buf.append_chunk(len(arrays["actions"])).items():
+        rows[...] = arrays[name]
