@@ -32,7 +32,6 @@ from .stats import (
 )
 from .train import ScenarioConfig, run_training, scenario_defaults
 from .world import (
-    Event,
     PredatorState,
     WorldConfig,
     WorldState,
@@ -41,7 +40,7 @@ from .world import (
     predator_step,
     prey_action_space,
     reset,
-    reset_world,
+    reset_worlds,
     step,
     visible_prey,
 )

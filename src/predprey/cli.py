@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import shlex
 import subprocess
 import sys
 from importlib.metadata import PackageNotFoundError, version
@@ -133,7 +134,7 @@ def _absolute_record(spec: str) -> str:
 def _snapshot_args(args, out: Path) -> None:
     """Every setting given or defaulted, in its parser's order, less those that only say where output goes or what runs.
 
-    A list is written as its flag takes it, items separated by spaces; input paths are written absolute.
+    A list is written as its flag takes it, as a shell would split it back (shlex); input paths are written absolute.
     """
     lines = ["# resolved invocation"]
     for key, value in vars(args).items():
@@ -144,7 +145,7 @@ def _snapshot_args(args, out: Path) -> None:
         elif key == "records":
             value = [_absolute_record(spec) for spec in value]
         if isinstance(value, (list, tuple)):
-            value = " ".join(map(str, value))
+            value = shlex.join(map(str, value))
         lines.append(f"{key} = {value}")
     with atomic_open(out / "resolved_config.txt", "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -26,7 +26,7 @@ import numpy as np
 from . import net as nets
 from .errors import ConfigError, ContractViolation, InputError, NumericsError, StructuralError
 from .net import AdamState, DenseNet
-from .world import N_EGO_FEATURES, WorldState, _redraw, observation_matrix, observe_all, step
+from .world import N_EGO_FEATURES, WorldState, observation_matrix, observe_all, reset_worlds, step
 
 ADVANTAGE_NORM_EPS = 1e-8
 
@@ -281,7 +281,7 @@ def collect_rollout(
             bound_seq[ended, :, t] = True
             for w in ended:
                 actors.finish_episode(w)
-            _redraw(state, ended, [episode_seed(w) for w in ended])
+            reset_worlds(state, ended, [episode_seed(w) for w in ended])
             actors.obs = observe_all(state)
 
     _, bootstrap = nets.forward(net, observation_matrix(*actors.obs))

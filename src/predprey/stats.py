@@ -39,17 +39,7 @@ from .net import DenseNet, atomic_open, load_checkpoint
 from .ppo import sample_actions
 from .seeding import derive_seed
 from .trajectory import TrajectoryWriter
-from .world import (
-    EVENT_CAUGHT,
-    EVENT_NEGATIVE,
-    EVENT_POSITIVE,
-    WorldConfig,
-    observation_matrix,
-    observe_all,
-    prey_action_space,
-    reset,
-    step,
-)
+from .world import WorldConfig, observation_matrix, observe_all, prey_action_space, reset, step
 
 TASK_WEIGHT_POSITIVE = 1.0
 TASK_WEIGHT_NEGATIVE = -0.2
@@ -144,8 +134,7 @@ def evaluate_condition(
     state = reset(world_cfg, [derive_seed(seed, _TAG_EVAL_WORLD, run) for run in range(n_runs)])
     rngs = [np.random.default_rng(derive_seed(seed, _TAG_EVAL_ACTIONS, run)) for run in range(n_runs)]
     obs = observe_all(state)
-    kind_index = {EVENT_POSITIVE: 0, EVENT_NEGATIVE: 1, EVENT_CAUGHT: 2}
-    counts = np.zeros((n_runs, len(kind_index)), dtype=np.int64)
+    counts = np.zeros((n_runs, 3), dtype=np.int64)  # a run's totals; an event's kind is its column
     writer = None if trajectory_path is None else TrajectoryWriter(trajectory_path, n_runs, log_points)
     with writer or nullcontext():
         for tick in range(duration):
@@ -155,8 +144,7 @@ def evaluate_condition(
             u = None if greedy else draws[tick % _DRAW_TICKS]
             actions, _, _ = sample_actions(net, observation_matrix(*obs), u)
             _, _, obs, events = step(state, actions)
-            for ev in events:
-                counts[ev.world, kind_index[ev.kind]] += 1
+            np.add.at(counts, (events.world, events.kind), 1)
             if writer is not None:
                 writer.record(tick, state, events)
     records = [

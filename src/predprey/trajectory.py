@@ -44,13 +44,14 @@ import numpy as np
 
 from .errors import InputError, StructuralError
 from .net import atomic_open
-from .world import EVENT_CAUGHT, EVENT_NEGATIVE, EVENT_POSITIVE, Event, WorldState
+from .world import WorldState
 
 CSV_HEADER = ["run_id", "tick", "entity_kind", "entity_id", "x", "y", "heading", "event"]
 
-# the entity kinds and event names a row may hold; the reader refuses any other
+# the entity kinds and event names a row may hold; the reader refuses any other.
+# EVENT_NAMES[kind] names an event of that world.EVENT_* kind.
 ENTITY_KINDS = ("point_negative", "point_positive", "predator", "prey")
-_EVENTS = frozenset((EVENT_POSITIVE, EVENT_NEGATIVE, EVENT_CAUGHT))
+EVENT_NAMES = ("positive_collected", "negative_collected", "prey_caught")
 
 # The reader's one pass fills this record type; without usecols, numpy refuses a row
 # that does not have exactly one field per column.
@@ -91,16 +92,19 @@ class TrajectoryWriter:
                         self._spool.seek(offset)
                         out.write(self._spool.read(length))
 
-    def record(self, tick: int, state: WorldState, events: list[Event]) -> None:
-        """One tick of every world of `state`, world w as run w: one `%` template filled and held per run."""
+    def record(self, tick: int, state: WorldState, events: np.recarray) -> None:
+        """One tick of every world of `state`, world w as run w: one `%` template filled and held per run.
+
+        `events` is the tick's event array as world.step returns it; each names itself on its prey's row.
+        """
         if len(state.prey_pos) != self.n_runs:
             raise StructuralError(f"state has {len(state.prey_pos)} worlds, the trajectory {self.n_runs} runs")
         # one run's row templates for this tick, and each row set's (W, rows, fields) values
         rows = [f"%d,{tick},prey,{i},%.6f,%.6f,%.4f,%s\r\n" for i in range(state.prey_pos.shape[1])]
         values = [_cells(state.prey_pos[..., 0], state.prey_pos[..., 1], state.prey_heading, "")]
-        for ev in events:
-            cell = values[0][ev.world, ev.prey_id]
-            cell[-1] = f"{cell[-1]};{ev.kind}" if cell[-1] else ev.kind
+        for w, i, kind in events.tolist():
+            cell = values[0][w, i]
+            cell[-1] = f"{cell[-1]};{EVENT_NAMES[kind]}" if cell[-1] else EVENT_NAMES[kind]
         if state.predator is not None:
             p = state.predator
             rows.append(f"%d,{tick},predator,0,%.6f,%.6f,%.4f,\r\n")
@@ -247,7 +251,7 @@ def _known(rows) -> bool:
     """Whether every row's entity kind, and every event its event cell names, is one the writer writes."""
     events = rows["event"]
     cells = set(events[events != ""].tolist())
-    return set(rows["entity_kind"].tolist()) <= set(ENTITY_KINDS) and all(_EVENTS.issuperset(c.split(";")) for c in cells)
+    return set(rows["entity_kind"].tolist()) <= set(ENTITY_KINDS) and all(set(EVENT_NAMES).issuperset(c.split(";")) for c in cells)
 
 
 def _walk(path, n_skip: int, last_run: int | None) -> np.ndarray:
@@ -284,7 +288,7 @@ def _walk(path, n_skip: int, last_run: int | None) -> np.ndarray:
                 what = (
                     f"entity kind {kind!r}, not one of {', '.join(ENTITY_KINDS)}"
                     if kind not in ENTITY_KINDS
-                    else f"event {event!r}, not names from {', '.join(sorted(_EVENTS))} joined by ';'"
+                    else f"event {event!r}, not names from {', '.join(sorted(EVENT_NAMES))} joined by ';'"
                 )
                 raise InputError(f"{path}: line {n} has {what}")
             if last_run is not None and row["run_id"][0] > last_run:

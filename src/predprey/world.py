@@ -34,6 +34,13 @@ pickup respawns its point at once, so a later pair with that point is
 confirmed again against the point's live position. A caught prey teleports,
 which moves no body of another pair, so catches need no such re-check.
 
+step returns a tick's events as one record array of EVENT_DTYPE, a row
+(world, prey_id, kind) per pickup or catch, with kind one of EVENT_POSITIVE,
+EVENT_NEGATIVE and EVENT_CAUGHT (0, 1, 2, also the column order of a run's
+totals). Rows go world by world and, within a world, in the order that world
+resolves them alone: its pickups by (prey, point), then its catches. A tick
+without events returns one shared, read-only empty array.
+
 A WorldState computes the constants of its config and body counts once, when
 it is built. Ray casting tests every barrier and the arena in one slab pass:
 the arena is an inverted slab that holds every prey and that a ray leaves at
@@ -58,9 +65,11 @@ REWARD_POSITIVE = 1.0
 REWARD_NEGATIVE = -0.2
 REWARD_CAUGHT = -1.0
 
-EVENT_POSITIVE = "positive_collected"
-EVENT_NEGATIVE = "negative_collected"
-EVENT_CAUGHT = "prey_caught"
+# Event kinds, in the column order of a run's totals; step returns events as EVENT_DTYPE records.
+EVENT_POSITIVE, EVENT_NEGATIVE, EVENT_CAUGHT = 0, 1, 2
+EVENT_DTYPE = np.dtype([("world", np.int64), ("prey_id", np.int64), ("kind", np.int64)])
+_NO_EVENTS = np.recarray(0, dtype=EVENT_DTYPE)
+_NO_EVENTS.flags.writeable = False
 
 # Ray hit categories, in one-hot order.
 HIT_POSITIVE = 0
@@ -157,14 +166,6 @@ class PredatorState:
     target_prey_id: np.ndarray  # (W,) int, -1 while patrolling
     patrol_waypoint: np.ndarray  # (W, 2)
     ticks_since_waypoint: np.ndarray  # (W,) int
-
-
-@dataclass
-class Event:
-    tick: int
-    kind: str
-    prey_id: int
-    world: int = 0
 
 
 @dataclass(eq=False)
@@ -365,17 +366,12 @@ def reset(config: WorldConfig, seed: int | list[int]) -> WorldState:
         point_positive=np.zeros((n_worlds, n_points), dtype=bool),
         rngs=[None] * n_worlds,
     )
-    _redraw(state, np.arange(n_worlds), seeds)
+    reset_worlds(state, np.arange(n_worlds), seeds)
     return state
 
 
-def reset_world(state: WorldState, world: int, seed: int) -> None:
-    """Redraw one world in place at tick 0, on a new generator seeded with `seed`, as reset draws it."""
-    _redraw(state, np.array([world]), [seed])
-
-
-def _redraw(state: WorldState, worlds: np.ndarray, seeds) -> None:
-    """Redraw `worlds` in place at tick 0, worlds[i] on a new generator seeded with seeds[i].
+def reset_worlds(state: WorldState, worlds: np.ndarray, seeds) -> None:
+    """Redraw `worlds` (an int array) in place at tick 0, worlds[i] on a new generator seeded with seeds[i].
 
     One _place call places body k of every world. Each world's draw order: each prey's position then
     heading, the predator's position, heading and first waypoint, then the positive and the negative points.
@@ -428,12 +424,14 @@ def _circles(state: WorldState, world: int | slice) -> np.ndarray:
 
 def step(
     state: WorldState, prey_actions: np.ndarray
-) -> tuple[WorldState, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray], list[Event]]:
+) -> tuple[WorldState, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray], np.recarray]:
     """Advance every world one tick: prey move, predators act, pickups and catches resolve.
 
     `prey_actions` is (W, n_prey). Returns the mutated state, the (W, n_prey)
     rewards, observe_all's (kinds, distances, ego) of the post-step worlds,
-    and this tick's events, world by world.
+    and this tick's events as an EVENT_DTYPE record array of (world, prey_id,
+    kind) rows: world by world, each world's pickups in (prey, point) order,
+    then its catches (see the module docstring).
     """
     cfg = state.config
     space = _PREY_ACTIONS
@@ -449,7 +447,7 @@ def step(
         raise InputError(f"world {w}, prey {i}: action index {actions[w, i]} outside [0, {space.n_joint})")
     actions = actions.astype(np.int64)
     rewards = np.zeros(shape)
-    events: list[list[Event]] = [[] for _ in range(len(actions))]
+    events = []  # (world, prey_id, kind) rows, pickups before catches
     move_step = cfg.prey_move_speed * cfg.tick_dt
 
     # Prey locomotion: turn, then move along the new heading.
@@ -467,7 +465,6 @@ def step(
 
     # Point pickups, in (world, prey, point) order: see the module docstring.
     prey_pos, point_pos = state.prey_pos, state.point_pos
-    ticks = state.tick.tolist()
     reach = cfg.prey_radius + cfg.point_radius
     dx = prey_pos[:, :, None, 0] - point_pos[:, None, :, 0]  # (W, n_prey, P)
     dy = prey_pos[:, :, None, 1] - point_pos[:, None, :, 1]
@@ -481,7 +478,7 @@ def step(
             continue
         positive = state.point_positive[w, j]
         rewards[w, i] += REWARD_POSITIVE if positive else REWARD_NEGATIVE
-        events[w].append(Event(ticks[w], EVENT_POSITIVE if positive else EVENT_NEGATIVE, i, w))
+        events.append((w, i, EVENT_POSITIVE if positive else EVENT_NEGATIVE))
         radii, world = state.circle_radii.copy(), slice(w, w + 1)
         radii[j] = -np.inf  # the point is no obstacle to itself; points lead the circles
         point_pos[w, j] = _place(state.rngs[world], cfg, cfg.point_radius, _circles(state, world), radii)[0]
@@ -497,12 +494,13 @@ def step(
         caught = np.hypot(dx[pairs], dy[pairs]) <= contact
         for w, i in zip(*(a[caught].tolist() for a in pairs)):
             rewards[w, i] += REWARD_CAUGHT
-            events[w].append(Event(ticks[w], EVENT_CAUGHT, i, w))
+            events.append((w, i, EVENT_CAUGHT))
             world = slice(w, w + 1)
             prey_pos[w, i] = _place(state.rngs[world], cfg, cfg.prey_radius, _circles(state, world), state.circle_radii)[0]
 
     state.tick += 1
-    return state, rewards, observe_all(state), [ev for world_events in events for ev in world_events]
+    events.sort(key=lambda row: row[0])  # stable: each world keeps its own order
+    return state, rewards, observe_all(state), np.rec.fromrecords(events, dtype=EVENT_DTYPE) if events else _NO_EVENTS
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ from predprey.net import forward, init_net, log_softmax, read_rows
 from predprey.ppo import PpoHyperparams, clipped_surrogate, compute_gae, ppo_loss_and_grads
 from predprey.stats import RunRecord, cohens_d, evaluate_condition, one_way_anova, task_efficiency
 from predprey.train import MetricsRow, ScenarioConfig, run_training
-from predprey.world import WorldConfig, reset, step
+from predprey.trajectory import EVENT_NAMES
+from predprey.world import EVENT_CAUGHT, EVENT_NEGATIVE, EVENT_POSITIVE, WorldConfig, reset, step
 from tests_support import brute_force_can_see, copy_net, get_flat, make_state, set_flat
 
 
@@ -206,7 +207,7 @@ class TestCriterion6EnvironmentInvariants:
         rng = np.random.default_rng(606)
         half = cfg.half_side
         rewards_all = []
-        counts = {"positive_collected": 0, "negative_collected": 0, "prey_caught": 0}
+        counts = np.zeros(3, dtype=np.int64)  # indexed by event kind
         containment_ok = True
         conservation_ok = True
         n_pos0 = int(state.point_positive.sum())
@@ -214,8 +215,7 @@ class TestCriterion6EnvironmentInvariants:
         for _ in range(100_000):
             state, rewards, _, events = step(state, rng.integers(0, 6, size=(1, cfg.n_prey)))
             rewards_all.extend(map(float, rewards[0]))
-            for e in events:
-                counts[e.kind] += 1
+            counts += np.bincount(events.kind, minlength=3)
             pos = np.concatenate([state.prey_pos[0], state.predator.position, state.point_pos[0]])
             if not (np.abs(pos) <= half).all():
                 containment_ok = False
@@ -235,7 +235,7 @@ class TestCriterion6EnvironmentInvariants:
                 break
 
         total = math.fsum(rewards_all)
-        scaled = 5 * counts["positive_collected"] - counts["negative_collected"] - 5 * counts["prey_caught"]
+        scaled = 5 * counts[EVENT_POSITIVE] - counts[EVENT_NEGATIVE] - 5 * counts[EVENT_CAUGHT]
         accounting_ok = round(5 * total) == scaled and abs(5 * total - scaled) < 1e-6
 
         oracle_rng = np.random.default_rng(66)
@@ -257,7 +257,7 @@ class TestCriterion6EnvironmentInvariants:
         report(
             "100k-step invariants: containment, point conservation, exact reward accounting, vision oracle",
             ok,
-            f"events {counts}, oracle mismatches {mismatches}, {time.time() - t0:.0f}s",
+            f"events {dict(zip(EVENT_NAMES, counts.tolist()))}, oracle mismatches {mismatches}, {time.time() - t0:.0f}s",
         )
 
 

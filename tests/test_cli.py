@@ -1,6 +1,7 @@
 import os
 import resource
 import shlex
+import shutil
 import signal
 import subprocess
 import sys
@@ -929,6 +930,15 @@ class TestCliPipeline:
         lines = dict(line.split(" = ", 1) for line in snapshots["replay"].decode().splitlines()[1:])
         assert Path(lines["trajectory"]).is_file()
 
+    def test_records_snapshot_splits_back_into_its_specs(self, pipeline, tmp_path):
+        _, _, eval_dir = pipeline
+        spaced = tmp_path / "sp ace" / "r.csv"
+        spaced.parent.mkdir()
+        shutil.copy(eval_dir / "run_records.csv", spaced)
+        assert main(["stats", f"a={spaced}", f"b={spaced}", "-o", str(tmp_path / "stats")]) == 0
+        lines = dict(line.split(" = ", 1) for line in (tmp_path / "stats" / "resolved_config.txt").read_text().splitlines()[1:])
+        assert shlex.split(lines["records"]) == [f"a={spaced}", f"b={spaced}"]
+
     def test_eval_without_checkpoint_is_config_error(self, tmp_path):
         assert main(["eval", "-o", str(tmp_path / "x")]) == 2
 
@@ -1040,14 +1050,14 @@ class TestReplayExport:
 
     def test_caught_event_appears_with_prey_id(self, tmp_path):
         from predprey.trajectory import TrajectoryWriter
-        from predprey.world import WorldConfig, reset, step
+        from predprey.world import EVENT_CAUGHT, step
         from tests_support import make_contact_state
 
         cfg, state = make_contact_state()
         path = tmp_path / "t.csv"
         with TrajectoryWriter(path, n_runs=1, log_points=True) as writer:
             state, _, _, events = step(state, [[0]])
-            assert any(e.kind == "prey_caught" for e in events)
+            assert any(e.kind == EVENT_CAUGHT for e in events)
             writer.record(0, state, events)
         table = TrajectoryTable.from_csv(path)
         text = replay_export(table, 0, (0, 0))

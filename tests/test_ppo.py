@@ -22,7 +22,7 @@ from predprey.world import (
     observation_matrix,
     observe_all,
     reset,
-    reset_world,
+    reset_worlds,
     step,
 )
 from predprey.train import ScenarioConfig, steps_per_cycle
@@ -509,7 +509,7 @@ def reference_sweep(net, actors, T, hp, rng, episode_seed):
         _, rewards, actors.obs, _ = step(state, actions)
         ended = state.tick >= state.config.episode_length
         for w in np.flatnonzero(ended):
-            reset_world(state, w, episode_seed(w))
+            reset_worlds(state, np.array([w]), [episode_seed(w)])
         if ended.any():
             actors.obs = observe_all(state)
         seq["rewards"].append(np.array(rewards))

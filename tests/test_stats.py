@@ -306,7 +306,7 @@ class TestRunRecordConsistency:
         rng = np.random.default_rng(71)
         obs = observe_all(state)
         rewards_all = []
-        counts = {"positive_collected": 0, "negative_collected": 0, "prey_caught": 0}
+        counts = {EVENT_POSITIVE: 0, EVENT_NEGATIVE: 0, EVENT_CAUGHT: 0}
         for _ in range(300):
             dense = observation_matrix(*obs)
             actions, _, _ = sample_actions(net, dense, rng.random(dense.shape[:-1]))
@@ -314,10 +314,7 @@ class TestRunRecordConsistency:
             rewards_all.extend(map(float, rewards[0]))
             for e in events:
                 counts[e.kind] += 1
-        rec = RunRecord(
-            0, counts["positive_collected"], counts["negative_collected"],
-            counts["prey_caught"], 300,
-        )
+        rec = RunRecord(0, counts[EVENT_POSITIVE], counts[EVENT_NEGATIVE], counts[EVENT_CAUGHT], 300)
         eff = task_efficiency(rec)
         total = m.fsum(rewards_all)
         assert round(5 * eff) == round(5 * total)

@@ -8,10 +8,13 @@ import csv
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import predprey.cli  # noqa: F401  (the tracer patches every loaded predprey module)
 import predprey.net
+import predprey.world
+from predprey.world import EVENT_CAUGHT, EVENT_NEGATIVE, EVENT_POSITIVE, WorldConfig
 
 TRACING_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
 
@@ -94,3 +97,19 @@ def test_traced_cli_analysis_reaches_every_benchmark_span(traced_cli):
     with open(trajectory, newline="") as fh:
         prey_rows = sum(row["entity_kind"] == "prey" for row in csv.DictReader(fh))
     assert metrics["stats.kde_occupancy.samples"] == prey_rows > 0
+
+
+def test_traced_step_counts_the_events_it_returns():
+    tracing = load_tracing()
+    cfg = WorldConfig()  # with the predator, so that there are catches
+    state = predprey.world.reset(cfg, list(range(8)))
+    rng = np.random.default_rng(0)
+    kinds = np.zeros(3, dtype=np.int64)
+    with tracing.Tracer() as tracer:
+        for _ in range(400):
+            _, _, _, events = predprey.world.step(state, rng.integers(0, 6, size=(8, cfg.n_prey)))
+            kinds += np.bincount(events.kind, minlength=3)
+    metrics = tracing.layer_metrics(tracer)
+    assert metrics["world.step.calls"] == 400
+    assert metrics["world.events.collected"] == kinds[EVENT_POSITIVE] + kinds[EVENT_NEGATIVE] > 0
+    assert metrics["world.events.caught"] == kinds[EVENT_CAUGHT] > 0

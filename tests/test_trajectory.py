@@ -6,6 +6,7 @@ import os
 import re
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -16,13 +17,14 @@ from predprey.cli import main
 from predprey.errors import InputError, StructuralError
 from predprey.trajectory import (
     CSV_HEADER,
+    EVENT_NAMES,
     TrajectoryTable,
     TrajectoryWriter,
     read_positions,
     read_run,
     replay_export,
 )
-from predprey.world import EVENT_CAUGHT, EVENT_NEGATIVE, EVENT_POSITIVE, Event, WorldConfig
+from predprey.world import EVENT_CAUGHT, EVENT_DTYPE, EVENT_NEGATIVE, EVENT_POSITIVE, WorldConfig
 from test_golden import eval_digests
 from tests_support import csv_reader_table, make_state, one_world_rows, stack_worlds
 
@@ -30,6 +32,12 @@ HEADER_LINE = ",".join(CSV_HEADER) + "\r\n"
 GOOD_ROWS = "0,0,prey,0,1.0,2.0,90.0,\r\n0,0,predator,0,-1.0,-2.0,45.0,\r\n"
 # rows a block holds: a few, so that small files span several blocks, and the default
 BLOCK_SIZES = (1, 2, 3, trajectory_module._BLOCK_ROWS)
+NO_EVENTS = np.recarray(0, dtype=EVENT_DTYPE)
+
+
+def events_of(*rows):
+    """A tick's event array, as world.step returns it, of (world, prey_id, kind) rows."""
+    return np.rec.fromrecords(list(rows), dtype=EVENT_DTYPE) if rows else NO_EVENTS
 
 
 def block_rows(n: int):
@@ -73,9 +81,9 @@ class TestWriter:
         state = three_worlds(predator)
         ticks = [
             # two events on prey 0 of world 1, one on prey 1 of world 2, none in world 0
-            [Event(0, EVENT_POSITIVE, 0, 1), Event(0, EVENT_CAUGHT, 0, 1), Event(0, EVENT_NEGATIVE, 1, 2)],
-            [],
-            [Event(2, EVENT_CAUGHT, 1, 0)],
+            events_of((1, 0, EVENT_POSITIVE), (1, 0, EVENT_CAUGHT), (2, 1, EVENT_NEGATIVE)),
+            events_of(),
+            events_of((0, 1, EVENT_CAUGHT)),
         ] * repeats
         kinds = ("prey", "predator", "points") if log_points else ("prey", "predator")
         want = [[] for _ in range(3)]
@@ -97,7 +105,7 @@ class TestWriter:
         with pytest.raises(RuntimeError, match="interrupted"):
             with TrajectoryWriter(path, 3, True) as writer:
                 for tick in range(n_ticks):
-                    writer.record(tick, three_worlds(True), [])
+                    writer.record(tick, three_worlds(True), NO_EVENTS)
                 raise RuntimeError("interrupted")
         assert path.read_bytes() == b"previous"
         assert os.listdir(tmp_path) == ["t.csv"]
@@ -105,7 +113,7 @@ class TestWriter:
     def test_world_count_must_match_runs(self, tmp_path):
         with pytest.raises(StructuralError, match="3 worlds"):
             with TrajectoryWriter(tmp_path / "t.csv", 2, True) as writer:
-                writer.record(0, three_worlds(True), [])
+                writer.record(0, three_worlds(True), NO_EVENTS)
         assert os.listdir(tmp_path) == []
 
 
@@ -169,7 +177,7 @@ WRITER_ROWS = st.builds(
     st.sampled_from(["prey", "predator", "point_positive", "point_negative"]),
     st.integers(0, 2**63 - 1),
     *[st.floats(allow_nan=False, allow_infinity=False)] * 3,
-    st.lists(st.sampled_from([EVENT_POSITIVE, EVENT_NEGATIVE, EVENT_CAUGHT]), max_size=3),
+    st.lists(st.sampled_from(EVENT_NAMES), max_size=3),
 )
 # data rows and blank lines, each ending in CRLF or LF; the header ends as the writer ends it
 WRITER_LINES = st.lists(st.tuples(st.one_of(WRITER_ROWS, st.just("")), st.sampled_from(["\r\n", "\n"])), max_size=25)

@@ -21,6 +21,7 @@ from tests_support import (
 from predprey.world import (
     _PATROL_STALL_TICKS,
     EVENT_CAUGHT,
+    EVENT_DTYPE,
     EVENT_NEGATIVE,
     EVENT_POSITIVE,
     HIT_NEGATIVE,
@@ -38,7 +39,7 @@ from predprey.world import (
     predator_step,
     prey_action_space,
     reset,
-    reset_world,
+    reset_worlds,
     step,
     visible_prey,
 )
@@ -156,7 +157,7 @@ class TestReset:
         state = reset(cfg, [1, 2])
         step(state, np.zeros((2, cfg.n_prey), dtype=int))
         other = state_digest(state, 1)
-        reset_world(state, 0, 7)
+        reset_worlds(state, np.array([0]), [7])
         assert state_digest(state, 0) == state_digest(reset(cfg, 7))
         assert state_digest(state, 1) == other
 
@@ -239,7 +240,7 @@ class TestStep:
         state = reset(cfg, 11)
         before = state.prey_pos.copy()
         state, rewards, _, events = step(state, [[0] * cfg.n_prey])
-        if events:  # a prey may have spawned on a point; rerole is fine
+        if len(events):  # a prey may have spawned on a point; rerole is fine
             pytest.skip("spawn happened to overlap a point")
         assert np.all(rewards == 0.0)
         assert np.array_equal(state.prey_pos, before)
@@ -266,9 +267,21 @@ class TestStep:
         state, rewards, _, events = step(state, [[0]])
         assert rewards[0, 0] == pytest.approx(1.0)
         assert [e.kind for e in events] == [EVENT_POSITIVE]
-        assert events[0].tick == 0 and events[0].prey_id == 0 and events[0].world == 0
+        assert events[0].prey_id == 0 and events[0].world == 0
         assert np.hypot(*(state.point_pos[0, 0] - np.array([0.1, 0.0]))) > 1e-9
         assert state.point_positive[0, 0]
+
+    def test_events_are_one_record_array_and_quiet_ticks_share_one_empty_array(self):
+        cfg = WorldConfig(predator_present=False)
+        state = make_state(cfg, prey_specs=[((0.0, 0.0), 0.0)], points=[((0.1, 0.0), "positive"), ((3.0, 3.0), "negative")])
+        _, _, _, events = step(state, [[0]])
+        assert isinstance(events, np.recarray) and events.dtype == EVENT_DTYPE
+        assert events.tolist() == [(0, 0, EVENT_POSITIVE)]
+        state.point_pos[0, 0] = (-3.0, -3.0)  # wherever the point respawned, away from the prey
+        _, _, _, quiet = step(state, [[0]])
+        _, _, _, again = step(state, [[0]])
+        assert isinstance(quiet, np.recarray) and quiet.dtype == EVENT_DTYPE and len(quiet) == 0
+        assert quiet is again and not quiet.flags.writeable
 
     def test_forward_into_negative_point_penalizes(self):
         cfg = WorldConfig(predator_present=False)
@@ -397,9 +410,9 @@ class TestStep:
         for _ in range(2):
             state = reset(cfg, 77)
             events_all = []
-            for a in actions:
+            for tick, a in enumerate(actions):
                 state, _, _, events = step(state, a)
-                events_all.extend((e.tick, e.kind, e.prey_id) for e in events)
+                events_all.extend((tick, e.kind, e.prey_id) for e in events)
             logs.append((state_digest(state), tuple(events_all)))
         assert logs[0] == logs[1]
 
@@ -409,12 +422,11 @@ class TestStep:
         cfg = WorldConfig()
         state = reset(cfg, 31)
         rng = np.random.default_rng(4)
-        rewards_all, counts = [], {EVENT_POSITIVE: 0, EVENT_NEGATIVE: 0, EVENT_CAUGHT: 0}
+        rewards_all, counts = [], np.zeros(3, dtype=np.int64)
         for _ in range(2000):
             state, rewards, _, events = step(state, rng.integers(0, 6, size=(1, cfg.n_prey)))
             rewards_all.extend(float(r) for r in rewards[0])
-            for e in events:
-                counts[e.kind] += 1
+            counts += np.bincount(events.kind, minlength=3)
             assert state.point_pos.shape == (1, 20, 2) and state.point_positive.sum() == 10
         total = m.fsum(rewards_all)
         # exact at the rational level: 5 * total is an integer combination
@@ -789,7 +801,7 @@ def same_observation(obs, world, one_world_obs) -> bool:
 
 
 def event_tuples(events):
-    return [(e.tick, e.kind, e.prey_id) for e in events]
+    return [(e.kind, e.prey_id) for e in events]
 
 
 class TestBatchedWorlds:
@@ -821,7 +833,7 @@ class TestBatchedWorlds:
                 _, rewards_w, obs_w, events_w = step(single, actions[w : w + 1])
                 assert np.array_equal(rewards[w], rewards_w[0])
                 assert same_observation(obs, w, obs_w)
-                assert event_tuples(e for e in events if e.world == w) == event_tuples(events_w)
+                assert event_tuples(events[events.world == w]) == event_tuples(events_w)
                 assert np.array_equal(batch.prey_pos[w], single.prey_pos[0])
                 assert np.array_equal(batch.prey_heading[w], single.prey_heading[0])
                 assert np.array_equal(batch.predator.position[w], single.predator.position[0])
@@ -842,7 +854,7 @@ class TestBatchedWorlds:
             for w, single in enumerate(singles):
                 _, _, obs_w, events_w = step(single, actions[w : w + 1])
                 assert same_observation(obs, w, obs_w)
-                assert event_tuples(e for e in events if e.world == w) == event_tuples(events_w)
+                assert event_tuples(events[events.world == w]) == event_tuples(events_w)
         for w, single in enumerate(singles):
             assert state_digest(batch, w) == state_digest(single)
 

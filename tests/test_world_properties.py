@@ -18,6 +18,7 @@ from predprey.world import (
     PredatorState,
     WorldState,
     EVENT_CAUGHT,
+    EVENT_DTYPE,
     EVENT_NEGATIVE,
     EVENT_POSITIVE,
     REWARD_CAUGHT,
@@ -77,8 +78,8 @@ def test_world_invariants(layout, seed, predator):
         assert (state.point_positive.sum(axis=1) == cfg.n_positive_points).all()
 
         expected = np.zeros((n_worlds, cfg.n_prey))
+        assert isinstance(events, np.recarray) and events.dtype == EVENT_DTYPE
         for ev in events:
-            assert ev.tick == tick
             expected[ev.world, ev.prey_id] += EVENT_REWARD[ev.kind]
         assert np.array_equal(rewards, expected)
 

@@ -16,7 +16,7 @@ from scipy.special import erf
 from predprey.errors import ConfigError, StructuralError
 from predprey.net import DenseNet
 from predprey.stats import cohens_d, one_way_anova, task_efficiency
-from predprey.trajectory import CSV_HEADER, TrajectoryTable
+from predprey.trajectory import CSV_HEADER, EVENT_NAMES, TrajectoryTable
 from predprey.world import (
     _PLACEMENT_ATTEMPTS,
     N_HIT_KINDS,
@@ -344,7 +344,7 @@ def one_world_rows(run_id, tick, state, events, world, kinds=("prey", "predator"
     by_prey: dict[int, list[str]] = {}
     for ev in events:
         if ev.world == world:
-            by_prey.setdefault(ev.prey_id, []).append(ev.kind)
+            by_prey.setdefault(ev.prey_id, []).append(EVENT_NAMES[ev.kind])
     rows = []
     if "prey" in kinds:
         headings = state.prey_heading[world].tolist()
