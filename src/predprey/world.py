@@ -19,12 +19,12 @@ are degrees in [0, 360) with 0 along +x and counter-clockwise positive;
 step, observe_all and predator_step advance every world with one numpy call
 per stage; body sliding, whose barriers act one after another, loops over
 the moving bodies a barrier can stop. One sampler, _place, makes every random
-placement, for a batch of worlds at once: body k of every world a reset draws,
-or every predator due a new waypoint; pickups and catches, which resolve pair by
-pair, respawn through it one world a call. Each world draws all its randomness
-from its own generator (state.rngs[w]) in the order it would alone, so a world's
-run depends only on its (config, seed, action sequence), never on W or on the
-other worlds, and a W-world step equals W one-world steps bit for bit.
+placement, one world after another with a rejection loop each: body k of every
+world a reset draws, every predator due a new waypoint, and each pickup's or
+catch's respawn. Each world draws all its randomness from its own generator
+(state.rngs[w]) in the order it would alone, so a world's run depends only on
+its (config, seed, action sequence), never on W or on the other worlds, and a
+W-world step equals W one-world steps bit for bit.
 
 Contacts resolve once every body has moved. A prey collects a point, and the
 predator catches a prey, when their centers lie within the summed radii. The
@@ -268,9 +268,9 @@ def _slide(pos: np.ndarray, dx: np.ndarray, dy: np.ndarray, radius: float, cfg: 
     limit = cfg.half_side - radius
     out = np.empty_like(pos)
     moved = range(len(pos))
-    if len(pos) > _SLIDE_NOMINATE_BODIES and cfg.barrier_layout:
+    if len(pos) > _SLIDE_NOMINATE_BODIES:
         out[:] = np.minimum(limit, np.maximum(-limit, pos + np.stack((dx, dy), axis=1)))
-        rects = np.array(cfg.barrier_layout)[:, None, :] + [-radius, -radius, radius, radius]  # (B, 1, 4)
+        rects = np.array(cfg.barrier_layout).reshape(-1, 1, 4) + [-radius, -radius, radius, radius]  # (B, 1, 4)
         meets = (np.minimum(pos, out) <= rects[..., 2:]) & (np.maximum(pos, out) >= rects[..., :2])  # swept boxes
         moved = np.flatnonzero(meets.all(axis=2).any(axis=0)).tolist()
     positions, dxs, dys = pos.tolist(), dx.tolist(), dy.tolist()
@@ -308,29 +308,27 @@ def _place(rngs: list[np.random.Generator], cfg: WorldConfig, radius: float, cen
     """One free spot per generator, (len(rngs), 2): wall clearance, outside inflated barriers, off the given bodies.
 
     centers (len(rngs), J, 2) holds each generator's bodies and radii (J,) their radii; a radius of -inf leaves
-    a body out. Each attempt draws two uniforms from every generator still pending, and only the rejected draw
-    again, so each generator's stream and each comparison's bits are those of placing in its world alone.
+    a body out. Each generator in turn draws two uniforms an attempt until a spot is free, as in its world alone.
     """
     limit = cfg.half_side - radius
     if limit <= 0:
         raise ConfigError(f"arena side {cfg.arena_side} too small for body radius {radius}")
     rects = [(x0 - radius, y0 - radius, x1 + radius, y1 + radius) for x0, y0, x1, y1 in cfg.barrier_layout]
     out = np.empty((len(rngs), 2))
-    pending = list(range(len(rngs)))
-    for _ in range(_PLACEMENT_ATTEMPTS):
-        if not pending:
-            return out
-        p = np.array([rngs[w].uniform(-limit, limit, size=2) for w in pending])
-        # in Python floats: most calls place one world, where numpy's per-call cost exceeds this loop's
-        rejected = np.array([any(x0 < x < x1 and y0 < y < y1 for x0, y0, x1, y1 in rects) for x, y in p.tolist()])
-        if centers is not None:
-            offsets = p[:, None] - centers
-            rejected |= (np.hypot(offsets[..., 0], offsets[..., 1]) < radius + radii).any(axis=1)
-            centers = centers[rejected]  # the bodies of the worlds that draw again
-        out[pending] = p  # a rejected candidate is overwritten by a later attempt
-        pending = [w for w, again in zip(pending, rejected.tolist()) if again]
-    placed = 0 if centers is None else centers.shape[1]
-    raise ConfigError(f"arena too crowded: no free spot for body radius {radius} among {placed} placed bodies")
+    for w, rng in enumerate(rngs):
+        for _ in range(_PLACEMENT_ATTEMPTS):
+            p = rng.uniform(-limit, limit, size=2)
+            x, y = p.tolist()  # Python floats: numpy's per-call cost exceeds this loop's
+            if any(x0 < x < x1 and y0 < y < y1 for x0, y0, x1, y1 in rects):
+                continue
+            if centers is not None and (np.hypot(*(p - centers[w]).T) < radius + radii).any():
+                continue
+            out[w] = p
+            break
+        else:
+            placed = 0 if centers is None else centers.shape[1]
+            raise ConfigError(f"arena too crowded: no free spot for body radius {radius} among {placed} placed bodies")
+    return out
 
 
 # ---------------------------------------------------------------------------

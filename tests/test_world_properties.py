@@ -93,6 +93,23 @@ def test_world_invariants(layout, seed, predator):
                     assert seen[w, i] == brute_force_can_see(state, i, world=w), (tick, w, i)
 
 
+@settings(max_examples=25, deadline=None)
+@given(layout=barrier_layouts(), seed=st.integers(0, 2**32 - 1))
+def test_no_contact_outlives_its_tick(layout, seed):
+    # a pickup respawns its point and a catch teleports its prey within the tick, each off every body
+    cfg = WorldConfig(barrier_layout=layout, predator_present=True)
+    n_worlds, ticks = 3, 100  # about 370 pickups and 1,270 catches over the 25 examples
+    state = reset(cfg, [seed + w for w in range(n_worlds)])
+    actions = np.random.default_rng(seed).integers(0, 6, size=(ticks, n_worlds, cfg.n_prey))
+    for tick, joint in enumerate(actions):
+        state = step(state, joint)[0]
+        to_points = state.prey_pos[:, :, None] - state.point_pos[:, None]  # (W, n_prey, P, 2)
+        to_predator = state.prey_pos - state.predator.position[:, None]  # (W, n_prey, 2)
+        # the radius sums _place keeps clear, compared as it compares them
+        assert (np.hypot(to_points[..., 0], to_points[..., 1]) >= cfg.prey_radius + cfg.point_radius).all(), tick
+        assert (np.hypot(to_predator[..., 0], to_predator[..., 1]) >= cfg.prey_radius + cfg.predator_radius).all(), tick
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     n_rays=st.integers(1, 13),
