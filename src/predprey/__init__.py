@@ -9,7 +9,7 @@ from .errors import (
     PredpreyError,
     StructuralError,
 )
-from .net import AdamState, DenseNet, LrSchedule, adam_step, backward, forward, init_net, lr_at
+from .net import AdamState, DenseNet, adam_step, backward, forward, init_net, lr_at
 from .ppo import (
     AdvantageEstimates,
     PpoHyperparams,

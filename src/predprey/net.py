@@ -297,22 +297,13 @@ def adam_step(
 # learning-rate schedule
 
 
-@dataclass
-class LrSchedule:
-    initial_rate: float = 3.0e-4
-    max_steps: int = 1_000_000
-
-    def __post_init__(self) -> None:
-        if self.max_steps <= 0:
-            raise StructuralError(f"max_steps must be positive, got {self.max_steps}")
-
-
-def lr_at(schedule: LrSchedule, step: int) -> float:
-    """Linear decay: initial at step 0, zero at max_steps; clamps to 0 past the end."""
+def lr_at(initial_rate: float, max_steps: int, step: int) -> float:
+    """Linear decay: initial_rate at step 0, zero at max_steps; clamps to 0 past the end."""
+    if max_steps <= 0:
+        raise StructuralError(f"max_steps must be positive, got {max_steps}")
     if step < 0:
         raise InputError(f"step must be >= 0, got {step}")
-    frac = 1.0 - step / schedule.max_steps
-    return schedule.initial_rate * max(0.0, frac)
+    return initial_rate * max(0.0, 1.0 - step / max_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -424,9 +415,9 @@ def read_rows(path, cls, last_key: float = math.inf) -> list:
 
     A header other than the field names, a row with another field count, a field its type refuses
     (a byte the file's encoding cannot decode reaches it as a lone surrogate), or values `cls`
-    refuses with InputError raises InputError naming the file and line. A field declared
-    init=False is parsed, then left for `cls` to derive. Reading stops, unparsed, at the first
-    row whose first field is an integer above `last_key`.
+    refuses with InputError raises InputError naming the file and line, and so does a field
+    declared init=False whose parsed value is not exactly the one `cls` derives. Reading stops,
+    unparsed, at the first row whose first field is an integer above `last_key`.
     """
     hints = get_type_hints(cls)
     columns = fields(cls)
@@ -444,7 +435,11 @@ def read_rows(path, cls, last_key: float = math.inf) -> list:
                 if len(raw) != len(header):
                     raise ValueError(f"{len(raw)} fields, not {len(header)}")
                 values = [hints[f.name](value) for f, value in zip(columns, raw)]
-                rows.append(cls(*(v for f, v in zip(columns, values) if f.init)))
+                row = cls(*(v for f, v in zip(columns, values) if f.init))
+                for f, value in zip(columns, values):
+                    if not f.init and value != getattr(row, f.name):
+                        raise ValueError(f"{f.name} {value!r} is not the {getattr(row, f.name)!r} its other fields give")
+                rows.append(row)
             except (ValueError, InputError) as exc:
                 raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
     return rows

@@ -2,12 +2,14 @@
 
 Rollouts are collected from one shared policy across N independent worlds
 (every prey is a separate experience stream) into one RolloutBuffer, whose
-columns are allocated once with a cycle's rows; each sweep writes its chunk
-straight into them. Advantages come from exponentially-weighted
-temporal-difference residuals truncated at the collection horizon, and
-updates run num_epoch shuffled passes of size // batch_size minibatches over
-the full buffer; each pass leaves the size % batch_size rows at the end of its
-permutation out. Observations are stored as world.observe_all hands them out,
+columns are allocated once with a cycle's rows. One collect_rollout call fills
+the whole buffer a sweep at a time, writing each sweep's chunk straight into
+it, and owns the cycle's episodes: it redraws a world whose episode ends and
+returns every episode's per-prey return. Advantages come from
+exponentially-weighted temporal-difference residuals truncated at the
+collection horizon, and updates run num_epoch shuffled passes of
+size // batch_size minibatches over the full buffer; each pass leaves the
+size % batch_size rows at the end of its permutation out. Observations are stored as world.observe_all hands them out,
 a hit kind and a distance per ray plus the ego features;
 world.observation_matrix packs dense rows only where the net reads them: each
 tick's actions, the bootstrap value and each minibatch. The stored behaviour
@@ -26,6 +28,7 @@ import numpy as np
 from . import net as nets
 from .errors import ConfigError, ContractViolation, InputError, NumericsError, StructuralError
 from .net import AdamState, DenseNet
+from .seeding import derive_seed
 from .world import N_EGO_FEATURES, WorldState, observation_matrix, observe_all, reset_worlds, step
 
 ADVANTAGE_NORM_EPS = 1e-8
@@ -192,29 +195,6 @@ class RolloutBuffer:
         self._size = 0
 
 
-@dataclass(eq=False)
-class ActorWorlds:
-    """The worlds of one rollout plus the cached observations the policy acts on."""
-
-    state: WorldState
-    obs: tuple[np.ndarray, np.ndarray, np.ndarray]  # observe_all's (kinds, distances, ego)
-    episode_return: np.ndarray  # (W, n_prey)
-    completed_episode_returns: list[list[float]]  # per world, in the order episodes ended
-
-    @classmethod
-    def from_state(cls, state: WorldState) -> "ActorWorlds":
-        return cls(
-            state=state,
-            obs=observe_all(state),
-            episode_return=np.zeros(state.prey_heading.shape),
-            completed_episode_returns=[[] for _ in range(state.n_worlds)],
-        )
-
-    def finish_episode(self, world: int) -> None:
-        self.completed_episode_returns[world].extend(float(r) for r in self.episode_return[world])
-        self.episode_return[world] = 0.0
-
-
 def sample_actions(
     net: DenseNet, obs: np.ndarray, u: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -236,58 +216,64 @@ def sample_actions(
 
 def collect_rollout(
     net: DenseNet,
-    actors: ActorWorlds,
+    state: WorldState,
     hp: PpoHyperparams,
     rng: np.random.Generator,
     buffer: RolloutBuffer,
-    episode_seed,
-) -> None:
-    """One sweep: hp.time_horizon ticks of every world in lockstep, written into the buffer as one chunk.
+    episode_key: tuple[int, ...],
+) -> list[float]:
+    """Fill the buffer from the freshly reset state, one sweep of hp.time_horizon lockstep ticks of every world at a time.
 
-    The sweep's action uniforms are drawn up front as (W, T, n_prey), which is
-    the stream that drawing each world's ticks in turn would give. The sweep is
-    stored stream-major, (W, n_prey, T, ...), so the chunk's rows run world by
-    world, prey by prey, tick by tick: each tick's observations, as observe_all
-    returns them, and its actions, log-probabilities and values go straight into
-    the buffer's rows, and so do the advantages and returns at the end. Only the
-    rewards and episode boundaries are kept aside. Advantages are
-    horizon-truncated: the value of the state after the last tick bootstraps the
-    recursion unless an episode boundary cut it. When a world's tick count
-    reaches its configured episode_length it is redrawn in place from the seed
-    episode_seed(world_index) returns.
+    Each sweep is one chunk of the buffer. Its action uniforms are drawn up front
+    as (W, T, n_prey), which is the stream that drawing each world's ticks in turn
+    would give. It is stored stream-major, (W, n_prey, T, ...), so the chunk's
+    rows run world by world, prey by prey, tick by tick: each tick's
+    observations, as observe_all returns them, and its actions, log-probabilities
+    and values go straight into the buffer's rows, and so do the advantages and
+    returns at the end. Only the rewards and episode boundaries are kept aside.
+    Advantages are horizon-truncated: the value of the state after the sweep's
+    last tick bootstraps the recursion unless an episode boundary cut it. When a
+    world's tick count reaches its configured episode_length, its k-th ended
+    episode, it is redrawn in place from derive_seed(*episode_key, world, k).
+    Returns the per-prey episode returns world by world: a world's ended episodes
+    in the order they ended, then its unfinished one.
     """
-    state = actors.state
     n_worlds, n_prey = state.prey_heading.shape
     T = hp.time_horizon
-    u = rng.random((n_worlds, T, n_prey))
-    chunk = buffer.append_chunk(n_worlds * n_prey * T)
-    kinds, distances, ego, actions_seq, logp_seq, val_seq, adv_seq, ret_seq = (
-        chunk[f].reshape(n_worlds, n_prey, T, *chunk[f].shape[1:]) for f in RolloutBuffer.FIELDS
-    )
-    rew_seq = np.empty((n_worlds, n_prey, T))
-    bound_seq = np.zeros((n_worlds, n_prey, T), dtype=bool)
-
-    for t in range(T):
-        kinds[:, :, t], distances[:, :, t], ego[:, :, t] = actors.obs
-        actions, logp, values = sample_actions(net, observation_matrix(*actors.obs), u[:, t])
-        actions_seq[..., t] = actions
-        logp_seq[..., t] = logp
-        val_seq[..., t] = values
-        _, rewards, actors.obs, _ = step(state, actions)
-        rew_seq[..., t] = rewards
-        actors.episode_return += rewards
-        ended = np.flatnonzero(state.tick >= state.config.episode_length)
-        if len(ended):
-            bound_seq[ended, :, t] = True
-            for w in ended:
-                actors.finish_episode(w)
-            reset_worlds(state, ended, [episode_seed(w) for w in ended])
-            actors.obs = observe_all(state)
-
-    _, bootstrap = nets.forward(net, observation_matrix(*actors.obs))
-    est = compute_gae(rew_seq, val_seq, bound_seq, bootstrap, hp.gamma, hp.gae_lambda)
-    adv_seq[...] = est.advantages
-    ret_seq[...] = est.returns
+    obs = observe_all(state)
+    episode_return = np.zeros((n_worlds, n_prey))
+    ended_returns: list[list[float]] = [[] for _ in range(n_worlds)]
+    while not buffer.is_full():
+        u = rng.random((n_worlds, T, n_prey))
+        chunk = buffer.append_chunk(n_worlds * n_prey * T)
+        kinds, distances, ego, actions_seq, logp_seq, val_seq, adv_seq, ret_seq = (
+            chunk[f].reshape(n_worlds, n_prey, T, *chunk[f].shape[1:]) for f in RolloutBuffer.FIELDS
+        )
+        rew_seq = np.empty((n_worlds, n_prey, T))
+        bound_seq = np.zeros((n_worlds, n_prey, T), dtype=bool)
+        for t in range(T):
+            kinds[:, :, t], distances[:, :, t], ego[:, :, t] = obs
+            actions, logp, values = sample_actions(net, observation_matrix(*obs), u[:, t])
+            actions_seq[..., t] = actions
+            logp_seq[..., t] = logp
+            val_seq[..., t] = values
+            _, rewards, obs, _ = step(state, actions)
+            rew_seq[..., t] = rewards
+            episode_return += rewards
+            ended = np.flatnonzero(state.tick >= state.config.episode_length)
+            if len(ended):
+                bound_seq[ended, :, t] = True
+                for w in ended:
+                    ended_returns[w].extend(episode_return[w].tolist())
+                episode_return[ended] = 0.0
+                seeds = [derive_seed(*episode_key, w, len(ended_returns[w]) // n_prey) for w in ended]
+                reset_worlds(state, ended, seeds)
+                obs = observe_all(state)
+        _, bootstrap = nets.forward(net, observation_matrix(*obs))
+        est = compute_gae(rew_seq, val_seq, bound_seq, bootstrap, hp.gamma, hp.gae_lambda)
+        adv_seq[...] = est.advantages
+        ret_seq[...] = est.returns
+    return [r for w in range(n_worlds) for r in (*ended_returns[w], *episode_return[w].tolist())]
 
 
 # ---------------------------------------------------------------------------

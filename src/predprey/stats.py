@@ -179,7 +179,7 @@ def summarize_condition(condition_id: str, records: list[RunRecord]) -> Conditio
     pos = np.array([r.pos_total for r in records])
     neg = np.array([r.neg_total for r in records])
     caught = np.array([r.caught_total for r in records])
-    eff = np.array([task_efficiency(r) for r in records])
+    eff = np.array([r.task_efficiency for r in records])
     return ConditionSummary(
         condition_id=condition_id,
         n_runs=len(records),

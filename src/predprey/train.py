@@ -1,7 +1,9 @@
 """End-to-end training orchestration for the three standard scenarios.
 
-Every update cycle draws freshly randomized worlds and all randomness is
-keyed on (run seed, cycle index), so a checkpoint taken at a cycle boundary
+Every update cycle draws freshly randomized worlds, fills the rollout buffer
+from them with one `ppo.collect_rollout` call, which also redraws each world
+whose episode ends, and updates on it. All randomness is keyed on
+(run seed, cycle index), so a checkpoint taken at a cycle boundary
 (parameters, optimizer moments, seed, global step) replays the remainder of
 the run step-for-step. Global step counts environment steps summed across
 prey streams. Each cycle rewrites metrics.csv whole from its `MetricsRow`s
@@ -23,7 +25,6 @@ from .errors import ConfigError, StructuralError
 from .net import (
     AdamState,
     DenseNet,
-    LrSchedule,
     init_net,
     load_checkpoint,
     lr_at,
@@ -32,7 +33,7 @@ from .net import (
     save_checkpoint,
     write_rows,
 )
-from .ppo import ActorWorlds, PpoHyperparams, RolloutBuffer, collect_rollout, ppo_update
+from .ppo import PpoHyperparams, RolloutBuffer, collect_rollout, ppo_update
 from .seeding import check_seed, derive_seed
 from .world import WorldConfig, prey_action_space, reset
 
@@ -153,14 +154,12 @@ def run_training(
         run_seed = cfg.seed
         global_step = 0
 
-    schedule = LrSchedule(initial_rate=hp.learning_rate, max_steps=hp.max_steps)
     cycle_steps = steps_per_cycle(cfg)
     if global_step % cycle_steps != 0:
         raise StructuralError(
             f"checkpoint step {global_step} is not a cycle boundary (cycle={cycle_steps})"
         )
     update_idx = global_step // cycle_steps
-    steps_per_tick = cfg.n_worlds * cfg.world.n_prey
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -172,24 +171,12 @@ def run_training(
 
     buffer = RolloutBuffer(cycle_steps, cfg.world.n_rays)  # filled in place every cycle; ppo_update empties it
     while global_step < hp.max_steps:
-        actors = ActorWorlds.from_state(
-            reset(cfg.world, [derive_seed(run_seed, _TAG_WORLD, update_idx, w) for w in range(cfg.n_worlds)])
-        )
-        episode_counts = [0] * cfg.n_worlds
-
-        def episode_seed(idx: int) -> int:
-            episode_counts[idx] += 1
-            return derive_seed(run_seed, _TAG_EPISODE, update_idx, idx, episode_counts[idx])
-
+        state = reset(cfg.world, [derive_seed(run_seed, _TAG_WORLD, update_idx, w) for w in range(cfg.n_worlds)])
         action_rng = np.random.default_rng(derive_seed(run_seed, _TAG_ACTIONS, update_idx))
-        while not buffer.is_full():
-            collect_rollout(net, actors, hp, action_rng, buffer, episode_seed)
-            global_step += steps_per_tick * hp.time_horizon
-        for w in range(cfg.n_worlds):
-            actors.finish_episode(w)
-        episode_returns = [r for returns in actors.completed_episode_returns for r in returns]
+        episode_returns = collect_rollout(net, state, hp, action_rng, buffer, (run_seed, _TAG_EPISODE, update_idx))
+        global_step += cycle_steps
 
-        lr = lr_at(schedule, min(global_step, hp.max_steps))
+        lr = lr_at(hp.learning_rate, hp.max_steps, global_step)
         shuffle_rng = np.random.default_rng(derive_seed(run_seed, _TAG_SHUFFLE, update_idx))
         stats = ppo_update(net, adam, buffer, hp, lr, shuffle_rng)
         update_idx += 1

@@ -476,6 +476,7 @@ class TestBadRunRecordInput:
             "",  # a blank line
             "\u00b2,4.0,1.0,0.0,10,3.8",  # a superscript two: str.isdigit, but not int
             "1,\udcff4.0,1.0,0.0,10,3.8",  # the byte 0xff, which UTF-8 cannot decode
+            "1,1.0,2.0,3.0,10,999",  # a task_efficiency its totals do not give
         ],
     )
     def test_malformed_row_exits_2_naming_the_line(self, tmp_path, row):

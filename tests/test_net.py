@@ -12,7 +12,6 @@ from predprey.net import (
     ADAM_EPS,
     AdamState,
     DenseNet,
-    LrSchedule,
     _layer_views,
     adam_step,
     backward,
@@ -296,31 +295,27 @@ class TestAdam:
 
 class TestLrSchedule:
     def test_table_values(self):
-        sched = LrSchedule(initial_rate=3.0e-4, max_steps=1_000_000)
-        assert lr_at(sched, 0) == 3.0e-4
-        assert lr_at(sched, 1_000_000) == 0.0
-        assert lr_at(sched, 500_000) == pytest.approx(1.5e-4, rel=0, abs=1e-18)
+        assert lr_at(3.0e-4, 1_000_000, 0) == 3.0e-4
+        assert lr_at(3.0e-4, 1_000_000, 1_000_000) == 0.0
+        assert lr_at(3.0e-4, 1_000_000, 500_000) == pytest.approx(1.5e-4, rel=0, abs=1e-18)
 
     def test_clamps_past_the_end(self):
-        sched = LrSchedule(initial_rate=3.0e-4, max_steps=100)
-        assert lr_at(sched, 101) == 0.0
-        assert lr_at(sched, 10_000) == 0.0
+        assert lr_at(3.0e-4, 100, 101) == 0.0
+        assert lr_at(3.0e-4, 100, 10_000) == 0.0
 
     def test_affine_in_step(self):
-        sched = LrSchedule(initial_rate=1e-3, max_steps=1000)
         rng = np.random.default_rng(0)
         for _ in range(100):
             a, b = rng.integers(0, 1000, size=2)
             if (a + b) % 2:
                 b += 1 if b < 1000 else -1
             mid = (a + b) // 2
-            assert lr_at(sched, a) + lr_at(sched, b) == pytest.approx(
-                2 * lr_at(sched, mid), rel=1e-12
+            assert lr_at(1e-3, 1000, a) + lr_at(1e-3, 1000, b) == pytest.approx(
+                2 * lr_at(1e-3, 1000, mid), rel=1e-12
             )
 
     def test_non_increasing(self):
-        sched = LrSchedule(initial_rate=1e-3, max_steps=997)
-        rates = [lr_at(sched, s) for s in range(0, 1100, 7)]
+        rates = [lr_at(1e-3, 997, s) for s in range(0, 1100, 7)]
         assert all(a >= b for a, b in zip(rates, rates[1:]))
 
 
@@ -543,3 +538,13 @@ def test_stats_rows_write_the_hand_written_bytes_and_read_back(tmp_path, groups)
     write_stats_csv([(label, np.array(g1), np.array(g2)) for label, g1, g2 in groups], oracle)
     assert path.read_bytes() == oracle.read_bytes()
     assert same_rows(read_rows(path, StatsRow), rows)
+
+
+def test_read_rows_refuses_a_derived_field_its_other_fields_do_not_give(tmp_path):
+    path = tmp_path / "run_records.csv"
+    write_rows(path, RunRecord, [RunRecord(0, 3.0, 1.0, 0.0, 10)])
+    with open(path, "a", newline="") as fh:
+        fh.write("1,1.0,2.0,3.0,10,999\r\n")
+    with pytest.raises(InputError) as exc:
+        read_rows(path, RunRecord)
+    assert str(exc.value) == f"{path}: line 3: task_efficiency 999.0 is not the -2.4 its other fields give"

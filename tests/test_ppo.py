@@ -5,7 +5,6 @@ import predprey.ppo as ppo_module
 from predprey.errors import ConfigError, ContractViolation, InputError, NumericsError, StructuralError
 from predprey.net import AdamState, forward, init_net, log_softmax
 from predprey.ppo import (
-    ActorWorlds,
     PpoHyperparams,
     RolloutBuffer,
     clipped_surrogate,
@@ -15,6 +14,7 @@ from predprey.ppo import (
     ppo_update,
     sample_actions,
 )
+from predprey.seeding import derive_seed
 from predprey.world import (
     N_EGO_FEATURES,
     N_HIT_KINDS,
@@ -254,56 +254,54 @@ class TestHyperparams:
         assert (hp.learning_rate, hp.summary_freq) == (3.0e-4, 10_000)
 
 
-def tiny_world_actors(n_prey=1, seed=0, predator=False):
+def tiny_world(n_prey=1, seed=0, predator=False):
     cfg = WorldConfig(
         n_prey=n_prey,
         predator_present=predator,
         n_positive_points=4,
         n_negative_points=4,
     )
-    state = reset(cfg, seed)
-    return cfg, ActorWorlds.from_state(state)
+    return cfg, reset(cfg, seed)
 
 
 class TestCollectRollout:
     def test_single_stream_horizon_64(self):
-        cfg, actors = tiny_world_actors(n_prey=1)
+        cfg, state = tiny_world(n_prey=1)
         net = init_net(cfg.obs_dim, 6, hidden_units=16, num_layers=1, seed=0)
         hp = PpoHyperparams(batch_size=32, buffer_size=64, time_horizon=64)
         buf = RolloutBuffer(hp.buffer_size, cfg.n_rays)
-        collect_rollout(net, actors, hp, np.random.default_rng(0), buf, counting_episode_seeds(0))
+        collect_rollout(net, state, hp, np.random.default_rng(0), buf, (0,))
         assert buf.size == 64 and buf.is_full()
 
     def test_deterministic_buffers(self):
         outs = []
         for _ in range(2):
-            cfg, actors = tiny_world_actors(n_prey=2, seed=3)
+            cfg, state = tiny_world(n_prey=2, seed=3)
             net = init_net(cfg.obs_dim, 6, hidden_units=16, num_layers=1, seed=1)
             hp = PpoHyperparams(batch_size=32, buffer_size=64, time_horizon=16)
             buf = RolloutBuffer(hp.buffer_size, cfg.n_rays)
-            collect_rollout(net, actors, hp, np.random.default_rng(11), buf, counting_episode_seeds(0))
+            collect_rollout(net, state, hp, np.random.default_rng(11), buf, (0,))
             outs.append(buf.stacked())
         for key in outs[0]:
             assert np.array_equal(outs[0][key], outs[1][key]), key
 
     def test_update_fires_after_16_sweeps_with_10_streams(self):
-        cfg, actors = tiny_world_actors(n_prey=10, seed=5)
+        cfg, state = tiny_world(n_prey=10, seed=5)
         net = init_net(cfg.obs_dim, 6, hidden_units=8, num_layers=1, seed=2)
         hp = PpoHyperparams()  # buffer 10240, horizon 64
         buf = RolloutBuffer(hp.buffer_size, cfg.n_rays)
-        rng = np.random.default_rng(0)
-        sweeps = 0
-        while not buf.is_full():
-            collect_rollout(net, actors, hp, rng, buf, counting_episode_seeds(0))
-            sweeps += 1
-        assert sweeps == 16  # 10240 / (10 streams * 64)
+        chunks, append_chunk = [], buf.append_chunk
+        buf.append_chunk = lambda n: chunks.append(n) or append_chunk(n)
+        collect_rollout(net, state, hp, np.random.default_rng(0), buf, (0,))
+        assert buf.is_full()
+        assert chunks == [10 * 64] * 16  # one chunk a sweep: 10240 / (10 streams * 64)
 
     def test_log_probs_recorded_from_behaviour_policy(self):
-        cfg, actors = tiny_world_actors(n_prey=1, seed=9)
+        cfg, state = tiny_world(n_prey=1, seed=9)
         net = init_net(cfg.obs_dim, 6, hidden_units=16, num_layers=1, seed=3)
         hp = PpoHyperparams(batch_size=8, buffer_size=16, time_horizon=16)
         buf = RolloutBuffer(hp.buffer_size, cfg.n_rays)
-        collect_rollout(net, actors, hp, np.random.default_rng(1), buf, counting_episode_seeds(0))
+        collect_rollout(net, state, hp, np.random.default_rng(1), buf, (0,))
         data, obs = buf.stacked(), buf.observations(np.arange(buf.size))
         assert np.array_equal(obs, reference_observation_rows(data["kinds"], data["distances"], data["ego"]))
         for i in range(buf.size):
@@ -311,38 +309,35 @@ class TestCollectRollout:
             assert r == pytest.approx(1.0, abs=1e-9)
 
     def test_default_sweep_peaks_under_128_kib(self):
-        # the sweep writes its rows straight into the buffer; filling per-sweep arrays of
+        # each sweep writes its rows straight into the buffer; filling per-sweep arrays of
         # every field and copying them in took the peak to 155 KB
         cfg = ScenarioConfig().world
         net = init_net(79, 6, seed=0)
         hp = PpoHyperparams()
         buf = RolloutBuffer(3 * 384, cfg.n_rays)
-        actors = ActorWorlds.from_state(reset(cfg, 0))
-        rng, episode_seed = np.random.default_rng(0), counting_episode_seeds(0)
-        for _ in range(2):  # warm-up sweeps
-            collect_rollout(net, actors, hp, rng, buf, episode_seed)
-        _, peak = traced_peak(collect_rollout, net, actors, hp, rng, buf, episode_seed)
+        rng = np.random.default_rng(0)
+        collect_rollout(net, reset(cfg, 0), hp, rng, buf, (0,))  # warm-up cycle
+        buf.clear()
+        state = reset(cfg, 1)
+        _, peak = traced_peak(collect_rollout, net, state, hp, rng, buf, (0,))  # a cycle of 3 sweeps
         assert buf.is_full()
         assert peak < 128 * 1024, peak / 1024
 
-    def test_three_worlds_with_resets_match_per_stream_reference(self):
-        cfg = WorldConfig(n_prey=2, n_positive_points=4, n_negative_points=4, episode_length=6)
+    @pytest.mark.parametrize("episode_length", [6, 8])  # 8 ends an episode on each sweep's last tick
+    def test_three_worlds_with_resets_match_per_stream_reference(self, episode_length):
+        cfg = WorldConfig(n_prey=2, n_positive_points=4, n_negative_points=4, episode_length=episode_length)
         net = init_net(cfg.obs_dim, 6, hidden_units=16, num_layers=1, seed=5)
         hp = PpoHyperparams(batch_size=32, buffer_size=192, time_horizon=16)
         seeds = [31, 32, 33]
-        actors = ActorWorlds.from_state(reset(cfg, seeds))
         buf = RolloutBuffer(hp.buffer_size, cfg.n_rays)
-        rng, episode_seed = np.random.default_rng(4), counting_episode_seeds(7)
-        for _ in range(2):
-            collect_rollout(net, actors, hp, rng, buf, episode_seed)
-        ref_actors = ActorWorlds.from_state(reset(cfg, seeds))
-        ref_rng, ref_seed = np.random.default_rng(4), counting_episode_seeds(7)
-        sweeps = [reference_sweep(net, ref_actors, 16, hp, ref_rng, ref_seed) for _ in range(2)]
+        returns = collect_rollout(net, reset(cfg, seeds), hp, np.random.default_rng(4), buf, (7,))
+        want, want_returns = reference_cycle(net, reset(cfg, seeds), 2, hp, np.random.default_rng(4), (7,))
         got = buf.stacked()
         assert buf.size == 2 * 3 * 2 * 16
-        assert all(len(returns) == 2 * 5 for returns in actors.completed_episode_returns)  # 5 resets per world
+        assert len(returns) == 3 * 2 * (32 // episode_length + 1)  # each world's ended episodes, then its unfinished one
+        assert returns == want_returns
         for key in RolloutBuffer.FIELDS:
-            assert np.array_equal(got[key], np.concatenate([sw[key] for sw in sweeps])), key
+            assert np.array_equal(got[key], want[key]), key
 
 
 def world_rows(rng, n, n_rays=11):
@@ -484,50 +479,48 @@ class TestRolloutBufferInPlace:
             fill_buffer(buf, **random_chunk(rng))
 
 
-def counting_episode_seeds(base):
-    """episode_seed(w) for collect_rollout: a fresh seed for each episode of each world."""
-    counts = {}
-
-    def episode_seed(w):
-        counts[w] = counts.get(w, 0) + 1
-        return base + 100 * int(w) + counts[w]
-
-    return episode_seed
-
-
-def reference_sweep(net, actors, T, hp, rng, episode_seed):
-    """One sweep laid out stream by stream: time-major arrays and one GAE call per (world, prey)."""
-    state = actors.state
+def reference_cycle(net, state, n_sweeps, hp, rng, episode_key):
+    """The rows and returns of collect_rollout's cycle of n_sweeps, laid out stream by stream: time-major arrays,
+    one GAE call per (world, prey) and sweep, and each prey's return summed tick by tick until its world's episode
+    ends."""
     n_worlds, n_prey = state.prey_heading.shape
-    u = rng.random((n_worlds, T, n_prey))
+    T = hp.time_horizon
+    obs = observe_all(state)
+    episodes = [[[0.0] * n_prey] for _ in range(n_worlds)]  # per world, the per-prey returns of each episode
     observed = ("kinds", "distances", "ego")
-    seq = {k: [] for k in (*observed, "actions", "log_prob_old", "values", "rewards", "boundaries")}
-    for t in range(T):
-        actions, logp, values = sample_actions(net, reference_observation_rows(*actors.obs), u[:, t])
-        for key, x in (*zip(observed, actors.obs), ("actions", actions), ("log_prob_old", logp), ("values", values)):
-            seq[key].append(np.array(x))
-        _, rewards, actors.obs, _ = step(state, actions)
-        ended = state.tick >= state.config.episode_length
-        for w in np.flatnonzero(ended):
-            reset_worlds(state, np.array([w]), [episode_seed(w)])
-        if ended.any():
-            actors.obs = observe_all(state)
-        seq["rewards"].append(np.array(rewards))
-        seq["boundaries"].append(np.repeat(ended[:, None], n_prey, axis=1))
-    seq = {k: np.stack(v) for k, v in seq.items()}  # (T, W, n_prey, ...)
-    _, bootstrap = forward(net, reference_observation_rows(*actors.obs))
     rows = {k: [] for k in RolloutBuffer.FIELDS}
-    for w in range(n_worlds):
-        for i in range(n_prey):
-            est = compute_gae(
-                seq["rewards"][:, w, i], seq["values"][:, w, i], seq["boundaries"][:, w, i],
-                float(bootstrap[w, i]), hp.gamma, hp.gae_lambda,
-            )
-            for key in (*observed, "actions", "log_prob_old", "values"):
-                rows[key].append(seq[key][:, w, i])
-            rows["advantages"].append(est.advantages)
-            rows["returns"].append(est.returns)
-    return {k: np.concatenate(v) for k, v in rows.items()}
+    for _ in range(n_sweeps):
+        u = rng.random((n_worlds, T, n_prey))
+        seq = {k: [] for k in (*observed, "actions", "log_prob_old", "values", "rewards", "boundaries")}
+        for t in range(T):
+            actions, logp, values = sample_actions(net, reference_observation_rows(*obs), u[:, t])
+            for key, x in (*zip(observed, obs), ("actions", actions), ("log_prob_old", logp), ("values", values)):
+                seq[key].append(np.array(x))
+            _, rewards, obs, _ = step(state, actions)
+            ended = state.tick >= state.config.episode_length
+            for w in range(n_worlds):
+                episodes[w][-1] = [total + float(r) for total, r in zip(episodes[w][-1], rewards[w])]
+                if ended[w]:
+                    reset_worlds(state, np.array([w]), [derive_seed(*episode_key, w, len(episodes[w]))])
+                    episodes[w].append([0.0] * n_prey)
+            if ended.any():
+                obs = observe_all(state)
+            seq["rewards"].append(np.array(rewards))
+            seq["boundaries"].append(np.repeat(ended[:, None], n_prey, axis=1))
+        seq = {k: np.stack(v) for k, v in seq.items()}  # (T, W, n_prey, ...)
+        _, bootstrap = forward(net, reference_observation_rows(*obs))
+        for w in range(n_worlds):
+            for i in range(n_prey):
+                est = compute_gae(
+                    seq["rewards"][:, w, i], seq["values"][:, w, i], seq["boundaries"][:, w, i],
+                    float(bootstrap[w, i]), hp.gamma, hp.gae_lambda,
+                )
+                for key in (*observed, "actions", "log_prob_old", "values"):
+                    rows[key].append(seq[key][:, w, i])
+                rows["advantages"].append(est.advantages)
+                rows["returns"].append(est.returns)
+    returns = [r for world in episodes for episode in world for r in episode]
+    return {k: np.concatenate(v) for k, v in rows.items()}, returns
 
 
 def synthetic_buffer(net, n, obs_dim, rng, adv_scale=1.0, perturb=0.0):

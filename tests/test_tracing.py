@@ -80,6 +80,7 @@ def test_traced_cli_train_and_eval_reach_every_benchmark_span(traced_cli):
         "ppo.ppo_update",
     )
     assert_spans_called(metrics, spans)
+    assert metrics["ppo.collect_rollout.calls"] == 1  # one call collects the whole cycle, so collect_share is its share
     assert metrics["ppo.RolloutBuffer.append_chunk.calls"] == 27  # the sweeps of the one default cycle
 
 
